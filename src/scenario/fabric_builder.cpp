@@ -152,6 +152,12 @@ const CompiledRoute* BuiltFabric::route(NodeIndex src, NodeIndex dst) {
   return &stored;
 }
 
+const CompiledRoute* BuiltFabric::cached_route(NodeIndex src,
+                                               NodeIndex dst) const {
+  const auto it = routes_.find(netsim::node_pair_key(src, dst));
+  return it == routes_.end() ? nullptr : &it->second;
+}
+
 CompiledRoute BuiltFabric::compile_path_route(const netsim::Path& path,
                                               std::size_t& crt_steps) const {
   // Per-path baseline: derives the whole congruence system for this

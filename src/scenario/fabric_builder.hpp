@@ -152,6 +152,11 @@ class BuiltFabric {
   [[nodiscard]] const CompiledRoute* route(netsim::NodeIndex src,
                                            netsim::NodeIndex dst);
 
+  /// The cached route src -> dst, or nullptr when none is cached.
+  /// Never compiles; same pointer lifetime as route().
+  [[nodiscard]] const CompiledRoute* cached_route(netsim::NodeIndex src,
+                                                  netsim::NodeIndex dst) const;
+
   /// Tree-incremental all-pairs compilation: one shortest-path-tree
   /// walk per source, sharing CRT prefixes down the DFS -- O(n) CRT
   /// steps per source where per-pair route() calls cost O(n * depth).

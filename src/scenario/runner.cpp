@@ -10,6 +10,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "scenario/failover_playback.hpp"
 #include "scenario/shard.hpp"
 
 namespace hp::scenario {
@@ -246,9 +247,7 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
   // compiled() cache is not thread-safe to build concurrently.
   const polka::CompiledFabric& fast = fabric.compiled();
 
-  // Epoch boundaries from the failure schedule.
-  std::vector<LinkFailure> failures = options_.failures;
-  std::ranges::stable_sort(failures, {}, &LinkFailure::at_fraction);
+  FailoverPlayback playback(fabric, stream.pairs, options_.failures);
   std::vector<std::uint8_t> alive(stream.pairs.size(), 1);
   // Streams built before segmentation (or by hand) may lack refs; give
   // every lane a default single-label ref so repair can upgrade it.
@@ -262,233 +261,171 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
     expected[i] = stream.pairs[i].expected;
   }
 
-  // Streams intern each (src, dst) once; resolve lane by pair key once
-  // instead of per failure event (flap schedules fire dozens).
-  std::unordered_map<std::uint64_t, std::uint32_t> lane_of;
-  for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
-    lane_of.emplace(
-        netsim::node_pair_key(stream.pairs[lane].src, stream.pairs[lane].dst),
-        lane);
-  }
-
   ScenarioReport report;
   report.fold_kernel = fast.kernel();
   std::size_t done = 0;
-  std::size_t next_failure = 0;
+  // Stream position of the next scheduled event, never behind `done`.
+  auto next_boundary = [&] {
+    const auto at = static_cast<std::size_t>(std::llround(
+        playback.next().at_fraction * static_cast<double>(total)));
+    return std::clamp(at, done, total);
+  };
+  // Replay [done, upto) with the current labels and alive mask.
+  auto replay_to = [&](std::size_t upto) {
+    if (upto <= done) return;
+    // Spans over the stream's pools are rebuilt per call: failure
+    // repair may grow them (and reallocate).
+    const SegmentTable segments{stream.seg_labels, stream.seg_waypoints,
+                                stream.seg_refs};
+    const std::size_t count = upto - done;
+    const ScenarioReport part = replay_shards(
+        fast,
+        std::span<const polka::RouteLabel>(stream.labels.data() + done, count),
+        std::span<const std::uint32_t>(stream.ingress.data() + done, count),
+        std::span<const std::uint32_t>(stream.pair.data() + done, count),
+        expected, alive, segments, options_.threads, options_.batch_size,
+        options_.max_hops, options_.metrics);
+    // Sequential partials: counters and wall clock both sum.
+    report.merge_from(part);
+    done = upto;
+  };
 
-  // Repoint every listed pair's lane at its current cached route (all
-  // cache hits: the failover event already stored them) and rewrite the
-  // unreplayed tail's labels in one pass.  `revive` resurrects lanes a
-  // previous failure severed (link restores bring their routes back);
-  // `touched` collects the updated lanes for the caller's loss window.
-  auto relabel =
-      [&](const std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>>&
-              pairs,
-          bool revive, std::vector<std::uint32_t>* touched) {
-        std::unordered_map<std::uint32_t, polka::RouteLabel> new_label;
-        for (const auto& [src, dst] : pairs) {
-          const auto it = lane_of.find(netsim::node_pair_key(src, dst));
-          if (it == lane_of.end()) continue;
-          const std::uint32_t lane = it->second;
-          if (!alive[lane] && !revive) continue;
-          const CompiledRoute* route = fabric.route(src, dst);
-          if (route == nullptr || route->segments.labels.empty()) {
-            alive[lane] = 0;
-            continue;
-          }
-          alive[lane] = 1;
-          ++report.rerouted_pairs;
-          stream.pairs[lane].expected = route->expected;
-          expected[lane] = route->expected;
-          new_label.emplace(lane, route->segments.labels.front());
-          // A detour may gain or lose segments; pool the new list and
-          // repoint the lane (orphaning its old slice is harmless).
-          stream.seg_refs[lane] = append_segments(stream, route->segments);
-          if (touched != nullptr) touched->push_back(lane);
-        }
-        for (std::size_t i = done; i < total && !new_label.empty(); ++i) {
-          const auto it = new_label.find(stream.pair[i]);
-          if (it != new_label.end()) stream.labels[i] = it->second;
-        }
-      };
-
-  while (done < total || next_failure < failures.size()) {
-    std::size_t end = total;
-    if (next_failure < failures.size()) {
-      const double f = std::clamp(failures[next_failure].at_fraction, 0.0, 1.0);
-      end = std::min<std::size_t>(
-          total, static_cast<std::size_t>(std::llround(
-                     f * static_cast<double>(total))));
-      end = std::max(end, done);
-    }
+  while (done < total || !playback.done()) {
+    const std::size_t end = playback.done() ? total : next_boundary();
     if (end > done) {
-      const std::size_t count = end - done;
       obs::TraceScope epoch_scope(options_.trace, "replay.epoch", "replay");
-      // Spans over the stream's pools are rebuilt per epoch: failure
-      // repair below may grow them (and reallocate).
-      const SegmentTable segments{stream.seg_labels, stream.seg_waypoints,
-                                  stream.seg_refs};
-      const ScenarioReport epoch = replay_shards(
-          fast,
-          std::span<const polka::RouteLabel>(stream.labels.data() + done,
-                                             count),
-          std::span<const std::uint32_t>(stream.ingress.data() + done, count),
-          std::span<const std::uint32_t>(stream.pair.data() + done, count),
-          expected, alive, segments, options_.threads, options_.batch_size,
-          options_.max_hops, options_.metrics);
-      // Sequential epoch partials: counters and wall clock both sum.
-      report.merge_from(epoch);
+      replay_to(end);
       if (options_.metrics != nullptr) {
         options_.metrics->counter("replay.epochs").add(1);
       }
-      done = end;
     }
-    if (next_failure < failures.size()) {
-      const LinkFailure& failure = failures[next_failure++];
-      obs::TraceScope repair_scope(
-          options_.trace, failure.restore ? "replay.restore" : "replay.repair",
-          "replay");
-      const auto t0 = std::chrono::steady_clock::now();
-      const FailoverReport ev =
-          failure.restore ? fabric.restore_link(failure.a, failure.b)
-                          : fabric.apply_failure(failure.a, failure.b);
-      // Graceful degradation: failing a dead link (or restoring a live
-      // one) is a no-op, not an error -- storms hit this constantly.
-      if (ev.duplicate) continue;
+    if (playback.done()) continue;
+    obs::TraceScope repair_scope(
+        options_.trace,
+        playback.next().restore ? "replay.restore" : "replay.repair",
+        "replay");
+    const auto t0 = std::chrono::steady_clock::now();
+    const FailoverEvent ev = playback.step();
+    const auto switchover = std::chrono::steady_clock::now() - t0;
+    if (ev.duplicate) continue;
 
-      // Hitless swaps first (no loss window), then in-event repairs,
-      // then the lazy recompiler for pairs whose protection set died.
-      std::vector<std::uint32_t> window_lanes;
-      relabel(ev.swapped, failure.restore, nullptr);
-      relabel(ev.repaired, false, &window_lanes);
-      FailoverReport lazy;
-      if (fabric.pending_repair_count() > 0) {
-        lazy = fabric.repair_pending();
-        relabel(lazy.repaired, false, &window_lanes);
+    // Repoint every rerouted lane at its new route (a restore revives
+    // lanes an earlier failure severed) and rewrite the unreplayed
+    // tail's labels in one pass.  Recompiled lanes -- not swapped ones
+    // -- enter the loss window below.
+    std::vector<std::uint32_t> window_lanes;
+    if (!ev.rerouted.empty()) {
+      std::vector<const CompiledRoute*> new_route(stream.pairs.size(), nullptr);
+      for (const LaneReroute& r : ev.rerouted) {
+        alive[r.lane] = 1;
+        stream.pairs[r.lane].expected = r.route->expected;
+        expected[r.lane] = r.route->expected;
+        // A detour may gain or lose segments; pool the new list and
+        // repoint the lane (orphaning its old slice is harmless).
+        stream.seg_refs[r.lane] = append_segments(stream, r.route->segments);
+        new_route[r.lane] = r.route;
+        if (r.kind != RerouteKind::kSwap) window_lanes.push_back(r.lane);
       }
-
-      // Severed pairs: mark dead (remaining packets drop) and charge
-      // their unreplayed tail to the failover loss account.
-      std::vector<std::uint32_t> severed;
-      for (const auto* list : {&ev.unroutable, &std::as_const(lazy).unroutable}) {
-        for (const auto& [src, dst] : *list) {
-          const auto it = lane_of.find(netsim::node_pair_key(src, dst));
-          if (it == lane_of.end() || !alive[it->second]) continue;
-          alive[it->second] = 0;
-          severed.push_back(it->second);
-          ++report.unroutable_pairs;
+      for (std::size_t i = done; i < total; ++i) {
+        if (const CompiledRoute* route = new_route[stream.pair[i]]) {
+          stream.labels[i] = route->segments.labels.front();
         }
       }
-      std::size_t lost = 0;
-      if (!severed.empty()) {
-        std::vector<char> is_severed(stream.pairs.size(), 0);
-        for (const std::uint32_t lane : severed) is_severed[lane] = 1;
-        for (std::size_t i = done; i < total; ++i) {
-          if (is_severed[stream.pair[i]] != 0) ++lost;
+    }
+
+    // Severed lanes: mark dead (remaining packets drop) and charge
+    // their unreplayed tail to the failover loss account.
+    std::size_t lost = 0;
+    if (!ev.severed.empty()) {
+      std::vector<char> is_severed(stream.pairs.size(), 0);
+      for (const std::uint32_t lane : ev.severed) {
+        alive[lane] = 0;
+        is_severed[lane] = 1;
+      }
+      for (std::size_t i = done; i < total; ++i) {
+        if (is_severed[stream.pair[i]] != 0) ++lost;
+      }
+    }
+    const std::size_t swaps = ev.count(RerouteKind::kSwap);
+    const std::size_t lazy_repairs = ev.count(RerouteKind::kLazyRepair);
+    report.rerouted_pairs += ev.rerouted.size();
+    report.backup_swapped_pairs += swaps;
+    report.lazy_repaired_pairs += lazy_repairs;
+    report.unroutable_pairs += ev.severed.size();
+    report.window_recompiles += ev.window_recompiles;
+
+    // Convergence-loss model: each *recompiled* lane loses its own
+    // next loss_window_per_recompile packets.  The tail is chopped at
+    // each lane's window end and replayed with the still-converging
+    // lanes masked dead, so drops thread through the normal shard
+    // accounting and stay per-pair exact.  Swapped lanes never enter
+    // this block: that asymmetry is what "hitless" means.
+    if (!window_lanes.empty() && options_.loss_window_per_recompile > 0 &&
+        done < total) {
+      // Windows never run past the next scheduled event.
+      const std::size_t bound = playback.done() ? total : next_boundary();
+      std::unordered_map<std::uint32_t, std::size_t> quota;
+      for (const std::uint32_t lane : window_lanes) {
+        if (alive[lane] != 0) {
+          quota.emplace(lane, options_.loss_window_per_recompile);
         }
       }
-      report.backup_swapped_pairs += ev.swapped.size();
-      report.window_recompiles += ev.window_recompiles;
-      report.lazy_repaired_pairs += lazy.repaired.size();
-
-      // Convergence-loss model: each *recompiled* pair loses its own
-      // next loss_window_per_recompile packets.  The tail is chopped at
-      // each lane's window end and replayed with the still-converging
-      // lanes masked dead, so drops thread through the normal shard
-      // accounting and stay per-pair exact.  Swapped pairs never enter
-      // this block: that asymmetry is what "hitless" means.
-      if (!window_lanes.empty() && options_.loss_window_per_recompile > 0 &&
-          done < total) {
-        // Windows never run past the next scheduled event.
-        std::size_t bound = total;
-        if (next_failure < failures.size()) {
-          const double f =
-              std::clamp(failures[next_failure].at_fraction, 0.0, 1.0);
-          const auto boundary = static_cast<std::size_t>(
-              std::llround(f * static_cast<double>(total)));
-          bound = std::clamp(boundary, done, total);
-        }
-        std::unordered_map<std::uint32_t, std::size_t> quota;
-        for (const std::uint32_t lane : window_lanes) {
-          if (alive[lane] != 0) {
-            quota.emplace(lane, options_.loss_window_per_recompile);
+      // One forward walk finds each lane's window end (the stream
+      // position of its last lost packet) and the loss count.
+      std::vector<std::pair<std::size_t, std::uint32_t>> chops;
+      std::vector<std::uint32_t> unfinished;
+      {
+        auto remaining = quota;
+        for (std::size_t i = done; i < bound && !remaining.empty(); ++i) {
+          const auto it = remaining.find(stream.pair[i]);
+          if (it == remaining.end()) continue;
+          ++lost;
+          if (--it->second == 0) {
+            chops.emplace_back(i + 1, it->first);
+            remaining.erase(it);
           }
         }
-        // One forward walk finds each lane's window end (the stream
-        // position of its last lost packet) and the loss count.
-        std::vector<std::pair<std::size_t, std::uint32_t>> chops;
-        std::vector<std::uint32_t> unfinished;
-        {
-          auto remaining = quota;
-          for (std::size_t i = done; i < bound && !remaining.empty(); ++i) {
-            const auto it = remaining.find(stream.pair[i]);
-            if (it == remaining.end()) continue;
-            ++lost;
-            if (--it->second == 0) {
-              chops.emplace_back(i + 1, it->first);
-              remaining.erase(it);
-            }
-          }
-          for (const auto& [lane, left] : remaining) {
-            unfinished.push_back(lane);
-          }
-        }
-        for (const auto& [lane, left] : quota) alive[lane] = 0;
-        auto replay_to = [&](std::size_t upto) {
-          if (upto <= done) return;
-          const SegmentTable segments{stream.seg_labels, stream.seg_waypoints,
-                                      stream.seg_refs};
-          const std::size_t count = upto - done;
-          const ScenarioReport window = replay_shards(
-              fast,
-              std::span<const polka::RouteLabel>(stream.labels.data() + done,
-                                                 count),
-              std::span<const std::uint32_t>(stream.ingress.data() + done,
-                                             count),
-              std::span<const std::uint32_t>(stream.pair.data() + done, count),
-              expected, alive, segments, options_.threads,
-              options_.batch_size, options_.max_hops, options_.metrics);
-          report.merge_from(window);
-          done = upto;
-        };
-        for (const auto& [chop_end, lane] : chops) {
-          replay_to(chop_end);
-          alive[lane] = 1;  // this lane converged; it forwards again
-        }
-        if (!unfinished.empty()) {
-          // Lanes whose window outlives the inter-event gap (or the
-          // stream) stay masked to the bound, then resume.
-          replay_to(bound);
-          for (const std::uint32_t lane : unfinished) alive[lane] = 1;
+        for (const auto& [lane, left] : remaining) {
+          unfinished.push_back(lane);
         }
       }
-      report.failover_packets_lost += lost;
+      for (const auto& [lane, left] : quota) alive[lane] = 0;
+      for (const auto& [chop_end, lane] : chops) {
+        replay_to(chop_end);
+        alive[lane] = 1;  // this lane converged; it forwards again
+      }
+      if (!unfinished.empty()) {
+        // Lanes whose window outlives the inter-event gap (or the
+        // stream) stay masked to the bound, then resume.
+        replay_to(bound);
+        for (const std::uint32_t lane : unfinished) alive[lane] = 1;
+      }
+    }
+    report.failover_packets_lost += lost;
 
-      if (options_.metrics != nullptr) {
-        obs::MetricRegistry& reg = *options_.metrics;
-        reg.counter(failure.restore ? "replay.failover.restores"
-                                    : "replay.failover.failures")
-            .add(1);
-        reg.counter("replay.failover.swaps").add(ev.swapped.size());
-        reg.counter("replay.failover.window_recompiles")
-            .add(ev.window_recompiles);
-        reg.counter("replay.failover.lazy_repairs").add(lazy.repaired.size());
-        reg.counter("replay.failover.packets_lost").add(lost);
-        reg.counter("replay.failover.unroutable_pairs").add(severed.size());
-        // Backup-path stretch in percent: deterministic content (a
-        // pure path-length ratio), unlike the wall-clock histogram
-        // below whose _ns suffix keeps it out of snapshot diffing.
-        for (const double stretch : ev.swap_stretch) {
-          reg.histogram("replay.failover.stretch_pct")
-              .record(static_cast<std::uint64_t>(
-                  std::llround(stretch * 100.0)));
-        }
-        reg.histogram("replay.failover.switchover_ns")
+    if (options_.metrics != nullptr) {
+      obs::MetricRegistry& reg = *options_.metrics;
+      reg.counter(ev.failure.restore ? "replay.failover.restores"
+                                     : "replay.failover.failures")
+          .add(1);
+      reg.counter("replay.failover.swaps").add(swaps);
+      reg.counter("replay.failover.window_recompiles")
+          .add(ev.window_recompiles);
+      reg.counter("replay.failover.lazy_repairs").add(lazy_repairs);
+      reg.counter("replay.failover.packets_lost").add(lost);
+      reg.counter("replay.failover.unroutable_pairs").add(ev.severed.size());
+      // Backup-path stretch in percent: deterministic content (a
+      // pure path-length ratio), unlike the wall-clock histogram
+      // below whose _ns suffix keeps it out of snapshot diffing.
+      for (const double stretch : ev.swap_stretch) {
+        reg.histogram("replay.failover.stretch_pct")
             .record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count()));
+                std::llround(stretch * 100.0)));
       }
+      reg.histogram("replay.failover.switchover_ns")
+          .record(static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(switchover)
+                  .count()));
     }
   }
   if (options_.metrics != nullptr) {

@@ -7,7 +7,7 @@
 #include "core/contracts.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry_bridge.hpp"
+#include "sim/transport.hpp"
 
 namespace hp::sim {
 
@@ -19,7 +19,7 @@ enum EventKind : std::uint32_t {
   kDrain = 1,     ///< arg = channel index; one serialization finished
   kLinkDown = 2,  ///< arg = channel index; the wire disappears
   kLinkUp = 3,    ///< arg = channel index; the wire comes back
-  kTimer = 4,     ///< arg = opaque cookie handed to config.timer_hook
+  kTimer = 4,     ///< arg = opaque cookie handed to Transport::on_timer
 };
 
 }  // namespace
@@ -107,8 +107,8 @@ std::uint32_t PacketSim::add_flow(const polka::PacketResult& expected) {
 }
 
 void PacketSim::schedule_timer(Tick at, std::uint32_t arg) {
-  if (!config_.timer_hook) {
-    throw std::logic_error("PacketSim::schedule_timer: no timer_hook set");
+  if (transport_ == nullptr) {
+    throw std::logic_error("PacketSim::schedule_timer: no transport attached");
   }
   queue_.push(at, kTimer, arg);
 }
@@ -207,7 +207,7 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
       flight->record({t, s.flow, packet, s.node, port, 0,
                       obs::HopOutcome::kDelivered});
     }
-    if (config_.delivered_hook) config_.delivered_hook(t, s.flow, packet);
+    if (transport_ != nullptr) transport_->on_delivered(t, s.flow, packet);
   };
   if (peer == polka::CompiledFabric::kNoNode) {
     // Unwired port: the packet egresses here -- a delivery.
@@ -225,8 +225,8 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
       flight->record({t, s.flow, packet, s.node, port, 0,
                       obs::HopOutcome::kTtlExpired});
     }
-    if (config_.drop_hook) {
-      config_.drop_hook(t, s.flow, packet, DropCause::kTtlExpired);
+    if (transport_ != nullptr) {
+      transport_->on_dropped(t, s.flow, packet, DropCause::kTtlExpired);
     }
     return;
   }
@@ -257,8 +257,8 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
       flight->record({t, s.flow, packet, s.node, port, state.queued,
                       obs::HopOutcome::kLinkDown});
     }
-    if (config_.drop_hook) {
-      config_.drop_hook(t, s.flow, packet, DropCause::kLinkDown);
+    if (transport_ != nullptr) {
+      transport_->on_dropped(t, s.flow, packet, DropCause::kLinkDown);
     }
     return;
   }
@@ -276,8 +276,8 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
       flight->record({t, s.flow, packet, s.node, port, state.queued,
                       obs::HopOutcome::kTailDrop});
     }
-    if (config_.drop_hook) {
-      config_.drop_hook(t, s.flow, packet, DropCause::kTailDrop);
+    if (transport_ != nullptr) {
+      transport_->on_dropped(t, s.flow, packet, DropCause::kTailDrop);
     }
     return;
   }
@@ -288,7 +288,7 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
   if (ecn) {
     ++c.ecn_marked;
     ++stat.ecn_marks;
-    if (config_.ecn_hook) config_.ecn_hook(ch, state.queued, s.flow);
+    if (transport_ != nullptr) transport_->on_ecn(s.flow);
   }
   if (obs_.queue_depth != nullptr) {
     obs_.queue_depth->record(state.queued);
@@ -317,27 +317,12 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
 }
 
 SimResult PacketSim::run() {
-  const Tick period = config_.telemetry_period_ns;
-  const bool sampling = config_.telemetry != nullptr && period > 0;
-  // First boundary at one full period (a t=0 sample would only ever see
-  // zeros); next_sample_ persists across run() calls so phased feeding
-  // keeps one monotonic series.
-  if (sampling && next_sample_ == 0) next_sample_ = period;
   while (!queue_.empty()) {
     const Event e = queue_.pop();
     // Simulated time never rewinds: the heap orders by (at, seq), so a
     // violation here means an engine scheduled into the past -- the
     // exact class of bug that silently breaks bit-identical replay.
     HP_CHECK(e.at >= now_, "PacketSim: event scheduled before now");
-    if (sampling) {
-      // Sample every boundary at or before this event, *before*
-      // processing it: each point is the state as of the boundary tick,
-      // pinned to event order, never wall clock.
-      while (next_sample_ <= e.at) {
-        config_.telemetry->sample(static_cast<double>(next_sample_) * 1e-9);
-        next_sample_ += period;
-      }
-    }
     now_ = e.at;
     switch (e.kind) {
       case kArrive:
@@ -359,9 +344,9 @@ SimResult PacketSim::run() {
         if (obs_.link_events != nullptr) obs_.link_events->add(1);
         break;
       case kTimer:
-        HP_DCHECK(static_cast<bool>(config_.timer_hook),
-                  "PacketSim: timer event with no timer_hook");
-        config_.timer_hook(e.at, e.arg);
+        HP_DCHECK(transport_ != nullptr,
+                  "PacketSim: timer event with no transport attached");
+        transport_->on_timer(e.at, e.arg);
         break;
       default:
         throw std::logic_error("PacketSim: unknown event kind");

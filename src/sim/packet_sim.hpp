@@ -21,7 +21,7 @@
 //  * the channel's upstream side is a finite FIFO egress queue: a
 //    packet routed onto a busy channel waits behind the packets
 //    already committed; arriving at a full queue is a tail drop, and
-//    crossing `ecn_threshold` fires the ECN-mark hook;
+//    crossing `ecn_threshold` marks it (and tells the transport);
 //  * per-flow and per-link Stat accumulate delivery times (FCT),
 //    queue-depth high-water marks, drops/marks and busy time (link
 //    utilization).
@@ -32,7 +32,6 @@
 // SimResult on every run.
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -46,10 +45,11 @@ class Gauge;
 class Histogram;
 class MetricRegistry;
 class FlightRecorder;
-class TelemetryBridge;
 }  // namespace hp::obs
 
 namespace hp::sim {
+
+class Transport;
 
 /// One directed channel: the timing constants of a router-to-router
 /// link plus the bounds of its upstream egress queue.
@@ -101,7 +101,7 @@ struct FlowStat {
 };
 
 /// Why a packet left the simulation without being delivered.  The
-/// drop hook receives the cause so a transport can distinguish
+/// attached Transport receives the cause so it can distinguish
 /// congestion feedback (a tail drop is reported backwards, like a
 /// lossless-fabric NACK) from silent losses (a dead wire or a TTL kill
 /// gives the sender nothing -- only its retransmission timer notices).
@@ -114,23 +114,6 @@ enum class DropCause : std::uint32_t {
 /// Engine-wide knobs.
 struct SimConfig {
   std::size_t max_hops = 64;  ///< same hop cap as the replay walks
-  /// ECN-mark hook: called once per marked packet with (channel index,
-  /// queue depth after enqueue, flow handle of the marked packet).
-  /// Marks are counted either way; the hook is where the congestion
-  /// -control layer (sim/transport.hpp) or a test taps in.
-  std::function<void(std::uint32_t channel, std::uint32_t depth,
-                     std::uint32_t flow)>
-      ecn_hook;
-  /// Closed-loop feedback taps (see sim/transport.hpp).  All optional:
-  /// delivered_hook fires once per delivered packet, drop_hook once per
-  /// lost packet with its cause, timer_hook once per kTimer event
-  /// scheduled through schedule_timer().
-  std::function<void(Tick t, std::uint32_t flow, std::uint32_t packet)>
-      delivered_hook;
-  std::function<void(Tick t, std::uint32_t flow, std::uint32_t packet,
-                     DropCause cause)>
-      drop_hook;
-  std::function<void(Tick t, std::uint32_t arg)> timer_hook;
   /// Observability taps, all optional (borrowed; must outlive run()).
   /// With `metrics` set the engine registers sim.* counters, the
   /// sim.queue_depth histogram and one sim.link.NNNNN.queue_depth gauge
@@ -140,12 +123,6 @@ struct SimConfig {
   obs::MetricRegistry* metrics = nullptr;
   /// Hop-level ring for 1-in-N flows (see obs/flight_recorder.hpp).
   obs::FlightRecorder* recorder = nullptr;
-  /// Sampled on simulated-tick boundaries: every `telemetry_period_ns`
-  /// the engine appends each registry gauge to the bridge's store at
-  /// t = tick * 1e-9 s, *before* processing any event at or past the
-  /// boundary.  0 disables sampling.
-  obs::TelemetryBridge* telemetry = nullptr;
-  Tick telemetry_period_ns = 0;
 };
 
 /// Merged outcome of one PacketSim::run().
@@ -214,36 +191,24 @@ class PacketSim {
   /// `at`, carrying `label` (or, when ref.label_count > 1, the pooled
   /// segment list `ref` names -- the first pooled label must equal
   /// `label`, exactly as in a PacketStream).  Returns the packet's
-  /// index (the handle delivered_hook / drop_hook report).  Safe to
-  /// call from inside a hook while run() drains, which is how the
-  /// transport layer injects retransmissions.  Throws
+  /// index (the handle the transport's feedback carries).  Safe to
+  /// call from inside a transport callback while run() drains, which is
+  /// how retransmissions are injected.  Throws
   /// std::invalid_argument on a bad source, flow or ref.
   std::uint32_t inject(Tick at, polka::RouteLabel label, polka::SegmentRef ref,
                        std::uint32_t source, std::uint32_t flow);
 
   /// Schedule a kTimer event at simulated time `at`; when it fires the
-  /// engine calls config.timer_hook(at, arg).  The queue never cancels:
-  /// stale timers are the hook owner's problem (the transport keeps an
-  /// arm generation per flow).  Throws std::logic_error when no
-  /// timer_hook is installed.
+  /// engine calls the attached transport's on_timer(at, arg).  The
+  /// queue never cancels: stale timers are the transport's problem (it
+  /// keeps an arm generation per flow).  Throws std::logic_error when
+  /// no transport is attached.
   void schedule_timer(Tick at, std::uint32_t arg);
 
-  /// Install / replace the closed-loop feedback hooks after
-  /// construction (the transport layer wires itself onto an already
-  /// -built engine).
-  void set_ecn_hook(
-      std::function<void(std::uint32_t, std::uint32_t, std::uint32_t)> hook) {
-    config_.ecn_hook = std::move(hook);
-  }
-  void set_feedback_hooks(
-      std::function<void(Tick, std::uint32_t, std::uint32_t)> delivered,
-      std::function<void(Tick, std::uint32_t, std::uint32_t, DropCause)>
-          dropped,
-      std::function<void(Tick, std::uint32_t)> timer) {
-    config_.delivered_hook = std::move(delivered);
-    config_.drop_hook = std::move(dropped);
-    config_.timer_hook = std::move(timer);
-  }
+  /// Attach the closed-loop sender (borrowed; nullptr detaches).  The
+  /// engine then reports every ECN mark, delivery and loss, and every
+  /// kTimer event, straight to it.  Transport::arm() calls this.
+  void set_transport(Transport* transport) noexcept { transport_ = transport; }
 
   /// Schedule the directed channel to go down (up = false) or come
   /// back (up = true) at simulated time `at`.  While a channel is
@@ -313,7 +278,7 @@ class PacketSim {
   std::vector<char> link_up_;  ///< per channel: 1 while the wire exists
   EventQueue queue_;
   Tick now_ = 0;
-  Tick next_sample_ = 0;  ///< next telemetry-bridge tick boundary
+  Transport* transport_ = nullptr;  ///< closed-loop feedback sink
   SimResult result_;
   ObsHandles obs_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -12,12 +11,14 @@
 #include "core/contracts.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry_bridge.hpp"
 #include "obs/trace.hpp"
+#include "scenario/failover_playback.hpp"
 
 namespace hp::sim {
 
 namespace {
+
+constexpr std::size_t kNoFlow = static_cast<std::size_t>(-1);
 
 /// Serialization delay of one packet on a link, in integer ns
 /// (clamped to >= 1 so a zero/absurd capacity cannot stall time).
@@ -41,18 +42,7 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   const netsim::Topology& topo = fabric.topology();
   const std::size_t n = fast.node_count();
 
-  // Telemetry sampling needs gauges to read; when the caller asked for
-  // a telemetry store but gave no registry, a private one supplies
-  // them (its snapshot is simply never read).
-  obs::MetricRegistry private_registry;
-  const bool want_bridge =
-      options_.telemetry != nullptr && options_.telemetry_period_ns > 0;
-  obs::MetricRegistry* registry = options_.metrics != nullptr
-                                      ? options_.metrics
-                                      : (want_bridge ? &private_registry
-                                                     : nullptr);
-  std::optional<obs::TelemetryBridge> bridge;
-  if (want_bridge) bridge.emplace(*registry, *options_.telemetry);
+  obs::MetricRegistry* const registry = options_.metrics;
 
   // Phase timer: each emplace closes the previous phase's event and
   // opens the next (TraceScope records on destruction).
@@ -101,8 +91,6 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   config.max_hops = options_.max_hops;
   config.metrics = registry;
   config.recorder = options_.recorder;
-  config.telemetry = want_bridge ? &*bridge : nullptr;
-  config.telemetry_period_ns = options_.telemetry_period_ns;
   PacketSim sim(fast, std::move(channels), std::move(node_offset),
                 std::move(port_channel), std::move(config));
 
@@ -134,53 +122,52 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     struct Cadence {
       std::size_t injected = 0;
       Tick next_inject = 0;
-      std::size_t def = 0;  ///< index into flow_defs
+      std::size_t def = kNoFlow;  ///< index into flow_defs
     };
-    std::unordered_map<std::uint32_t, Cadence> cadence;  // lane -> state
-    std::size_t flow_count = 0;
+    std::vector<Cadence> cadence(stream.pairs.size());  // by lane
     for (std::size_t i = 0; i < stream.size(); ++i) {
-      const std::uint32_t lane = stream.pair[i];
-      auto it = cadence.find(lane);
-      if (it == cadence.end() ||
-          it->second.injected >= options_.flow_packets) {
-        Cadence fresh;
-        fresh.next_inject =
-            static_cast<Tick>(flow_count) * options_.flow_gap_ns;
-        fresh.def = flow_defs.size();
-        flow_defs.push_back(
-            {lane, stream.ingress[i], fresh.next_inject, 0});
-        ++flow_count;
-        it = cadence.insert_or_assign(lane, fresh).first;
+      Cadence& c = cadence[stream.pair[i]];
+      if (c.def == kNoFlow || c.injected >= options_.flow_packets) {
+        const Tick start =
+            static_cast<Tick>(flow_defs.size()) * options_.flow_gap_ns;
+        c = {0, start, flow_defs.size()};
+        flow_defs.push_back({stream.pair[i], stream.ingress[i], start, 0});
       }
-      inject_at[i] = it->second.next_inject;
+      inject_at[i] = c.next_inject;
       last_inject = std::max(last_inject, inject_at[i]);
-      ++it->second.injected;
-      it->second.next_inject += src_gap;
-      ++flow_defs[it->second.def].packets;
+      ++c.injected;
+      c.next_inject += src_gap;
+      ++flow_defs[c.def].packets;
     }
   }
 
-  // --- play the failure schedule against the control plane ------------
-  // Each event takes the physical wires down (or up) at its tick and
-  // asks the fabric for the rerouted labels; a lane adopts its new
-  // route one control-plane latency later -- switchover_latency_ns for
-  // a hitless backup swap, repair_latency_ns for a recompile.  Packets
-  // the source emits before the adoption tick still carry the dead
-  // route and die at the wire: that gap, times the offered rate, IS the
+  // --- route epochs: each lane's stream route, then its failovers ----
+  // Epoch 0 is the lane's stream route.  Each played event takes the
+  // physical wires down (or up) at its tick, and every lane it
+  // rerouted adopts the new route one control-plane latency later --
+  // switchover_latency_ns for a hitless backup swap,
+  // repair_latency_ns for a recompile.  Packets the source emits
+  // before the adoption tick still carry the dead route and die at the
+  // wire: that gap, times the offered rate, IS the
   // packets-lost-per-failure the reports compare.
-  struct RouteVersion {
-    Tick at = 0;  ///< adoption tick: injections at/after use this route
-    polka::RouteLabel label{};
-    polka::SegmentRef ref{};
-    polka::PacketResult expected{};
-  };
-  std::unordered_map<std::uint32_t, std::vector<RouteVersion>> versions;
-  // Failure rewrites pool fresh segment lists on private copies -- the
+  std::vector<std::vector<RouteEpoch>> epochs(stream.pairs.size());
+  for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
+    RouteEpoch base;
+    base.ref = lane < stream.seg_refs.size() ? stream.seg_refs[lane]
+                                             : polka::SegmentRef{};
+    base.expected = stream.pairs[lane].expected;
+    epochs[lane].push_back(base);
+  }
+  // Every packet of a lane carries its route's first label; walking
+  // backwards leaves the lane's first packet's label in epoch 0.
+  for (std::size_t i = stream.size(); i-- > 0;) {
+    epochs[stream.pair[i]].front().label = stream.labels[i];
+  }
+  // Failure rewrites pool fresh segment lists on a private copy -- the
   // caller's stream is never mutated (contract of run()).
-  std::vector<polka::RouteLabel> pool_labels(stream.seg_labels.begin(),
-                                             stream.seg_labels.end());
-  std::vector<std::uint32_t> pool_waypoints(stream.seg_waypoints.begin(),
-                                            stream.seg_waypoints.end());
+  scenario::PacketStream pool;
+  pool.seg_labels = stream.seg_labels;
+  pool.seg_waypoints = stream.seg_waypoints;
   std::size_t swapped_pairs = 0;
   std::size_t lazy_repairs = 0;
   std::size_t unroutable_pairs = 0;
@@ -190,57 +177,14 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     if (options_.protection_k > 0) {
       (void)fabric.enable_protection(options_.protection_k);
     }
-    std::unordered_map<std::uint64_t, std::uint32_t> lane_of;
-    for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
-      lane_of.emplace(netsim::node_pair_key(stream.pairs[lane].src,
-                                            stream.pairs[lane].dst),
-                      lane);
-    }
-    auto append_ref =
-        [&](const polka::SegmentedRoute& route) -> polka::SegmentRef {
-      polka::SegmentRef ref;
-      if (route.single_label()) return ref;
-      ref.first_label = static_cast<std::uint32_t>(pool_labels.size());
-      ref.first_waypoint = static_cast<std::uint32_t>(pool_waypoints.size());
-      ref.label_count = static_cast<std::uint32_t>(route.labels.size());
-      pool_labels.insert(pool_labels.end(), route.labels.begin(),
-                         route.labels.end());
-      pool_waypoints.insert(pool_waypoints.end(), route.waypoints.begin(),
-                            route.waypoints.end());
-      return ref;
-    };
-    auto adopt =
-        [&](const std::vector<std::pair<netsim::NodeIndex,
-                                        netsim::NodeIndex>>& pairs,
-            Tick effective) {
-          std::size_t matched = 0;
-          for (const auto& [src, dst] : pairs) {
-            const auto it = lane_of.find(netsim::node_pair_key(src, dst));
-            if (it == lane_of.end()) continue;
-            const scenario::CompiledRoute* route = fabric.route(src, dst);
-            if (route == nullptr || route->segments.labels.empty()) continue;
-            RouteVersion v;
-            v.at = effective;
-            v.label = route->segments.labels.front();
-            v.ref = append_ref(route->segments);
-            v.expected = route->expected;
-            versions[it->second].push_back(v);
-            ++matched;
-            ++rerouted_pairs;
-          }
-          return matched;
-        };
-    std::vector<scenario::LinkFailure> failures = options_.failures;
-    std::ranges::stable_sort(failures, {},
-                             &scenario::LinkFailure::at_fraction);
-    for (const scenario::LinkFailure& failure : failures) {
-      const double f = std::clamp(failure.at_fraction, 0.0, 1.0);
-      const Tick at = static_cast<Tick>(
-          std::llround(f * static_cast<double>(last_inject)));
-      const scenario::FailoverReport ev =
-          failure.restore ? fabric.restore_link(failure.a, failure.b)
-                          : fabric.apply_failure(failure.a, failure.b);
+    scenario::FailoverPlayback playback(fabric, stream.pairs,
+                                        options_.failures);
+    while (!playback.done()) {
+      const scenario::FailoverEvent ev = playback.step();
       if (ev.duplicate) continue;
+      const scenario::LinkFailure& failure = ev.failure;
+      const Tick at = static_cast<Tick>(std::llround(
+          failure.at_fraction * static_cast<double>(last_inject)));
       for (const std::uint64_t key :
            {netsim::node_pair_key(failure.a, failure.b),
             netsim::node_pair_key(failure.b, failure.a)}) {
@@ -248,115 +192,67 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
           sim.schedule_link_state(at, it->second, failure.restore);
         }
       }
-      swapped_pairs += adopt(ev.swapped, at + options_.switchover_latency_ns);
-      (void)adopt(ev.repaired, at + options_.repair_latency_ns);
+      for (const scenario::LaneReroute& r : ev.rerouted) {
+        const Tick latency = r.kind == scenario::RerouteKind::kSwap
+                                 ? options_.switchover_latency_ns
+                                 : options_.repair_latency_ns;
+        epochs[r.lane].push_back(
+            {at + latency, r.route->segments.labels.front(),
+             scenario::append_segments(pool, r.route->segments),
+             r.route->expected});
+      }
+      rerouted_pairs += ev.rerouted.size();
+      swapped_pairs += ev.count(scenario::RerouteKind::kSwap);
+      lazy_repairs += ev.count(scenario::RerouteKind::kLazyRepair);
+      unroutable_pairs += ev.severed.size();
       window_recompiles += ev.window_recompiles;
-      scenario::FailoverReport lazy;
-      if (fabric.pending_repair_count() > 0) {
-        lazy = fabric.repair_pending();
-        lazy_repairs += adopt(lazy.repaired, at + options_.repair_latency_ns);
-      }
-      for (const auto* list :
-           {&ev.unroutable, &std::as_const(lazy).unroutable}) {
-        for (const auto& [src, dst] : *list) {
-          if (lane_of.contains(netsim::node_pair_key(src, dst))) {
-            ++unroutable_pairs;
-          }
-        }
-      }
     }
     // Events land in tick order but the two control-plane latencies can
     // interleave adoptions; keep each lane's timeline sorted.
-    for (auto& [lane, timeline] : versions) {
-      std::ranges::stable_sort(timeline, {}, &RouteVersion::at);
+    for (std::vector<RouteEpoch>& timeline : epochs) {
+      std::ranges::stable_sort(timeline, {}, &RouteEpoch::from);
     }
   }
-  sim.set_segment_pool(pool_labels, pool_waypoints);
+  sim.set_segment_pool(pool.seg_labels, pool.seg_waypoints);
 
   std::optional<Transport> transport;
   if (options_.transport.enabled) {
     // --- closed loop: hand the flows to the transport ------------------
-    // One transport lane per traffic pair, carrying the pair's route
-    // timeline (base route at tick 0, then every adopted failover
-    // version); sends resolve their epoch at the send tick, so a
-    // retransmit issued after adoption carries the repaired label.
-    transport.emplace(sim, options_.transport, options_.packet_bytes,
-                      registry);
-    constexpr auto kNoLane = std::numeric_limits<std::uint32_t>::max();
-    std::vector<std::uint32_t> base_label_at(stream.pairs.size(), kNoLane);
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      if (base_label_at[stream.pair[i]] == kNoLane) {
-        base_label_at[stream.pair[i]] = static_cast<std::uint32_t>(i);
-      }
-    }
-    std::vector<std::uint32_t> tp_lane(stream.pairs.size(), kNoLane);
-    for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
-      if (base_label_at[lane] == kNoLane) continue;  // pair without packets
-      std::vector<RouteEpoch> epochs;
-      RouteEpoch base;
-      base.from = 0;
-      base.label = stream.labels[base_label_at[lane]];
-      base.ref = lane < stream.seg_refs.size() ? stream.seg_refs[lane]
-                                               : polka::SegmentRef{};
-      base.expected = stream.pairs[lane].expected;
-      epochs.push_back(base);
-      if (const auto it = versions.find(lane); it != versions.end()) {
-        for (const RouteVersion& v : it->second) {
-          epochs.push_back({v.at, v.label, v.ref, v.expected});
-        }
-      }
-      tp_lane[lane] = transport->add_lane(std::move(epochs));
+    // One transport lane per traffic lane; sends resolve their epoch at
+    // the send tick, so a retransmit issued after adoption carries the
+    // repaired label.
+    transport.emplace(sim, options_.transport, options_.packet_bytes, registry);
+    for (std::vector<RouteEpoch>& timeline : epochs) {
+      (void)transport->add_lane(std::move(timeline));
     }
     for (const FlowDef& def : flow_defs) {
-      (void)transport->add_flow(tp_lane[def.lane], def.source, def.start,
-                                src_gap, def.packets);
+      (void)transport->add_flow(def.lane, def.source, def.start, src_gap,
+                                def.packets);
     }
     transport->arm();
   } else {
     // --- pass 2: register flows and inject ---------------------------
-    // Identical to pass 1 except that a lane whose route version
-    // changed (by adoption tick) force-opens a new flow: the new
-    // route's hop count changes the delivery expectation, and a flow's
-    // expectation is fixed at registration.  Forced flows keep the
-    // lane's cadence, so the packet timing stays exactly pass 1's.
-    auto version_of = [&](std::uint32_t lane,
-                          Tick at) -> const RouteVersion* {
-      const auto it = versions.find(lane);
-      if (it == versions.end()) return nullptr;
-      const RouteVersion* best = nullptr;
-      for (const RouteVersion& v : it->second) {  // timelines are tiny
-        if (v.at <= at) best = &v;
-      }
-      return best;
-    };
+    // Identical to pass 1 except that a lane whose route epoch changed
+    // (by adoption tick) force-opens a new flow: the new route's hop
+    // count changes the delivery expectation, and a flow's expectation
+    // is fixed at registration.  Forced flows keep the lane's cadence,
+    // so the packet timing stays exactly pass 1's.
     struct OpenFlow {
       std::uint32_t handle = 0;
       std::size_t injected = 0;
-      const RouteVersion* version = nullptr;
+      std::size_t epoch = kNoFlow;  ///< kNoFlow until the lane's first flow
     };
-    std::unordered_map<std::uint32_t, OpenFlow> open;  // lane -> open flow
+    std::vector<OpenFlow> open(stream.pairs.size());  // by lane
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const std::uint32_t lane = stream.pair[i];
       const Tick at = inject_at[i];
-      const RouteVersion* ver = version_of(lane, at);
-      auto it = open.find(lane);
-      if (it == open.end() || it->second.injected >= options_.flow_packets ||
-          it->second.version != ver) {
-        OpenFlow flow;
-        flow.handle = sim.add_flow(
-            ver != nullptr ? ver->expected : stream.pairs[lane].expected);
-        flow.version = ver;
-        it = open.insert_or_assign(lane, flow).first;
+      const std::size_t e = epoch_at(epochs[lane], at);
+      const RouteEpoch& epoch = epochs[lane][e];
+      OpenFlow& flow = open[lane];
+      if (flow.epoch != e || flow.injected >= options_.flow_packets) {
+        flow = {sim.add_flow(epoch.expected), 0, e};
       }
-      OpenFlow& flow = it->second;
-      const polka::RouteLabel label =
-          ver != nullptr ? ver->label : stream.labels[i];
-      const polka::SegmentRef ref =
-          ver != nullptr
-              ? ver->ref
-              : (lane < stream.seg_refs.size() ? stream.seg_refs[lane]
-                                               : polka::SegmentRef{});
-      sim.inject(at, label, ref, stream.ingress[i], flow.handle);
+      sim.inject(at, epoch.label, epoch.ref, stream.ingress[i], flow.handle);
       ++flow.injected;
     }
   }

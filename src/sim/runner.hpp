@@ -42,10 +42,6 @@ class TraceSink;
 class FlightRecorder;
 }  // namespace hp::obs
 
-namespace hp::telemetry {
-class TimeSeriesStore;
-}  // namespace hp::telemetry
-
 namespace hp::sim {
 
 /// Timing and queueing knobs of a simulated run.
@@ -98,12 +94,6 @@ struct SimOptions {
   obs::TraceSink* trace = nullptr;
   /// Hop-level flight recorder handed to PacketSim.
   obs::FlightRecorder* recorder = nullptr;
-  /// Telemetry store sampled every `telemetry_period_ns` simulated ns:
-  /// each registry gauge (per-link queue depth, in-flight packets)
-  /// becomes one time series.  When set without `metrics`, the runner
-  /// uses a private registry so the bridge still has gauges to read.
-  telemetry::TimeSeriesStore* telemetry = nullptr;
-  Tick telemetry_period_ns = 100'000;  ///< 100 us of simulated time
 };
 
 /// Runs PacketSim over a built fabric and a generated stream.

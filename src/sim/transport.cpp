@@ -15,6 +15,14 @@ constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
+std::size_t epoch_at(std::span<const RouteEpoch> epochs, Tick at) noexcept {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < epochs.size(); ++i) {  // timelines are tiny
+    if (epochs[i].from <= at) best = i;
+  }
+  return best;
+}
+
 Transport::Transport(PacketSim& sim, TransportOptions options,
                      std::uint64_t packet_bytes, obs::MetricRegistry* metrics)
     : sim_(sim), options_(options), packet_bytes_(packet_bytes) {
@@ -88,15 +96,7 @@ void Transport::arm() {
   HP_CHECK(!armed_, "Transport::arm called twice");
   armed_ = true;
   report_.enabled = true;
-  sim_.set_ecn_hook([this](std::uint32_t /*channel*/, std::uint32_t /*depth*/,
-                           std::uint32_t flow) { on_ecn(flow); });
-  sim_.set_feedback_hooks(
-      [this](Tick t, std::uint32_t flow, std::uint32_t packet) {
-        on_delivered(t, flow, packet);
-      },
-      [this](Tick t, std::uint32_t flow, std::uint32_t packet,
-             DropCause cause) { on_dropped(t, flow, packet, cause); },
-      [this](Tick t, std::uint32_t rec) { on_timer(t, rec); });
+  sim_.set_transport(this);
   // Flow-open kicks: TimerRec id 0 is the open sentinel (RTO arms use
   // generations starting at 1), so a kick needs no validity check.
   for (std::uint32_t i = 0; i < flows_.size(); ++i) {
@@ -118,17 +118,6 @@ Tick Transport::rto_current(const Flow& f) const {
     r *= 2;
   }
   return std::min(r, options_.rto_max_ns);
-}
-
-const RouteEpoch& Transport::epoch_at(const Flow& f, Tick at,
-                                      std::size_t* index) const {
-  const std::vector<RouteEpoch>& epochs = lanes_[f.lane];
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < epochs.size(); ++i) {  // timelines are tiny
-    if (epochs[i].from <= at) best = i;
-  }
-  *index = best;
-  return epochs[best];
 }
 
 std::uint32_t Transport::ensure_sim_flow(Flow& f, std::size_t epoch_index) {
@@ -156,8 +145,8 @@ void Transport::disarm_timer(Flow& f) {
 void Transport::send_seq(Flow& f, std::uint32_t flow_index, std::uint32_t seq,
                          Tick t) {
   const Tick at = std::max(t, f.next_send);
-  std::size_t epoch_index = 0;
-  const RouteEpoch& epoch = epoch_at(f, at, &epoch_index);
+  const std::size_t epoch_index = epoch_at(lanes_[f.lane], at);
+  const RouteEpoch& epoch = lanes_[f.lane][epoch_index];
   const std::uint32_t handle = ensure_sim_flow(f, epoch_index);
   const std::uint32_t packet =
       sim_.inject(at, epoch.label, epoch.ref, f.source, handle);

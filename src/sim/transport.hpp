@@ -10,7 +10,7 @@
 //  * an AIMD congestion window -- at most `cwnd` packets outstanding;
 //    one additive increase per delivered window, multiplicative
 //    decrease (halving, floored at 1) on congestion feedback;
-//  * ECN reaction -- the engine's ecn_hook fires when an enqueue
+//  * ECN reaction -- the engine calls on_ecn when an enqueue
 //    crosses a channel's mark threshold, and the transport halves the
 //    marked flow's window (at most one cut per RTT-estimate window, so
 //    a burst of marks is one signal, not a collapse to 1);
@@ -39,13 +39,15 @@
 // instead of merely counted.
 //
 // Everything the transport does is a pure function of event order:
-// state changes happen inside hook callbacks and timer events on the
+// state changes happen inside engine callbacks and timer events on the
 // single-threaded simulation clock, so a fixed seed produces a
 // bit-identical report across runs and thread counts, failure schedules
 // included.
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "polka/label.hpp"
@@ -105,10 +107,17 @@ struct RouteEpoch {
   polka::PacketResult expected{};
 };
 
+/// Index of the epoch in force at `at`: the last one whose `from` is
+/// at or before it (0 when none after the first qualifies).  The one
+/// lookup open-loop injection and the transport's sends share.
+[[nodiscard]] std::size_t epoch_at(std::span<const RouteEpoch> epochs,
+                                   Tick at) noexcept;
+
 /// The per-flow sender state machine.  Construct over a wired
 /// PacketSim, describe lanes (route-epoch timelines) and flows, then
-/// arm() once before PacketSim::run(): arming installs the engine's
-/// feedback hooks and schedules every flow's opening timer, after which
+/// arm() once before PacketSim::run(): arming attaches this transport
+/// to the engine (which then calls its feedback methods directly) and
+/// schedules every flow's opening timer, after which
 /// the whole closed loop plays out inside the event queue.
 class Transport {
  public:
@@ -117,6 +126,9 @@ class Transport {
   /// `packet_bytes` prices offered/goodput bytes.
   Transport(PacketSim& sim, TransportOptions options,
             std::uint64_t packet_bytes, obs::MetricRegistry* metrics);
+  /// arm() hands the engine this object's address: it never moves.
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
   /// Register a lane: the route-epoch timeline its flows resolve at
   /// each send.  Throws std::invalid_argument on an empty or unsorted
@@ -130,8 +142,8 @@ class Transport {
   std::uint32_t add_flow(std::uint32_t lane, std::uint32_t source, Tick start,
                          Tick pace_ns, std::uint32_t packets);
 
-  /// Install the PacketSim feedback hooks and schedule every flow's
-  /// opening event.  Call exactly once, after the last add_flow and
+  /// Attach to the PacketSim as its feedback sink and schedule every
+  /// flow's opening event.  Call exactly once, after the last add_flow and
   /// before PacketSim::run().
   void arm();
 
@@ -227,7 +239,8 @@ class Transport {
     std::uint32_t seq = 0;
   };
 
-  // engine callbacks (installed by arm())
+  // engine callbacks: PacketSim calls these once arm() attached us
+  friend class PacketSim;
   void on_ecn(std::uint32_t sim_flow);
   void on_delivered(Tick t, std::uint32_t sim_flow, std::uint32_t packet);
   void on_dropped(Tick t, std::uint32_t sim_flow, std::uint32_t packet,
@@ -242,8 +255,6 @@ class Transport {
   void disarm_timer(Flow& f);
   [[nodiscard]] Tick rto_base(const Flow& f) const;
   [[nodiscard]] Tick rto_current(const Flow& f) const;
-  [[nodiscard]] const RouteEpoch& epoch_at(const Flow& f, Tick at,
-                                           std::size_t* index) const;
   std::uint32_t ensure_sim_flow(Flow& f, std::size_t epoch_index);
   [[nodiscard]] bool done(const Flow& f) const noexcept {
     return f.abandoned || f.delivered == f.total;

@@ -10,7 +10,9 @@
 //  * severing the fabric reports unroutable pairs explicitly instead of
 //    misdelivering;
 //  * restore reverts to the saved primary, again without compiling;
-//  * reports are deterministic across thread counts.
+//  * reports are deterministic across thread counts;
+//  * FailoverPlayback sorts and clamps the schedule, reports duplicate
+//    events as no-ops and names only the stream's lanes.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +23,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "scenario/fabric_builder.hpp"
+#include "scenario/failover_playback.hpp"
 #include "scenario/failure_injector.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -290,6 +294,84 @@ TEST(FailoverRunner, FlapReportsAreBitIdenticalAcrossRunsAndThreads) {
   EXPECT_TRUE(same_counters(reference, run_once(1))) << "rerun diverged";
   EXPECT_TRUE(same_counters(reference, run_once(4))) << "threads diverged";
   EXPECT_TRUE(same_counters(reference, run_once(8))) << "threads diverged";
+}
+
+TEST(FailoverPlayback, SortsAndClampsTheSchedule) {
+  BuiltFabric fabric(make_ring(8));
+  const NodeIndex r0 = fabric.topology().index_of("r0");
+  const NodeIndex r1 = fabric.topology().index_of("r1");
+  const NodeIndex r2 = fabric.topology().index_of("r2");
+  const std::vector<TrafficPair> lanes;
+  FailoverPlayback playback(fabric, lanes,
+                            {{1.7, r0, r1, true},
+                             {-0.5, r0, r1, false},
+                             {0.4, r1, r2, false}});
+  std::vector<double> at;
+  std::vector<bool> restore;
+  while (!playback.done()) {
+    const double next = playback.next().at_fraction;
+    const FailoverEvent ev = playback.step();
+    EXPECT_EQ(ev.failure.at_fraction, next);
+    at.push_back(ev.failure.at_fraction);
+    restore.push_back(ev.failure.restore);
+  }
+  EXPECT_EQ(at, (std::vector<double>{0.0, 0.4, 1.0}));
+  EXPECT_EQ(restore, (std::vector<bool>{false, false, true}));
+  EXPECT_THROW((void)playback.step(), core::ContractViolation);
+}
+
+TEST(FailoverPlayback, ReportsOnlyTrafficLanes) {
+  // Every pair is cached and protected, but only two are lanes: the
+  // event names exactly those, tagged as swaps, with live routes.
+  BuiltFabric fabric(make_ring(8));
+  fabric.compile_all_pairs();
+  fabric.enable_protection(1);
+  const auto r = [&](const char* name) {
+    return fabric.topology().index_of(name);
+  };
+  const std::vector<TrafficPair> lanes = {{r("r2"), r("r6"), {}},
+                                          {r("r0"), r("r1"), {}},
+                                          {r("r1"), r("r2"), {}}};
+  FailoverPlayback playback(fabric, lanes, {{0.5, r("r0"), r("r1"), false}});
+  const FailoverEvent ev = playback.step();
+  EXPECT_FALSE(ev.duplicate);
+  EXPECT_GT(ev.swap_stretch.size(), 2U) << "the fabric swapped more pairs";
+  ASSERT_EQ(ev.rerouted.size(), 1U);
+  EXPECT_EQ(ev.rerouted[0].lane, 1U);
+  EXPECT_EQ(ev.rerouted[0].kind, RerouteKind::kSwap);
+  EXPECT_EQ(ev.rerouted[0].route, fabric.cached_route(r("r0"), r("r1")));
+  EXPECT_EQ(ev.count(RerouteKind::kSwap), 1U);
+  EXPECT_EQ(ev.count(RerouteKind::kLazyRepair), 0U);
+  EXPECT_TRUE(ev.severed.empty());
+}
+
+TEST(FailoverPlayback, DuplicateEventsChangeNothing) {
+  BuiltFabric fabric(make_ring(8));
+  fabric.compile_all_pairs();
+  const NodeIndex r0 = fabric.topology().index_of("r0");
+  const NodeIndex r1 = fabric.topology().index_of("r1");
+  const std::vector<TrafficPair> lanes = {{r0, r1, {}}};
+  FailoverPlayback playback(fabric, lanes,
+                            {{0.2, r0, r1, false},
+                             {0.3, r1, r0, false},
+                             {0.6, r0, r1, true},
+                             {0.7, r0, r1, true}});
+  std::vector<bool> duplicate;
+  std::vector<std::size_t> rerouted;
+  while (!playback.done()) {
+    const FailoverEvent ev = playback.step();
+    duplicate.push_back(ev.duplicate);
+    rerouted.push_back(ev.rerouted.size());
+    if (ev.duplicate) {
+      EXPECT_TRUE(ev.severed.empty());
+      EXPECT_TRUE(ev.swap_stretch.empty());
+      EXPECT_EQ(ev.window_recompiles, 0U);
+    }
+  }
+  EXPECT_EQ(duplicate, (std::vector<bool>{false, true, false, true}));
+  // Unprotected: the failure recompiles the lane in the event; the
+  // restore only flushes trees, so it reroutes nothing.
+  EXPECT_EQ(rerouted, (std::vector<std::size_t>{1, 0, 0, 0}));
 }
 
 }  // namespace

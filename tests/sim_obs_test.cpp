@@ -1,8 +1,7 @@
 // Observability-through-the-simulator tests: registry counters agree
 // with the SimReport, snapshots and flight recordings are bit-identical
 // for a fixed seed across runs and compile thread counts, phase traces
-// appear, the telemetry bridge writes deterministic gauge series on
-// simulated ticks, and replay metrics mirror ScenarioReport.
+// appear, and replay metrics mirror ScenarioReport.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include "scenario/runner.hpp"
 #include "scenario/traffic.hpp"
 #include "sim/runner.hpp"
-#include "telemetry/store.hpp"
 
 namespace scenario = hp::scenario;
 namespace sim = hp::sim;
@@ -178,38 +176,6 @@ TEST(SimObservability, PhaseTraceCoversRunnerStages) {
         "compile.all_pairs"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), phase), names.end())
         << "missing trace phase " << phase;
-  }
-}
-
-TEST(SimObservability, TelemetryBridgeWritesDeterministicSeries) {
-  const scenario::ScenarioSpec spec = small_spec("ring12/uniform");
-
-  auto sample = [&spec]() {
-    hp::telemetry::TimeSeriesStore store;
-    sim::SimOptions options;
-    options.telemetry = &store;
-    options.telemetry_period_ns = 50'000;
-    (void)sim::run_sim_scenario(spec, options);
-    return store;
-  };
-
-  hp::telemetry::TimeSeriesStore store = sample();
-  const auto names = store.series_names();
-  ASSERT_FALSE(names.empty());
-  // Gauge series: the global in-flight level plus one depth per link.
-  EXPECT_TRUE(store.has_series("sim.in_flight"));
-  EXPECT_TRUE(store.has_series("sim.link.00000.queue_depth"));
-
-  hp::telemetry::TimeSeriesStore again = sample();
-  ASSERT_EQ(again.series_names(), names);
-  for (const std::string& name : names) {
-    const auto a = store.range(name, 0.0, 1e18);
-    const auto b = again.range(name, 0.0, 1e18);
-    ASSERT_EQ(a.size(), b.size()) << name;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_DOUBLE_EQ(a[i].t_s, b[i].t_s) << name;
-      EXPECT_DOUBLE_EQ(a[i].value, b[i].value) << name;
-    }
   }
 }
 
