@@ -26,8 +26,14 @@ Poly random_route(int bits, std::uint64_t seed) {
   return p;
 }
 
+/// The smallest irreducible of `degree`.  A direct Rabin-test scan, so
+/// degrees past irreducible_of_degree's exhaustive cap (24) work too.
 Poly generator_of_degree(unsigned degree) {
-  return hp::gf2::irreducible_of_degree(degree).front();
+  for (std::uint64_t low = 0;; ++low) {
+    Poly g(low);
+    g.set_coeff(degree, true);
+    if (hp::gf2::is_irreducible(g)) return g;
+  }
 }
 
 void BM_Mod_BitSerial(benchmark::State& state) {

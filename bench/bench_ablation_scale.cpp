@@ -72,7 +72,7 @@ int main() {
   for (const std::size_t n : {10U, 20U, 40U, 80U, 160U}) {
     const Topology topo = make_wan(n, n * 31 + 7);
     // Mirror into a PolKA fabric.
-    hp::polka::PolkaFabric fabric(hp::polka::ModEngine::kTable);
+    hp::polka::PolkaFabric fabric;
     for (NodeIndex i = 0; i < topo.node_count(); ++i) {
       fabric.add_node(topo.node(i).name,
                       static_cast<unsigned>(topo.outgoing(i).size()) + 1);
@@ -132,7 +132,7 @@ int main() {
   {
     const std::size_t n = 40;
     const Topology topo = make_wan(n, 40 * 31 + 7);
-    hp::polka::PolkaFabric fabric(hp::polka::ModEngine::kBitSerial);
+    hp::polka::PolkaFabric fabric;
     for (NodeIndex i = 0; i < topo.node_count(); ++i) {
       fabric.add_node(topo.node(i).name,
                       static_cast<unsigned>(topo.outgoing(i).size()) + 1);

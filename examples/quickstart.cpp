@@ -49,10 +49,10 @@ int main() {
     if (port != hop.port) return EXIT_FAILURE;
   }
 
-  // The same thing end to end on a wired fabric, using the table-driven
-  // CRC engine the way a P4 switch pipeline would.
+  // The same thing end to end on a wired fabric: every node on the walk
+  // takes the same single mod and hands the packet to that port's peer.
   std::cout << "\nforwarding a packet across a wired fabric:\n";
-  polka::PolkaFabric fabric(polka::ModEngine::kTable);
+  polka::PolkaFabric fabric;
   const auto a = fabric.add_node("A", 4);
   const auto b = fabric.add_node("B", 4);
   const auto c = fabric.add_node("C", 4);

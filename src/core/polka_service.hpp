@@ -15,8 +15,6 @@
 
 #include "freertr/router_service.hpp"
 #include "netsim/topology.hpp"
-#include "netsim/workload.hpp"
-#include "polka/fastpath.hpp"
 #include "polka/forwarding.hpp"
 
 namespace hp::core {
@@ -28,15 +26,6 @@ struct Tunnel {
   hp::netsim::Path netsim_path;      ///< router-to-router directed links
   hp::polka::RouteId route_id;       ///< CRT-encoded label
   std::string name;                  ///< e.g. "tunnel1"
-};
-
-/// Outcome of streaming data-plane packets through the compiled fabric.
-struct BatchForwardReport {
-  std::size_t packets = 0;
-  std::size_t mod_operations = 0;
-  /// Packets whose egress diverged from the scalar reference walk for
-  /// their tunnel (0 on a healthy fabric; a data-plane self-check).
-  std::size_t mismatches = 0;
 };
 
 class PolkaService {
@@ -85,33 +74,6 @@ class PolkaService {
   [[nodiscard]] const hp::polka::PolkaFabric& fabric() const noexcept {
     return fabric_;
   }
-
-  /// The batched uint64 data-plane view of the fabric (compiled lazily,
-  /// cached until the topology changes).
-  [[nodiscard]] const hp::polka::CompiledFabric& compiled_fabric() const {
-    return fabric_.compiled();
-  }
-
-  /// Stream `packets_per_tunnel` label packets through every defined
-  /// tunnel via the batched fast path, checking each packet against the
-  /// scalar reference walk.  Throws std::logic_error when no tunnels
-  /// are defined.
-  [[nodiscard]] BatchForwardReport forward_batch(
-      std::size_t packets_per_tunnel) const;
-
-  /// Replay a netsim workload on the data plane: each scheduled flow's
-  /// bytes become MTU-sized packets carrying its tunnel's label
-  /// (tunnels assigned round-robin), streamed through the compiled
-  /// fabric in chunks of `batch_size` with per-packet ingress nodes.
-  /// With `threads` > 1 the packet stream is materialized (16 bytes
-  /// per packet -- size workloads accordingly) and sharded across that
-  /// many workers via the scenario engine's replay primitive;
-  /// oversized routeIDs always take the single-threaded scalar path.
-  /// This is how traffic workloads report data-plane packets/sec.
-  [[nodiscard]] BatchForwardReport replay_workload(
-      const std::vector<hp::netsim::ScheduledFlow>& flows,
-      std::size_t batch_size = 256, double mtu_bytes = 1500.0,
-      unsigned threads = 1) const;
 
  private:
   const hp::netsim::Topology* topo_;

@@ -1,14 +1,10 @@
 #include "polka/forwarding.hpp"
 
-#include <array>
-#include <algorithm>
 #include <stdexcept>
 
 #include "polka/fastpath.hpp"
 
 namespace hp::polka {
-
-PolkaFabric::PolkaFabric(ModEngine engine) : engine_(engine) {}
 
 PolkaFabric::~PolkaFabric() = default;
 
@@ -18,10 +14,7 @@ std::size_t PolkaFabric::add_node(const std::string& name,
     throw std::invalid_argument("PolkaFabric: duplicate node name " + name);
   }
   const std::size_t idx = nodes_.size();
-  NodeId id = allocator_.allocate(name, port_count);
-  bit_engines_.emplace_back(id.poly);
-  table_engines_.emplace_back(id.poly);
-  nodes_.push_back(std::move(id));
+  nodes_.push_back(allocator_.allocate(name, port_count));
   wiring_.emplace_back(port_count, kUnwired);
   by_name_.emplace(name, idx);
   compiled_.ptr.reset();
@@ -76,19 +69,6 @@ RouteId PolkaFabric::route_for_path(
   return compute_route_id(hops);
 }
 
-unsigned PolkaFabric::compute_port(const RouteId& route,
-                                   std::size_t node) const {
-  switch (engine_) {
-    case ModEngine::kBitSerial:
-      return polynomial_port(bit_engines_.at(node).remainder(route.value));
-    case ModEngine::kTable:
-      return polynomial_port(table_engines_.at(node).remainder(route.value));
-    case ModEngine::kDirect:
-      return output_port(route, nodes_.at(node));
-  }
-  throw std::logic_error("PolkaFabric: unknown engine");
-}
-
 PolkaFabric::Trace PolkaFabric::forward(const RouteId& route,
                                         std::size_t first,
                                         std::size_t max_hops) const {
@@ -98,7 +78,7 @@ PolkaFabric::Trace PolkaFabric::forward(const RouteId& route,
   Trace trace;
   std::size_t current = first;
   for (std::size_t hop = 0; hop < max_hops; ++hop) {
-    const unsigned port = compute_port(route, current);
+    const unsigned port = output_port(route, nodes_[current]);
     ++trace.mod_operations;
     trace.nodes.push_back(current);
     trace.ports.push_back(port);
@@ -187,64 +167,6 @@ const CompiledFabric& PolkaFabric::compiled() const {
     compiled_.ptr = std::make_shared<const CompiledFabric>(*this);
   }
   return *compiled_.ptr;
-}
-
-std::size_t PolkaFabric::forward_batch(std::span<const RouteId> routes,
-                                       std::size_t first,
-                                       std::span<PacketResult> results,
-                                       std::size_t max_hops) const {
-  if (routes.size() != results.size()) {
-    throw std::invalid_argument(
-        "PolkaFabric::forward_batch: span length mismatch");
-  }
-  const CompiledFabric& fast = compiled();
-  std::size_t mods = 0;
-  // Pack-and-stream in fixed-size chunks so the loop owns no heap
-  // memory regardless of batch size.
-  constexpr std::size_t kChunk = 256;
-  std::array<RouteLabel, kChunk> labels;
-  std::array<PacketResult, kChunk> chunk_results;
-  std::size_t done = 0;
-  while (done < routes.size()) {
-    const std::size_t n = std::min(kChunk, routes.size() - done);
-    std::size_t packed = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto label = pack_label(routes[done + i]);
-      if (label) {
-        labels[packed++] = *label;
-      } else {
-        // Oversized routeID: polynomial slow path, same result shape.
-        const Trace trace = forward(routes[done + i], first, max_hops);
-        PacketResult& r = results[done + i];
-        r = PacketResult{};
-        if (!trace.nodes.empty()) {
-          r.egress_node = static_cast<std::uint32_t>(trace.nodes.back());
-          r.egress_port = trace.ports.back();
-          r.hops = static_cast<std::uint32_t>(trace.nodes.size());
-        }
-        mods += trace.mod_operations;
-      }
-    }
-    if (packed == n) {
-      // Common case: the whole chunk fits the fast path; write results
-      // straight through.
-      mods += fast.forward_batch(
-          std::span<const RouteLabel>(labels.data(), n),
-          first, results.subspan(done, n), max_hops);
-    } else if (packed > 0) {
-      mods += fast.forward_batch(
-          std::span<const RouteLabel>(labels.data(), packed), first,
-          std::span<PacketResult>(chunk_results.data(), packed), max_hops);
-      std::size_t next_fast = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (pack_label(routes[done + i])) {
-          results[done + i] = chunk_results[next_fast++];
-        }
-      }
-    }
-    done += n;
-  }
-  return mods;
 }
 
 }  // namespace hp::polka

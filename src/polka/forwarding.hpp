@@ -3,18 +3,17 @@
 //
 // A PolkaFabric owns the core nodes and their port wiring.  Packets carry
 // only a routeID; each node computes its output port with a single mod
-// (via a CRC engine, mirroring the P4 implementation) and hands the
-// packet to the neighbour on that port.  No per-node route tables exist.
+// and hands the packet to the neighbour on that port.  No per-node route
+// tables exist.  forward() is the exact gf2::Poly reference walk; every
+// batched data-plane path goes through compiled() (polka/fastpath.hpp).
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "polka/crc.hpp"
 #include "polka/label.hpp"
 #include "polka/node_id.hpp"
 #include "polka/route.hpp"
@@ -23,17 +22,10 @@ namespace hp::polka {
 
 class CompiledFabric;
 
-/// How a node computes routeID mod nodeID in the data plane.
-enum class ModEngine {
-  kBitSerial,  ///< reference LFSR (any degree)
-  kTable,      ///< byte-at-a-time table CRC (degree <= 56)
-  kDirect,     ///< exact gf2::Poly Euclidean division
-};
-
 /// A switching fabric of PolKA core nodes.
 class PolkaFabric {
  public:
-  explicit PolkaFabric(ModEngine engine = ModEngine::kTable);
+  PolkaFabric() = default;
   ~PolkaFabric();  // out of line: compiled_ is incomplete here
 
   // Copies do not inherit the compiled_ cache (see CompiledCache): a
@@ -44,8 +36,6 @@ class PolkaFabric {
   PolkaFabric& operator=(const PolkaFabric&) = default;
   PolkaFabric(PolkaFabric&&) noexcept = default;
   PolkaFabric& operator=(PolkaFabric&&) noexcept = default;
-
-  [[nodiscard]] ModEngine engine() const noexcept { return engine_; }
 
   /// Add a core node with `port_count` output ports; returns its index.
   /// Node names must be unique (throws std::invalid_argument).
@@ -85,9 +75,11 @@ class PolkaFabric {
   };
 
   /// Forward a packet carrying `route` starting at node `first`, for at
-  /// most `max_hops` hops (guards against misconfigured loops).  The
-  /// trace ends when a node's computed port is unwired (egress) or the
-  /// hop limit is reached (then ttl_expired is set).
+  /// most `max_hops` hops (guards against misconfigured loops).  Each
+  /// hop is output_port(route, node): exact polynomial division, any
+  /// routeID width.  The trace ends when a node's computed port is
+  /// unwired (egress) or the hop limit is reached (then ttl_expired is
+  /// set).
   [[nodiscard]] Trace forward(const RouteId& route, std::size_t first,
                               std::size_t max_hops = 64) const;
 
@@ -120,30 +112,12 @@ class PolkaFabric {
   /// and cached until the topology next changes (add_node / connect).
   [[nodiscard]] const CompiledFabric& compiled() const;
 
-  /// Forward a batch of packets, all injected at `first`, through the
-  /// compiled fast path; results[i] receives routes[i]'s outcome (spans
-  /// must match in length, throws std::invalid_argument).  Routes are
-  /// packed into 64-bit labels in fixed-size chunks -- no heap
-  /// allocation in the loop; a route too long to pack (degree >= 64)
-  /// transparently takes the scalar slow path.  Returns the total
-  /// number of mod operations.
-  std::size_t forward_batch(std::span<const RouteId> routes,
-                            std::size_t first,
-                            std::span<PacketResult> results,
-                            std::size_t max_hops = 64) const;
-
  private:
-  [[nodiscard]] unsigned compute_port(const RouteId& route,
-                                      std::size_t node) const;
-
-  ModEngine engine_;
   NodeIdAllocator allocator_;
   std::vector<NodeId> nodes_;
   std::unordered_map<std::string, std::size_t> by_name_;
   // wiring_[node][port] = neighbour index (or npos when unwired).
   std::vector<std::vector<std::size_t>> wiring_;
-  std::vector<BitSerialCrc> bit_engines_;
-  std::vector<TableCrc> table_engines_;
 
   /// Cache holder whose copies start empty, so the fabric's defaulted
   /// copy operations never carry a (potentially soon-stale) compiled

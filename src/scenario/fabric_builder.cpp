@@ -39,8 +39,7 @@ void BuiltFabric::note_compile(
           .count()));
 }
 
-BuiltFabric::BuiltFabric(netsim::Topology topo, polka::ModEngine engine)
-    : topo_(std::move(topo)), fabric_(engine) {
+BuiltFabric::BuiltFabric(netsim::Topology topo) : topo_(std::move(topo)) {
   topo_to_fabric_.assign(topo_.node_count(), kInvalidIndex);
   // First pass: distinct router neighbours of every router, in
   // outgoing-link order, so port numbering is deterministic.  A hash
@@ -701,13 +700,6 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
   }
   note_compile("restore_link", stats_, t0);
   return report;
-}
-
-std::vector<std::pair<NodeIndex, NodeIndex>> BuiltFabric::fail_link(
-    NodeIndex a, NodeIndex b) {
-  FailoverReport report = apply_failure(a, b);
-  if (!report.pending.empty()) (void)repair_pending();
-  return std::move(report.affected);
 }
 
 }  // namespace hp::scenario

@@ -72,7 +72,7 @@ struct CompiledRoute {
 };
 
 /// Counters behind the route compiler, exposed so tests and benches can
-/// assert *how much* work a call performed (e.g. that fail_link
+/// assert *how much* work a call performed (e.g. that apply_failure
 /// recompiled only the routes crossing the dead link).
 struct CompileStats {
   std::size_t routes_compiled = 0;  ///< CompiledRoute entries written
@@ -112,8 +112,7 @@ struct FailoverReport {
 /// A topology wired as a PolKA fabric, with route compilation on top.
 class BuiltFabric {
  public:
-  explicit BuiltFabric(netsim::Topology topo,
-                       polka::ModEngine engine = polka::ModEngine::kTable);
+  explicit BuiltFabric(netsim::Topology topo);
 
   [[nodiscard]] const netsim::Topology& topology() const noexcept {
     return topo_;
@@ -146,9 +145,9 @@ class BuiltFabric {
   /// Compile (and cache) the shortest-hop route between two distinct
   /// routers, given as topology indices.  Returns nullptr when `dst` is
   /// unreachable from `src` (possible after link failures).  The
-  /// returned pointer stays valid until the route is invalidated by
-  /// fail_link.  Not thread-safe: compile every route before sharding
-  /// a replay across threads.
+  /// returned pointer stays valid until a failure event (apply_failure,
+  /// repair_pending, restore_link) replaces the route.  Not thread-safe:
+  /// compile every route before sharding a replay across threads.
   [[nodiscard]] const CompiledRoute* route(netsim::NodeIndex src,
                                            netsim::NodeIndex dst);
 
@@ -169,7 +168,7 @@ class BuiltFabric {
   /// work along the source's tree and walking only branches that lead
   /// to a requested destination.  Destinations equal to src, not
   /// routers, or currently unreachable are skipped.  Returns the number
-  /// of routes written.  This is the primitive fail_link repairs with.
+  /// of routes written.  This is the primitive failure repair uses.
   std::size_t compile_subtree(netsim::NodeIndex src,
                               std::span<const netsim::NodeIndex> dsts);
 
@@ -198,7 +197,7 @@ class BuiltFabric {
   /// zero path computation, zero CRT work in the window; pairs whose
   /// whole protection set died are parked in `pending` until
   /// repair_pending().  Without protection they are eagerly recompiled
-  /// subtree-scoped, exactly as fail_link always did.  Pairs the
+  /// subtree-scoped inside the call.  Pairs the
   /// failure disconnected land in `unroutable` and report unreachable
   /// from route().
   FailoverReport apply_failure(netsim::NodeIndex a, netsim::NodeIndex b);
@@ -221,13 +220,6 @@ class BuiltFabric {
     return pending_.size();
   }
 
-  /// Legacy eager entry point, kept for callers that want the
-  /// "everything handled before return" contract: apply_failure plus
-  /// an immediate repair_pending.  Returns every affected (src, dst)
-  /// pair, as before.
-  std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>> fail_link(
-      netsim::NodeIndex a, netsim::NodeIndex b);
-
   /// Directed links currently excluded from path computation.
   [[nodiscard]] const std::vector<netsim::LinkIndex>& failed_links()
       const noexcept {
@@ -236,7 +228,8 @@ class BuiltFabric {
 
   /// Attach observability taps (borrowed, both optional; nullptr
   /// detaches).  With metrics set, every compile entry point (route,
-  /// compile_all_pairs, compile_subtree, fail_link) adds its
+  /// compile_all_pairs, compile_subtree, apply_failure as phase
+  /// "fail_link", repair_pending, restore_link) adds its
   /// CompileStats deltas to the compile.routes/.trees/.crt_steps
   /// counters and records its wall clock in a compile.<phase>_ns
   /// histogram; with trace set, the batch entry points emit one
@@ -330,7 +323,7 @@ class BuiltFabric {
   std::unordered_map<netsim::NodeIndex, netsim::PathTree> trees_;
   std::unordered_map<RouteKey, CompiledRoute> routes_;
   /// Inverted index: directed link -> keys of cached routes over it,
-  /// so fail_link names the crossing routes in O(affected) instead of
+  /// so apply_failure names the crossing routes in O(affected) instead of
   /// scanning every cached path.  Vector-backed: appends are the hot
   /// path (every compiled hop), removals happen only on recompiles and
   /// failures and swap-erase a linear scan.

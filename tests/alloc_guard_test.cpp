@@ -7,6 +7,8 @@
 //  * replay_shards allocates per *call* (shard partials + batch
 //    buffers), never per *packet*: replaying 10x the packets costs
 //    exactly the same number of allocations.
+//  * PolkaFabric::add_node pays for the nodeID search, the name and the
+//    wiring only -- no per-node engine state rides along.
 //
 // The interposer counts every operator-new entry; tests snapshot the
 // counter around the call under test and assert on the delta, so
@@ -76,7 +78,7 @@ std::uint64_t alloc_count() {
 }
 
 PolkaFabric make_chain(std::size_t n) {
-  PolkaFabric fabric(ModEngine::kTable);
+  PolkaFabric fabric;
   for (std::size_t i = 0; i < n; ++i) {
     fabric.add_node("r" + std::to_string(i), 4);
   }
@@ -191,6 +193,31 @@ TEST(AllocGuard, ReplayAllocationsIndependentOfPacketCount) {
   EXPECT_EQ(small, large)
       << "replay_shards allocation count scales with packet count -- the "
          "replay_slice hot loop is allocating per packet";
+}
+
+TEST(AllocGuard, AddNodeWiringCostStaysBounded) {
+  // Wiring a node allocates for its nodeID search, its name and its
+  // port row (~300 allocations).  A per-node lookup-table engine costs
+  // thousands more; this pins that none creeps back into the fabric.
+  constexpr std::size_t kNodes = 256;
+  PolkaFabric fabric;
+  for (std::size_t i = 0; i < 16; ++i) {
+    fabric.add_node("warm" + std::to_string(i), 4);
+  }
+  std::vector<std::string> names;
+  names.reserve(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    names.push_back("n" + std::to_string(i));
+  }
+
+  const std::uint64_t before = alloc_count();
+  for (const std::string& name : names) fabric.add_node(name, 4);
+  const std::uint64_t delta = alloc_count() - before;
+
+  EXPECT_EQ(fabric.node_count(), 16 + kNodes);
+  EXPECT_LT(delta / kNodes, 1000u)
+      << "add_node allocated " << delta << " times for " << kNodes
+      << " nodes";
 }
 
 }  // namespace

@@ -104,7 +104,7 @@ TEST(FailoverProtection, BackupMatchesRecomputeOnEveryFamily) {
         protected_fabric.apply_failure(schedule[0].a, schedule[0].b);
     ASSERT_FALSE(event.affected.empty()) << name;
     (void)protected_fabric.repair_pending();
-    (void)eager_fabric.fail_link(schedule[0].a, schedule[0].b);
+    (void)eager_fabric.apply_failure(schedule[0].a, schedule[0].b);
 
     const auto& routers = protected_fabric.routers();
     for (const NodeIndex src : routers) {

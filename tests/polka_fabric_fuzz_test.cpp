@@ -1,13 +1,15 @@
 // Randomized property testing of PolKA fabric forwarding: on random
 // connected fabrics, every simple path's routeID must steer a packet
-// exactly along that path with every mod engine, and the label must
-// stay within its CRT bit bound.
+// exactly along that path, the label must stay within its CRT bit
+// bound, and the CRC engines, the exact remainder and the compiled fast
+// path must agree on every hop.
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <set>
 
+#include "polka/crc.hpp"
 #include "polka/fastpath.hpp"
 #include "polka/forwarding.hpp"
 #include "scenario/fabric_builder.hpp"
@@ -23,8 +25,7 @@ struct RandomFabric {
 
 /// Ring of n nodes plus random chords; every node gets an extra unwired
 /// host port (the last port index).
-RandomFabric make_random_fabric(std::size_t n, std::mt19937_64& rng,
-                                ModEngine engine) {
+RandomFabric make_random_fabric(std::size_t n, std::mt19937_64& rng) {
   // First decide the neighbour sets, then size the ports.
   std::vector<std::set<std::size_t>> neighbours(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -38,7 +39,7 @@ RandomFabric make_random_fabric(std::size_t n, std::mt19937_64& rng,
     neighbours[a].insert(b);
     neighbours[b].insert(a);
   }
-  RandomFabric out{PolkaFabric(engine), {}};
+  RandomFabric out;
   for (std::size_t i = 0; i < n; ++i) {
     out.fabric.add_node("n" + std::to_string(i),
                         static_cast<unsigned>(neighbours[i].size()) + 1);
@@ -75,14 +76,13 @@ std::vector<std::size_t> random_simple_path(const RandomFabric& rf,
   return path;
 }
 
-class FabricFuzz
-    : public ::testing::TestWithParam<std::tuple<int, ModEngine>> {};
+class FabricFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(FabricFuzz, RandomPathsForwardExactly) {
-  const auto [seed, engine] = GetParam();
+  const int seed = GetParam();
   std::mt19937_64 rng(static_cast<std::uint64_t>(seed) * 2654435761u + 1);
   const std::size_t n = 6 + rng() % 20;
-  const RandomFabric rf = make_random_fabric(n, rng, engine);
+  const RandomFabric rf = make_random_fabric(n, rng);
 
   for (int trial = 0; trial < 15; ++trial) {
     const auto path = random_simple_path(rf, rng, 2 + rng() % 10);
@@ -106,14 +106,10 @@ TEST_P(FabricFuzz, RandomPathsForwardExactly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, FabricFuzz,
-    ::testing::Combine(::testing::Range(0, 10),
-                       ::testing::Values(ModEngine::kBitSerial,
-                                         ModEngine::kTable,
-                                         ModEngine::kDirect)));
+INSTANTIATE_TEST_SUITE_P(Sweep, FabricFuzz, ::testing::Range(0, 10));
 
-/// All scalar engines and the batched uint64 fast path must compute
+/// The CRC engines a switch would hold for each random nodeID, the
+/// exact polynomial remainder, and the compiled fast path must compute
 /// identical ports on randomized fabrics.
 class EngineParityFuzz : public ::testing::TestWithParam<int> {};
 
@@ -122,67 +118,67 @@ TEST_P(EngineParityFuzz, ScalarEnginesAndBatchAgree) {
   std::mt19937_64 rng(static_cast<std::uint64_t>(seed) * 0x9E3779B97F4A7C15ull +
                       3);
   const std::size_t n = 6 + rng() % 20;
-
-  // One fabric per scalar engine, built with the same RNG stream so
-  // node identifiers and wiring are identical across the three.
-  std::mt19937_64 rng_a = rng;
-  std::mt19937_64 rng_b = rng;
-  std::mt19937_64 rng_c = rng;
-  const RandomFabric bit_serial =
-      make_random_fabric(n, rng_a, ModEngine::kBitSerial);
-  const RandomFabric table = make_random_fabric(n, rng_b, ModEngine::kTable);
-  const RandomFabric direct = make_random_fabric(n, rng_c, ModEngine::kDirect);
-  rng = rng_a;  // resume the shared stream
-
-  const CompiledFabric& fast = bit_serial.fabric.compiled();
+  const RandomFabric rf = make_random_fabric(n, rng);
+  std::vector<BitSerialCrc> bit_serial;
+  std::vector<TableCrc> table;
+  for (std::size_t i = 0; i < n; ++i) {
+    bit_serial.emplace_back(rf.fabric.node(i).poly);
+    table.emplace_back(rf.fabric.node(i).poly);
+  }
+  const CompiledFabric& fast = rf.fabric.compiled();
 
   std::vector<RouteId> routes;
+  std::vector<RouteLabel> labels;
   for (int trial = 0; trial < 15; ++trial) {
-    const auto path = random_simple_path(bit_serial, rng, 2 + rng() % 10);
+    const auto path = random_simple_path(rf, rng, 2 + rng() % 10);
     if (path.size() < 2) continue;
     const unsigned egress =
-        static_cast<unsigned>(bit_serial.adjacency[path.back()].size());
-    const RouteId route = bit_serial.fabric.route_for_path(path, egress);
-
-    // The three scalar engines agree hop for hop...
-    const auto trace_bit = bit_serial.fabric.forward(route, path.front());
-    const auto trace_table = table.fabric.forward(route, path.front());
-    const auto trace_direct = direct.fabric.forward(route, path.front());
-    ASSERT_EQ(trace_bit.nodes, trace_table.nodes) << "seed=" << seed;
-    ASSERT_EQ(trace_bit.ports, trace_table.ports) << "seed=" << seed;
-    ASSERT_EQ(trace_bit.nodes, trace_direct.nodes) << "seed=" << seed;
-    ASSERT_EQ(trace_bit.ports, trace_direct.ports) << "seed=" << seed;
-
-    // ...and the compiled fast path matches them per-port and per-walk.
+        static_cast<unsigned>(rf.adjacency[path.back()].size());
+    const RouteId route = rf.fabric.route_for_path(path, egress);
+    const auto trace = rf.fabric.forward(route, path.front());
+    ASSERT_EQ(trace.nodes, path) << "seed=" << seed;
     const auto label = pack_label(route);
     ASSERT_TRUE(label.has_value()) << "seed=" << seed;
-    for (std::size_t i = 0; i < trace_bit.nodes.size(); ++i) {
-      EXPECT_EQ(fast.port_of(*label, trace_bit.nodes[i]), trace_bit.ports[i])
+
+    // Every hop: both CRC engines reproduce the exact remainder, and
+    // the compiled fold lands on the port the scalar walk took.
+    for (std::size_t i = 0; i < trace.nodes.size(); ++i) {
+      const std::size_t node = trace.nodes[i];
+      const gf2::Poly want = route.value % rf.fabric.node(node).poly;
+      EXPECT_EQ(bit_serial[node].remainder(route.value), want)
+          << "seed=" << seed << " hop=" << i;
+      EXPECT_EQ(table[node].remainder(route.value), want)
+          << "seed=" << seed << " hop=" << i;
+      EXPECT_EQ(polynomial_port(want), trace.ports[i])
+          << "seed=" << seed << " hop=" << i;
+      EXPECT_EQ(fast.port_of(*label, node), trace.ports[i])
           << "seed=" << seed << " hop=" << i;
     }
     PacketResult want;
-    want.egress_node = static_cast<std::uint32_t>(trace_bit.nodes.back());
-    want.egress_port = trace_bit.ports.back();
-    want.hops = static_cast<std::uint32_t>(trace_bit.nodes.size());
+    want.egress_node = static_cast<std::uint32_t>(trace.nodes.back());
+    want.egress_port = trace.ports.back();
+    want.hops = static_cast<std::uint32_t>(trace.nodes.size());
     EXPECT_EQ(fast.forward_one(*label, path.front()), want)
         << "seed=" << seed;
 
     routes.push_back(route);
+    labels.push_back(*label);
   }
 
-  // Batch entry point: inject every collected route at node 0 (walks
+  // Batch entry point: inject every collected label at node 0 (walks
   // may be "wrong" routes for that ingress -- parity must hold anyway)
   // and compare against the scalar walk packet by packet.
-  std::vector<PacketResult> got(routes.size());
-  const std::size_t mods = bit_serial.fabric.forward_batch(
-      routes, /*first=*/0, std::span<PacketResult>(got));
+  std::vector<PacketResult> got(labels.size());
+  const std::size_t mods =
+      fast.forward_batch(labels, /*first=*/0, std::span<PacketResult>(got));
   std::size_t want_mods = 0;
   for (std::size_t i = 0; i < routes.size(); ++i) {
-    const auto trace = bit_serial.fabric.forward(routes[i], 0);
+    const auto trace = rf.fabric.forward(routes[i], 0);
     ASSERT_FALSE(trace.nodes.empty());
     EXPECT_EQ(got[i].egress_node, trace.nodes.back()) << "seed=" << seed;
     EXPECT_EQ(got[i].egress_port, trace.ports.back()) << "seed=" << seed;
     EXPECT_EQ(got[i].hops, trace.nodes.size()) << "seed=" << seed;
+    EXPECT_EQ(got[i].ttl_expired, trace.ttl_expired) << "seed=" << seed;
     want_mods += trace.mod_operations;
   }
   EXPECT_EQ(mods, want_mods) << "seed=" << seed;

@@ -1,7 +1,7 @@
 // Unit tests for the batched uint64 fast path: label packing, the
 // slice-by-8 fold engine against the polynomial reference engines, the
-// compiled fabric walks, the oversized-route fallback, and the
-// PolkaService batch/replay wiring.
+// compiled fabric walks, segmented routes past the 64-bit cliff, and
+// the PolkaService tunnels on the compiled walk.
 
 #include <gtest/gtest.h>
 
@@ -106,7 +106,7 @@ TEST(LabelFoldEngine, Degree32BoundaryMatchesExactDivision) {
 
 /// Chain fabric r0 -> r1 -> ... -> r{n-1}, egress on port 0 of the last.
 PolkaFabric make_chain(std::size_t n) {
-  PolkaFabric fabric(ModEngine::kTable);
+  PolkaFabric fabric;
   for (std::size_t i = 0; i < n; ++i) {
     fabric.add_node("r" + std::to_string(i), 4);
   }
@@ -245,7 +245,7 @@ TEST(CompiledFabric, BatchValidatesArguments) {
 TEST(CompiledFabric, TtlExpiredFlagOnLoopingLabel) {
   // Two nodes wired into a cycle on port 0; the all-zero label computes
   // port 0 everywhere, so the packet orbits until the hop cap kills it.
-  PolkaFabric fabric(ModEngine::kTable);
+  PolkaFabric fabric;
   fabric.add_node("a", 2);
   fabric.add_node("b", 2);
   fabric.connect(0, 0, 1);
@@ -292,12 +292,11 @@ TEST(SegmentedRoute, SingleSegmentMatchesRouteForPath) {
 }
 
 TEST(SegmentedRoute, CrossesThe64BitCliffOnTheFastPath) {
-  // The exact fabric of OversizedRoutesFallBackToScalar: 24 nodes of 8
-  // ports (degree 3 each), full-chain routeID degree ~72 -- no single
-  // label exists.  The segmented route re-labels mid-chain and the
-  // compiled fast path delivers it with the same hop sequence as the
-  // polynomial slow path.
-  PolkaFabric fabric(ModEngine::kTable);
+  // 24 nodes of 8 ports (degree 3 each): the full-chain routeID has
+  // degree ~72, so no single label exists.  The segmented route
+  // re-labels mid-chain and the compiled fast path delivers it with the
+  // same hop sequence as the polynomial slow path.
+  PolkaFabric fabric;
   const std::size_t n = 24;
   for (std::size_t i = 0; i < n; ++i) {
     fabric.add_node("r" + std::to_string(i), 8);
@@ -386,41 +385,6 @@ TEST(SegmentedRoute, ValidatesInputs) {
                std::out_of_range);
 }
 
-TEST(PolkaFabricBatch, OversizedRoutesFallBackToScalar) {
-  // 24 nodes of 8 ports: nodeID degrees sum far past 64, so a full-path
-  // routeID cannot pack into a label.
-  PolkaFabric fabric(ModEngine::kTable);
-  const std::size_t n = 24;
-  for (std::size_t i = 0; i < n; ++i) {
-    fabric.add_node("r" + std::to_string(i), 8);
-  }
-  for (std::size_t i = 0; i + 1 < n; ++i) fabric.connect(i, 1, i + 1);
-  std::vector<std::size_t> path(n);
-  for (std::size_t i = 0; i < n; ++i) path[i] = i;
-  const RouteId long_route = fabric.route_for_path(path, 0U);
-  EXPECT_FALSE(pack_label(long_route).has_value());
-
-  // Short route that does pack, to exercise the mixed-chunk repack.
-  std::vector<std::size_t> short_path{0, 1, 2};
-  const RouteId short_route = fabric.route_for_path(short_path, 0U);
-  ASSERT_TRUE(pack_label(short_route).has_value());
-
-  const std::vector<RouteId> routes{short_route, long_route, short_route};
-  std::vector<PacketResult> got(routes.size());
-  const std::size_t mods =
-      fabric.forward_batch(routes, 0, std::span<PacketResult>(got));
-
-  std::size_t want_mods = 0;
-  for (std::size_t i = 0; i < routes.size(); ++i) {
-    const auto trace = fabric.forward(routes[i], 0);
-    EXPECT_EQ(got[i].egress_node, trace.nodes.back()) << i;
-    EXPECT_EQ(got[i].egress_port, trace.ports.back()) << i;
-    EXPECT_EQ(got[i].hops, trace.nodes.size()) << i;
-    want_mods += trace.mod_operations;
-  }
-  EXPECT_EQ(mods, want_mods);
-}
-
 TEST(WorkloadPackets, PacketCountShapes) {
   hp::netsim::FlowSpec spec;
   spec.size_mb = 1.5;  // 1.5e6 bytes / 1500 = 1000 packets
@@ -449,51 +413,25 @@ struct ServiceHarness {
   }
 };
 
-TEST(PolkaServiceBatch, ForwardBatchMatchesScalarReference) {
+TEST(PolkaService, CompiledWalkOfEveryTunnelMatchesScalarForward) {
+  // The service's tunnels replay on the compiled fast path (the batch
+  // path replay_shards drives); each tunnel's label must land exactly
+  // where the exact polynomial walk of its routeID ends.
   ServiceHarness h;
-  const auto report = h.service.forward_batch(1000);
-  EXPECT_EQ(report.packets, 2000u);  // 1000 per tunnel
-  EXPECT_EQ(report.mismatches, 0u);
-  // Both tunnels are 3 routers long => 3 mods per packet.
-  EXPECT_EQ(report.mod_operations, 2000u * 3u);
-}
-
-TEST(PolkaServiceBatch, ReplayWorkloadStreamsEveryFlowPacket) {
-  ServiceHarness h;
-  const auto path = h.topo.path_through({"host1", "MIA", "SAO", "AMS"});
-  hp::netsim::WorkloadParams params;
-  params.duration_s = 30.0;
-  params.arrival_rate_per_s = 1.0;
-  const auto flows = hp::netsim::generate_workload({path}, params);
-  ASSERT_FALSE(flows.empty());
-
-  std::size_t want_packets = 0;
-  for (const auto& f : flows) {
-    want_packets += hp::netsim::packet_count(f.spec);
+  const PolkaFabric& fabric = h.service.fabric();
+  ASSERT_EQ(h.service.tunnels().size(), 2u);
+  for (const auto& [id, t] : h.service.tunnels()) {
+    const std::size_t first = fabric.index_of(t.routers.front());
+    const auto trace = fabric.forward(t.route_id, first);
+    ASSERT_EQ(trace.nodes.size(), t.routers.size()) << t.name;
+    PacketResult want;
+    want.egress_node = static_cast<std::uint32_t>(trace.nodes.back());
+    want.egress_port = trace.ports.back();
+    want.hops = static_cast<std::uint32_t>(trace.nodes.size());
+    const PacketResult got =
+        fabric.compiled().forward_one(pack_label_checked(t.route_id), first);
+    EXPECT_EQ(got, want) << t.name;
   }
-  const auto report = h.service.replay_workload(flows, 64);
-  EXPECT_EQ(report.packets, want_packets);
-  EXPECT_EQ(report.mismatches, 0u);
-  EXPECT_EQ(report.mod_operations, want_packets * 3u);
-
-  EXPECT_THROW((void)h.service.replay_workload(flows, 0),
-               std::invalid_argument);
-}
-
-TEST(PolkaServiceBatch, ThreadedReplayMatchesSingleThreaded) {
-  ServiceHarness h;
-  const auto path = h.topo.path_through({"host1", "MIA", "SAO", "AMS"});
-  hp::netsim::WorkloadParams params;
-  params.duration_s = 30.0;
-  params.arrival_rate_per_s = 1.0;
-  const auto flows = hp::netsim::generate_workload({path}, params);
-  ASSERT_FALSE(flows.empty());
-
-  const auto single = h.service.replay_workload(flows, 64);
-  const auto sharded = h.service.replay_workload(flows, 64, 1500.0, 4);
-  EXPECT_EQ(sharded.packets, single.packets);
-  EXPECT_EQ(sharded.mod_operations, single.mod_operations);
-  EXPECT_EQ(sharded.mismatches, 0u);
 }
 
 }  // namespace

@@ -14,8 +14,8 @@ namespace {
 
 // Linear chain A -> B -> C -> D, each node with 4 ports; port 1 goes
 // "right", port 0 is host-facing (unwired).
-PolkaFabric make_chain(ModEngine engine) {
-  PolkaFabric fabric(engine);
+PolkaFabric make_chain() {
+  PolkaFabric fabric;
   const auto a = fabric.add_node("A", 4);
   const auto b = fabric.add_node("B", 4);
   const auto c = fabric.add_node("C", 4);
@@ -30,10 +30,8 @@ PolkaFabric make_chain(ModEngine engine) {
   return fabric;
 }
 
-class FabricEngines : public ::testing::TestWithParam<ModEngine> {};
-
-TEST_P(FabricEngines, ForwardAlongChain) {
-  const PolkaFabric fabric = make_chain(GetParam());
+TEST(PolkaFabric, ForwardAlongChain) {
+  const PolkaFabric fabric = make_chain();
   const std::vector<std::size_t> path{0, 1, 2, 3};
   const RouteId route = fabric.route_for_path(path, 0U);
   const auto trace = fabric.forward(route, 0);
@@ -42,26 +40,21 @@ TEST_P(FabricEngines, ForwardAlongChain) {
   EXPECT_EQ(trace.mod_operations, 4U);
 }
 
-TEST_P(FabricEngines, ReversePath) {
-  const PolkaFabric fabric = make_chain(GetParam());
+TEST(PolkaFabric, ReversePath) {
+  const PolkaFabric fabric = make_chain();
   const std::vector<std::size_t> path{3, 2, 1, 0};
   const RouteId route = fabric.route_for_path(path, 0U);
   const auto trace = fabric.forward(route, 3);
   EXPECT_EQ(trace.nodes, path);
 }
 
-TEST_P(FabricEngines, PartialPath) {
-  const PolkaFabric fabric = make_chain(GetParam());
+TEST(PolkaFabric, PartialPath) {
+  const PolkaFabric fabric = make_chain();
   const RouteId route = fabric.route_for_path({1, 2}, 3U);
   const auto trace = fabric.forward(route, 1);
   EXPECT_EQ(trace.nodes, (std::vector<std::size_t>{1, 2}));
   EXPECT_EQ(trace.ports.back(), 3U);  // chosen egress port
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, FabricEngines,
-                         ::testing::Values(ModEngine::kBitSerial,
-                                           ModEngine::kTable,
-                                           ModEngine::kDirect));
 
 TEST(PolkaFabric, DuplicateNameRejected) {
   PolkaFabric fabric;
@@ -89,7 +82,7 @@ TEST(PolkaFabric, UnwiredPathRejected) {
 TEST(PolkaFabric, HopLimitStopsForwarding) {
   // Wire a 2-node loop and craft a route that cycles; the hop guard
   // must terminate the trace.
-  PolkaFabric fabric(ModEngine::kDirect);
+  PolkaFabric fabric;
   const auto a = fabric.add_node("A", 4);
   const auto b = fabric.add_node("B", 4);
   fabric.connect(a, 1, b);
@@ -103,7 +96,7 @@ TEST(PolkaFabric, HopLimitStopsForwarding) {
 TEST(PolkaFabric, RouteIdUnchangedAcrossHops) {
   // The defining PolKA property: the label carried by the packet is
   // immutable; forwarding consults it but never rewrites it.
-  const PolkaFabric fabric = make_chain(ModEngine::kTable);
+  const PolkaFabric fabric = make_chain();
   const RouteId route = fabric.route_for_path({0, 1, 2, 3}, 0U);
   const gf2::Poly before = route.value;
   (void)fabric.forward(route, 0);
@@ -135,7 +128,7 @@ TEST(PolkaFabricCopy, RewiredCopyDoesNotServeStaleCompiledView) {
   // Regression: a defaulted copy carried the source's cached compiled_
   // view; a copy that is then rewired must recompile, not keep serving
   // the source's wiring through the fast path.
-  PolkaFabric original = make_chain(ModEngine::kTable);
+  PolkaFabric original = make_chain();
   const RouteId route = original.route_for_path({0, 1, 2, 3}, 0U);
   (void)original.compiled();  // warm the cache that the copy must drop
 
@@ -160,7 +153,7 @@ TEST(PolkaFabricCopy, RewiredCopyDoesNotServeStaleCompiledView) {
   EXPECT_EQ(original.node_count(), 4u);
 
   // Copy assignment drops the cache the same way.
-  PolkaFabric assigned(ModEngine::kTable);
+  PolkaFabric assigned;
   assigned.add_node("solo", 2);
   assigned = rewired;
   EXPECT_EQ(assigned.compiled().node_count(), 5u);
@@ -173,7 +166,7 @@ TEST(PolkaFabricCopy, RewiredCopyDoesNotServeStaleCompiledView) {
 TEST(PortListLabel, LabelShrinksPolkaDoesNot) {
   // Contrast the two SR schemes: the port list loses bits every hop
   // while PolKA's routeID length is invariant.
-  const PolkaFabric fabric = make_chain(ModEngine::kDirect);
+  const PolkaFabric fabric = make_chain();
   const RouteId route = fabric.route_for_path({0, 1, 2, 3}, 0U);
   PortListLabel label({1, 1, 1, 0}, 2);
   const unsigned polka_bits = route.bit_length();

@@ -1,7 +1,7 @@
 // Tree-incremental route compiler: parity against the per-path
 // baseline across every topology family, subtree-scoped recompilation
 // after link failures, and compile-count instrumentation proving
-// fail_link touches only the routes that crossed the dead link.
+// apply_failure touches only the routes that crossed the dead link.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,7 @@ namespace {
 using netsim::NodeIndex;
 
 /// Compare every ordered router pair of `tree_compiled` (filled via
-/// compile_all_pairs / fail_link repair) against a per-path baseline
+/// compile_all_pairs / apply_failure repair) against a per-path baseline
 /// fabric in the same topology state: bit-identical labels, ids, paths
 /// and expectations, including unreachable pairs.
 void expect_all_pairs_parity(BuiltFabric& tree_compiled,
@@ -119,9 +119,9 @@ TEST(TreeCompile, PostFailLinkRepairKeepsParity) {
       }
     }
     ASSERT_NE(b, netsim::kInvalidIndex);
-    const auto affected = tree_compiled.fail_link(a, b);
+    const auto affected = tree_compiled.apply_failure(a, b).affected;
     EXPECT_FALSE(affected.empty());  // at least a->b crossed it
-    (void)baseline.fail_link(a, b);
+    (void)baseline.apply_failure(a, b);
     expect_all_pairs_parity(tree_compiled, baseline);
   }
 }
@@ -170,7 +170,7 @@ TEST(TreeCompile, FailLinkRecompilesOnlyCrossingRoutes) {
   const auto untouched_id = untouched->id.value;
 
   const CompileStats before = built.compile_stats();
-  const auto affected = built.fail_link(leaf3, spine1);
+  const auto affected = built.apply_failure(leaf3, spine1).affected;
   const CompileStats after = built.compile_stats();
 
   // Exactly the crossing routes were recompiled -- no full flush.
@@ -202,7 +202,7 @@ TEST(TreeCompile, DisconnectingFailureEvictsInsteadOfRepairing) {
   built.compile_all_pairs();
   const NodeIndex leaf2 = topo.index_of("leaf2");
   const NodeIndex spine0 = topo.index_of("spine0");
-  const auto affected = built.fail_link(leaf2, spine0);
+  const auto affected = built.apply_failure(leaf2, spine0).affected;
   // Every pair involving leaf2 crossed its only access link.
   EXPECT_EQ(affected.size(), 6u);
   for (const NodeIndex other : built.routers()) {

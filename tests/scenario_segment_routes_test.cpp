@@ -1,7 +1,7 @@
 // Multi-segment routes end to end: every registry family forwards
 // bit-identically via single-label vs segmented walks, deep ring/torus
 // topologies compile to <= 64-bit segments with tree/per-path parity,
-// fail_link repairs a route whose waypoint node died, and ring-1024 /
+// apply_failure repairs a route whose waypoint node died, and ring-1024 /
 // torus-32x32 replay entirely on the uint64 fast path -- zero
 // unpackable pairs (the old Poly fallback), zero wrong egress, zero
 // hop-cap kills.
@@ -166,7 +166,7 @@ TEST(SegmentedRoutes, FailLinkRepairsRouteWhoseWaypointDied) {
   }
   ASSERT_NE(into_waypoint, netsim::kInvalidIndex);
   const NodeIndex from = topo.link(into_waypoint).from;
-  const auto affected = built.fail_link(from, waypoint);
+  const auto affected = built.apply_failure(from, waypoint).affected;
   EXPECT_FALSE(affected.empty());
 
   // The repaired route detours (the ring stays connected), is still
@@ -181,7 +181,7 @@ TEST(SegmentedRoutes, FailLinkRepairsRouteWhoseWaypointDied) {
   expect_segmented_route_exact(built, r0, *repaired, 256);
 
   BuiltFabric fresh(topo);
-  (void)fresh.fail_link(from, waypoint);
+  (void)fresh.apply_failure(from, waypoint);
   const CompiledRoute* want = fresh.route(r0, r64);
   ASSERT_NE(want, nullptr);
   EXPECT_EQ(repaired->segments, want->segments);
