@@ -16,9 +16,10 @@ The repo rests on conventions no general-purpose linter knows about:
   its own translation unit (no hidden include-order dependencies).
 * **hot-path-purity** -- regions bracketed by `// HP_HOT_BEGIN(name)`
   ... `// HP_HOT_END(name)` (the fold kernels, the batch forwarding
-  entry points, replay_slice, the PacketSim event loop) must not
-  allocate: no new/malloc, no container growth calls.  The dynamic
-  twin of this rule is tests/alloc_guard_test.cpp.
+  entry points, replay_slice, the PacketSim event loop, EventQueue's
+  pop path) must not allocate: no new/malloc, no container growth
+  calls, no std::stable_sort/std::inplace_merge (both take a temporary
+  buffer).  The dynamic twin of this rule is tests/alloc_guard_test.cpp.
 
 Rules are classes registered in RULES; each carries its own file scope
 and a per-file allowlist whose entries MUST have a written reason and
@@ -497,7 +498,8 @@ class HotPathPurityRule(Rule):
     description = (
         "rejects allocation and container growth inside "
         "// HP_HOT_BEGIN(x) ... // HP_HOT_END(x) regions (fold "
-        "kernels, batch forwarding, replay_slice, the sim event loop)")
+        "kernels, batch forwarding, replay_slice, the sim event loop "
+        "and event-queue pop)")
     scope = ["src/**/*"]
     allowlist = {}
 
@@ -516,6 +518,8 @@ class HotPathPurityRule(Rule):
             r"resize|reserve|insert|emplace|append|assign|shrink_to_fit)"
             r"\s*\("),
          "container growth"),
+        (re.compile(r"\b(stable_sort|inplace_merge)\s*\("),
+         "buffer-allocating algorithm (std::sort needs no buffer)"),
     ]
 
     #: Regions the tree must carry: deleting a marker (or the file's
@@ -525,6 +529,7 @@ class HotPathPurityRule(Rule):
         "src/polka/fastpath.cpp": ["forward_batch"],
         "src/scenario/runner.cpp": ["replay_slice"],
         "src/sim/packet_sim.cpp": ["event_loop"],
+        "src/sim/event_queue.hpp": ["event_queue_pop"],
     }
 
     def regions(self, src: SourceFile) -> tuple[list, list[Finding]]:

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/contracts.hpp"
 #include "obs/flight_recorder.hpp"
@@ -14,13 +16,19 @@ namespace hp::sim {
 namespace {
 
 /// Event kinds on the engine's queue.
+/// A channel's queue slot freeing is not an event: each channel keeps
+/// a ring of pending departures that handle_arrival settles lazily.
 enum EventKind : std::uint32_t {
   kArrive = 0,    ///< arg = packet index; packet reaches its state's node
-  kDrain = 1,     ///< arg = channel index; one serialization finished
-  kLinkDown = 2,  ///< arg = channel index; the wire disappears
-  kLinkUp = 3,    ///< arg = channel index; the wire comes back
-  kTimer = 4,     ///< arg = opaque cookie handed to Transport::on_timer
+  kLinkDown = 1,  ///< arg = channel index; the wire disappears
+  kLinkUp = 2,    ///< arg = channel index; the wire comes back
+  kTimer = 3,     ///< arg = opaque cookie handed to Transport::on_timer
 };
+
+/// Cap on the summed departure-ring slots (16 B each, so 2 GiB): a
+/// queue_capacity meant as "unbounded" fails loudly at wiring time
+/// instead of in the allocator.
+constexpr std::uint64_t kMaxRingSlots = std::uint64_t{1} << 27;
 
 }  // namespace
 
@@ -50,8 +58,24 @@ PacketSim::PacketSim(const polka::CompiledFabric& fabric,
       throw std::invalid_argument("PacketSim: channel index out of range");
     }
   }
+  std::uint64_t slots = 0;
+  for (const Channel& ch : channels_) slots += ch.queue_capacity;
+  if (slots > kMaxRingSlots) {
+    throw core::ContractViolation(
+        "PacketSim: queue_capacity summed over " +
+        std::to_string(channels_.size()) + " channels is " +
+        std::to_string(slots) +
+        " departure slots, above the 2^27 the rings may hold");
+  }
   result_.links.assign(channels_.size(), LinkStat{});
+  flushed_links_.assign(channels_.size(), LinkStat{});
   channel_state_.assign(channels_.size(), ChannelState{});
+  departures_.assign(slots, Departure{});
+  std::uint32_t ring = 0;
+  for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
+    channel_state_[ch].ring = ring;
+    ring += channels_[ch].queue_capacity;
+  }
   link_up_.assign(channels_.size(), 1);
   register_metrics();
 }
@@ -71,14 +95,16 @@ void PacketSim::register_metrics() {
   obs_.link_events = &reg->counter("sim.failover.link_events");
   obs_.in_flight = &reg->gauge("sim.in_flight");
   obs_.queue_depth = &reg->histogram("sim.queue_depth");
-  obs_.link_depth.reserve(channels_.size());
   obs_.link_drops.reserve(channels_.size());
   obs_.link_ecn.reserve(channels_.size());
   char name[48];
   for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
     // Zero-padded so the name-sorted snapshot lists links numerically.
     std::snprintf(name, sizeof(name), "sim.link.%05zu.queue_depth", ch);
-    obs_.link_depth.push_back(&reg->gauge(name));
+    // Every run() ends with its queues drained, so this depth gauge
+    // reads 0 whenever the registry holds a run's numbers; it needs no
+    // per-hop update.
+    (void)reg->gauge(name);
     std::snprintf(name, sizeof(name), "sim.link.%05zu.drops", ch);
     obs_.link_drops.push_back(&reg->counter(name));
     std::snprintf(name, sizeof(name), "sim.link.%05zu.ecn", ch);
@@ -145,10 +171,6 @@ std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
   ++fs.packets;
   ++result_.counters.injected;
   if (ref.label_count > 1) ++result_.counters.segmented_packets;
-  if (obs_.injected != nullptr) {
-    obs_.injected->add(1);
-    obs_.in_flight->add(1);
-  }
   queue_.push(at, kArrive, index);
   return index;
 }
@@ -156,12 +178,31 @@ std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
 // HP_HOT_BEGIN(event_loop)
 // The discrete-event inner loop: every hop is a fold, a wiring lookup
 // and O(1) queue/state updates on storage sized at wiring time.  All
-// allocation (packets_, flows, the per-link vectors) happens in
-// inject()/register_metrics() before the clock starts; the loop itself
-// must stay growth-free (lint rule hot-path-purity) or event-rate
-// throughput becomes allocator-bound.  EventQueue::push re-uses its
-// heap's capacity after the first growth.
-void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
+// allocation (packets_, flows, the per-link vectors, the departure
+// rings) happens in the constructor and inject()/register_metrics()
+// before the clock starts; the loop itself must stay growth-free (lint
+// rule hot-path-purity) or event-rate throughput becomes
+// allocator-bound.  EventQueue::push re-uses its heap's capacity after
+// the first growth.  Registry metrics that mirror SimCounters/LinkStat
+// are not touched per hop: flush_counters() adds them once per run().
+
+// Free channel `ch`'s queue slots whose departure the event queue would
+// have popped before the event (t, seq): a departure stamped (at, s)
+// goes first iff (at, s) < (t, seq).  Rings are FIFO in that order --
+// departure ticks never decrease on a channel and stamps only grow.
+void PacketSim::settle(std::uint32_t ch, Tick t, std::uint64_t seq) {
+  ChannelState& state = channel_state_[ch];
+  const std::uint32_t capacity = channels_[ch].queue_capacity;
+  while (state.queued > 0) {
+    const Departure& d = departures_[state.ring + state.head];
+    if (d.at > t || (d.at == t && d.seq > seq)) break;
+    --state.queued;
+    state.head = state.head + 1 == capacity ? 0 : state.head + 1;
+  }
+}
+
+void PacketSim::handle_arrival(Tick t, std::uint64_t seq,
+                               std::uint32_t packet) {
   HP_DCHECK(packet < packets_.size(), "PacketSim: arrival for unknown packet");
   PacketState& s = packets_[packet];
   HP_DCHECK(s.node < fabric_.node_count(),
@@ -181,13 +222,11 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     ++s.seg;
     s.label = pool_labels_[s.ref.first_label + s.seg].bits;
     ++c.segment_swaps;
-    if (obs_.segment_swaps != nullptr) obs_.segment_swaps->add(1);
   }
   const std::uint32_t port =
       fabric_.port_of(polka::RouteLabel{s.label}, s.node);
   ++c.mod_operations;
   ++s.hops;
-  if (obs_.folds != nullptr) obs_.folds->add(1);
   const std::uint32_t peer = fabric_.neighbor(s.node, port);
   FlowStat& fs = result_.flows[s.flow];
   // Shared delivery tail: the unwired-port and channel-less-port exits.
@@ -196,13 +235,7 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     ++fs.delivered;
     fs.last_delivery = std::max(fs.last_delivery, t);
     const polka::PacketResult got{s.node, port, s.hops, false};
-    const bool wrong = got != flow_expected_[s.flow];
-    if (wrong) ++c.wrong_egress;
-    if (obs_.delivered != nullptr) {
-      obs_.delivered->add(1);
-      obs_.in_flight->sub(1);
-      if (wrong) obs_.wrong_egress->add(1);
-    }
+    if (got != flow_expected_[s.flow]) ++c.wrong_egress;
     if (flight != nullptr) {
       flight->record({t, s.flow, packet, s.node, port, 0,
                       obs::HopOutcome::kDelivered});
@@ -217,10 +250,6 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
   if (s.hops >= config_.max_hops) {
     ++c.ttl_expired;
     ++fs.ttl_expired;
-    if (obs_.ttl_expired != nullptr) {
-      obs_.ttl_expired->add(1);
-      obs_.in_flight->sub(1);
-    }
     if (flight != nullptr) {
       flight->record({t, s.flow, packet, s.node, port, 0,
                       obs::HopOutcome::kTtlExpired});
@@ -237,6 +266,7 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     deliver();
     return;
   }
+  settle(ch, t, seq);
   const Channel& link = channels_[ch];
   ChannelState& state = channel_state_[ch];
   LinkStat& stat = result_.links[ch];
@@ -248,11 +278,6 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     ++c.failover_lost;
     ++fs.dropped;
     ++stat.failover_drops;
-    if (obs_.failover_lost != nullptr) {
-      obs_.failover_lost->add(1);
-      obs_.link_drops[ch]->add(1);
-      obs_.in_flight->sub(1);
-    }
     if (flight != nullptr) {
       flight->record({t, s.flow, packet, s.node, port, state.queued,
                       obs::HopOutcome::kLinkDown});
@@ -267,11 +292,6 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     ++c.dropped;
     ++fs.dropped;
     ++stat.tail_drops;
-    if (obs_.tail_drops != nullptr) {
-      obs_.tail_drops->add(1);
-      obs_.link_drops[ch]->add(1);
-      obs_.in_flight->sub(1);
-    }
     if (flight != nullptr) {
       flight->record({t, s.flow, packet, s.node, port, state.queued,
                       obs::HopOutcome::kTailDrop});
@@ -290,14 +310,7 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     ++stat.ecn_marks;
     if (transport_ != nullptr) transport_->on_ecn(s.flow);
   }
-  if (obs_.queue_depth != nullptr) {
-    obs_.queue_depth->record(state.queued);
-    obs_.link_depth[ch]->add(1);
-    if (ecn) {
-      obs_.ecn_marked->add(1);
-      obs_.link_ecn[ch]->add(1);
-    }
-  }
+  if (obs_.queue_depth != nullptr) obs_.queue_depth->record(state.queued);
   if (flight != nullptr) {
     flight->record({t, s.flow, packet, s.node, port, state.queued,
                     obs::HopOutcome::kForwarded});
@@ -310,9 +323,11 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
   stat.busy_ns += link.serialize_ns;
   ++stat.forwarded;
   s.node = peer;
-  // Drain (queue slot freed) before the downstream arrival: pushed
-  // first, so a zero-latency tie still frees the slot first.
-  queue_.push(depart, kDrain, ch);
+  // The slot frees at `depart`, stamped before the downstream arrival
+  // is pushed, so a zero-latency tie still frees the slot first.
+  std::uint32_t slot = state.head + state.queued - 1;
+  if (slot >= link.queue_capacity) slot -= link.queue_capacity;
+  departures_[state.ring + slot] = Departure{depart, queue_.stamp()};
   queue_.push(depart + link.latency_ns, kArrive, packet);
 }
 
@@ -326,13 +341,7 @@ SimResult PacketSim::run() {
     now_ = e.at;
     switch (e.kind) {
       case kArrive:
-        handle_arrival(e.at, e.arg);
-        break;
-      case kDrain:
-        HP_DCHECK(channel_state_[e.arg].queued > 0,
-                  "PacketSim: drain on an empty channel queue");
-        --channel_state_[e.arg].queued;
-        if (obs_.queue_depth != nullptr) obs_.link_depth[e.arg]->sub(1);
+        handle_arrival(e.at, e.seq, e.arg);
         break;
       case kLinkDown:
         link_up_[e.arg] = 0;
@@ -352,9 +361,46 @@ SimResult PacketSim::run() {
         throw std::logic_error("PacketSim: unknown event kind");
     }
   }
+  // Every departure is due by now (each one precedes its packet's
+  // arrival), so the queue depths and link gauges read as drained.
+  for (std::uint32_t ch = 0; ch < channels_.size(); ++ch) {
+    settle(ch, std::numeric_limits<Tick>::max(),
+           std::numeric_limits<std::uint64_t>::max());
+  }
   result_.counters.end_ns = now_;
+  flush_counters();
   return result_;
 }
 // HP_HOT_END(event_loop)
+
+void PacketSim::flush_counters() {
+  if (config_.metrics == nullptr) return;
+  const SimCounters& now = result_.counters;
+  SimCounters& was = flushed_;
+  obs_.injected->add(now.injected - was.injected);
+  obs_.delivered->add(now.delivered - was.delivered);
+  obs_.tail_drops->add((now.dropped - now.failover_lost) -
+                       (was.dropped - was.failover_lost));
+  obs_.ttl_expired->add(now.ttl_expired - was.ttl_expired);
+  obs_.ecn_marked->add(now.ecn_marked - was.ecn_marked);
+  obs_.folds->add(now.mod_operations - was.mod_operations);
+  obs_.segment_swaps->add(now.segment_swaps - was.segment_swaps);
+  obs_.wrong_egress->add(now.wrong_egress - was.wrong_egress);
+  obs_.failover_lost->add(now.failover_lost - was.failover_lost);
+  const auto in_flight = [](const SimCounters& k) {
+    return static_cast<std::int64_t>(k.injected - k.delivered - k.dropped -
+                                     k.ttl_expired);
+  };
+  obs_.in_flight->add(in_flight(now) - in_flight(was));
+  was = now;
+  for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
+    const LinkStat& link = result_.links[ch];
+    LinkStat& seen = flushed_links_[ch];
+    obs_.link_drops[ch]->add(link.tail_drops + link.failover_drops -
+                             seen.tail_drops - seen.failover_drops);
+    obs_.link_ecn[ch]->add(link.ecn_marks - seen.ecn_marks);
+    seen = link;
+  }
+}
 
 }  // namespace hp::sim

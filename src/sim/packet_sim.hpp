@@ -21,15 +21,22 @@
 //  * the channel's upstream side is a finite FIFO egress queue: a
 //    packet routed onto a busy channel waits behind the packets
 //    already committed; arriving at a full queue is a tail drop, and
-//    crossing `ecn_threshold` marks it (and tells the transport);
+//    crossing `ecn_threshold` marks it (and tells the transport).  A
+//    packet's departure tick is known when it is committed, so a
+//    freed slot is not an event: each channel keeps a ring of pending
+//    departures (queue_capacity slots), each stamped with the sequence
+//    number an event pushed at that point would take, and the next
+//    arrival on the channel settles every departure the queue would
+//    have popped before it;
 //  * per-flow and per-link Stat accumulate delivery times (FCT),
 //    queue-depth high-water marks, drops/marks and busy time (link
 //    utilization).
 //
-// Time is integer nanoseconds on a binary-heap EventQueue
-// (event_queue.hpp); processing is single-threaded and the tie order
-// is pinned, so a fixed input schedule produces a bit-identical
-// SimResult on every run.
+// Time is integer nanoseconds on an EventQueue (event_queue.hpp: a
+// sorted backlog for the injection schedule, a binary heap for events
+// in flight); processing is single-threaded and the tie order is
+// pinned, so a fixed input schedule produces a bit-identical SimResult
+// on every run.
 
 #include <cstdint>
 #include <span>
@@ -170,7 +177,9 @@ class PacketSim {
   ///   egress ports); a packet folded onto port p at node n departs on
   ///   channel port_channel[node_offset[n] + p]
   /// Throws std::invalid_argument when the map shape does not match the
-  /// fabric or a channel index is out of range.
+  /// fabric or a channel index is out of range, and core::ContractViolation
+  /// when the channels' queue_capacity sums to more than 2^27 departure
+  /// slots.
   PacketSim(const polka::CompiledFabric& fabric, std::vector<Channel> channels,
             std::vector<std::uint32_t> node_offset,
             std::vector<std::uint32_t> port_channel, SimConfig config = {});
@@ -222,7 +231,11 @@ class PacketSim {
   /// Process every pending event; returns the accumulated result.
   /// Resets nothing: a second run() continues from the drained state
   /// (inject more first), which is how arrival schedules can be fed in
-  /// phases.
+  /// phases.  The registry counters mirroring SimCounters and LinkStat
+  /// (sim.injected, sim.folds, sim.link.*.drops, ...) and the
+  /// sim.in_flight gauge are added once per run(), as the change since
+  /// the previous run(); every run() ends with its queues drained, so
+  /// the per-link queue_depth gauges read 0.
   SimResult run();
 
   [[nodiscard]] Tick now() const noexcept { return now_; }
@@ -239,7 +252,16 @@ class PacketSim {
 
   struct ChannelState {
     std::uint32_t queued = 0;  ///< waiting + in serialization
+    std::uint32_t head = 0;    ///< oldest pending departure, ring-relative
+    std::uint32_t ring = 0;    ///< first slot in departures_
     Tick free_at = 0;          ///< when the wire finishes its last commit
+  };
+
+  /// A committed packet's end of serialization: the tick its queue
+  /// slot frees and the sequence number the queue stamped for it.
+  struct Departure {
+    Tick at = 0;
+    std::uint64_t seq = 0;
   };
 
   /// Metric handles resolved once at construction (all null when
@@ -257,13 +279,14 @@ class PacketSim {
     obs::Counter* link_events = nullptr;
     obs::Gauge* in_flight = nullptr;
     obs::Histogram* queue_depth = nullptr;
-    std::vector<obs::Gauge*> link_depth;     ///< one per channel
     std::vector<obs::Counter*> link_drops;   ///< one per channel
     std::vector<obs::Counter*> link_ecn;     ///< one per channel
   };
 
   void register_metrics();
-  void handle_arrival(Tick t, std::uint32_t packet);
+  void handle_arrival(Tick t, std::uint64_t seq, std::uint32_t packet);
+  void settle(std::uint32_t ch, Tick t, std::uint64_t seq);
+  void flush_counters();
 
   const polka::CompiledFabric& fabric_;
   std::vector<Channel> channels_;
@@ -275,12 +298,18 @@ class PacketSim {
   std::vector<polka::PacketResult> flow_expected_;
   std::vector<PacketState> packets_;
   std::vector<ChannelState> channel_state_;
+  /// Every channel's FIFO of pending departures, one flat vector; the
+  /// ring of channel c is queue_capacity slots from channel_state_[c].ring.
+  std::vector<Departure> departures_;
   std::vector<char> link_up_;  ///< per channel: 1 while the wire exists
   EventQueue queue_;
   Tick now_ = 0;
   Transport* transport_ = nullptr;  ///< closed-loop feedback sink
   SimResult result_;
   ObsHandles obs_;
+  /// What the last run() already added to the registry's counters.
+  SimCounters flushed_;
+  std::vector<LinkStat> flushed_links_;
 };
 
 }  // namespace hp::sim

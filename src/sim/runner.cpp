@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -20,14 +21,30 @@ namespace {
 
 constexpr std::size_t kNoFlow = static_cast<std::size_t>(-1);
 
+/// A wiring input in nanoseconds as a Tick, rounded to nearest.
+/// Negative values clamp to 0; NaN, infinities and values above 2^53 ns
+/// (~104 simulated days, where doubles stop holding every integer)
+/// throw a ContractViolation naming `field` instead of reaching
+/// llround out of range.
+Tick checked_ticks(double ns, const char* field) {
+  constexpr double kMaxNs = 9007199254740992.0;  // 2^53
+  if (!std::isfinite(ns) || ns > kMaxNs) {
+    throw core::ContractViolation(
+        std::string("SimRunner: ") + field + " gives " + std::to_string(ns) +
+        " ns, not a finite tick within 2^53 ns");
+  }
+  return ns <= 0.0 ? 0 : static_cast<Tick>(std::llround(ns));
+}
+
 /// Serialization delay of one packet on a link, in integer ns
-/// (clamped to >= 1 so a zero/absurd capacity cannot stall time).
-Tick serialize_ns(std::uint64_t packet_bytes, double capacity_mbps) {
+/// (clamped to >= 1 so a zero capacity cannot stall time).
+Tick serialize_ns(std::uint64_t packet_bytes, double capacity_mbps,
+                  const char* field) {
   if (capacity_mbps <= 0.0) return 1;
   const double bits = static_cast<double>(packet_bytes) * 8.0;
   // capacity_mbps is bits per microsecond; scale to nanoseconds.
-  const double ns = bits * 1000.0 / capacity_mbps;
-  return ns < 1.0 ? 1 : static_cast<Tick>(std::llround(ns));
+  return std::max<Tick>(1, checked_ticks(bits * 1000.0 / capacity_mbps,
+                                         field));
 }
 
 }  // namespace
@@ -72,9 +89,9 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
       }
       const netsim::Link& l = topo.link(*link);
       Channel ch;
-      ch.latency_ns =
-          static_cast<Tick>(std::llround(std::max(l.delay_ms, 0.0) * 1e6));
-      ch.serialize_ns = serialize_ns(options_.packet_bytes, l.capacity_mbps);
+      ch.latency_ns = checked_ticks(l.delay_ms * 1e6, "delay_ms");
+      ch.serialize_ns =
+          serialize_ns(options_.packet_bytes, l.capacity_mbps, "capacity_mbps");
       ch.queue_capacity = options_.queue_capacity;
       ch.ecn_threshold = options_.ecn_threshold;
       channel_of.emplace(
@@ -105,7 +122,8 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   // tick) cannot perturb packet timing -- a protected and an
   // unprotected run offer the exact same load.
   const Tick src_gap =
-      serialize_ns(options_.packet_bytes, options_.source_rate_mbps);
+      serialize_ns(options_.packet_bytes, options_.source_rate_mbps,
+                   "source_rate_mbps");
   std::vector<Tick> inject_at(stream.size(), 0);
   Tick last_inject = 0;
   // The same flow boundaries, recorded for the closed-loop branch: the

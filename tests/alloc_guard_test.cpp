@@ -9,6 +9,8 @@
 //    exactly the same number of allocations.
 //  * PolkaFabric::add_node pays for the nodeID search, the name and the
 //    wiring only -- no per-node engine state rides along.
+//  * PacketSim::run allocates only as its event heap grows to the
+//    number of events in flight, never per injected packet.
 //
 // The interposer counts every operator-new entry; tests snapshot the
 // counter around the call under test and assert on the delta, so
@@ -27,6 +29,7 @@
 #include "polka/forwarding.hpp"
 #include "polka/label.hpp"
 #include "scenario/runner.hpp"
+#include "sim/packet_sim.hpp"
 
 namespace {
 
@@ -218,6 +221,61 @@ TEST(AllocGuard, AddNodeWiringCostStaysBounded) {
   EXPECT_LT(delta / kNodes, 1000u)
       << "add_node allocated " << delta << " times for " << kNodes
       << " nodes";
+}
+
+TEST(AllocGuard, PacketSimRunAllocationsIndependentOfPacketCount) {
+  // An 8-router chain, every hop 10 ns on the wire plus 100 ns of
+  // propagation, one packet injected every 20 ns: the wire keeps up, so
+  // ~40 packets are in flight however many are injected.  The event
+  // heap grows to that size inside run(); the injection schedule waits
+  // in the queue's sorted backlog, which inject() grew before the clock
+  // started.
+  constexpr std::size_t kRouters = 8;
+  const PolkaFabric fabric = make_chain(kRouters);
+  std::vector<std::size_t> path(kRouters);
+  for (std::size_t i = 0; i < kRouters; ++i) path[i] = i;
+  const RouteLabel label = pack_label_checked(fabric.route_for_path(path, 0U));
+  const CompiledFabric& fast = fabric.compiled();
+  const PacketResult want = fast.forward_one(label, 0);
+
+  const auto run = [&](std::size_t packets) {
+    std::vector<std::uint32_t> node_offset(fast.node_count() + 1, 0);
+    std::vector<std::uint32_t> port_channel;
+    std::vector<sim::Channel> channels;
+    for (std::size_t node = 0; node < fast.node_count(); ++node) {
+      for (std::uint32_t port = 0; port < fast.port_count(node); ++port) {
+        std::uint32_t ch = sim::PacketSim::kNoChannel;
+        if (fast.neighbor(node, port) != CompiledFabric::kNoNode) {
+          ch = static_cast<std::uint32_t>(channels.size());
+          channels.push_back(sim::Channel{/*latency_ns=*/100,
+                                          /*serialize_ns=*/10,
+                                          /*queue_capacity=*/16,
+                                          /*ecn_threshold=*/0});
+        }
+        port_channel.push_back(ch);
+      }
+      node_offset[node + 1] = static_cast<std::uint32_t>(port_channel.size());
+    }
+    sim::PacketSim engine(fast, std::move(channels), std::move(node_offset),
+                          std::move(port_channel));
+    const std::uint32_t flow = engine.add_flow(want);
+    for (std::size_t i = 0; i < packets; ++i) {
+      (void)engine.inject(i * 20, label, SegmentRef{}, 0, flow);
+    }
+    const std::uint64_t before = alloc_count();
+    const sim::SimResult result = engine.run();
+    const std::uint64_t delta = alloc_count() - before;
+    EXPECT_EQ(result.counters.delivered, packets);
+    EXPECT_EQ(result.counters.wrong_egress, 0u);
+    return delta;
+  };
+
+  const std::uint64_t small = run(4096);
+  const std::uint64_t large = run(65536);
+  EXPECT_EQ(small, large)
+      << "PacketSim::run allocation count scales with packet count -- the "
+         "event loop is allocating per packet, or the heap is holding the "
+         "injection schedule";
 }
 
 }  // namespace

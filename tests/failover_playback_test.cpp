@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "report_digest.hpp"
 #include "scenario/fabric_builder.hpp"
 #include "scenario/failure_injector.hpp"
 #include "scenario/registry.hpp"
@@ -34,62 +35,7 @@ namespace sim = hp::sim;
 
 namespace {
 
-/// FNV-1a over little-endian 64-bit words.
-class Digest {
- public:
-  void add(std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (v >> (8 * byte)) & 0xFFu;
-      hash_ *= 1099511628211ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 14695981039346656037ULL;
-};
-
-/// Every integer counter of a ScenarioReport; `seconds` (wall clock or
-/// simulated time derived from duration_ns) and `fold_kernel` stay out.
-void add_counters(Digest& d, const scenario::ScenarioReport& r) {
-  for (const std::size_t v :
-       {r.packets, r.mod_operations, r.wrong_egress, r.rerouted_pairs,
-        r.dropped_packets, r.ttl_expired, r.segmented_packets,
-        r.segment_swaps, r.backup_swapped_pairs, r.failover_packets_lost,
-        r.unroutable_pairs, r.lazy_repaired_pairs, r.window_recompiles}) {
-    d.add(v);
-  }
-}
-
-std::uint64_t digest(const scenario::ScenarioReport& r) {
-  Digest d;
-  add_counters(d, r);
-  return d.value();
-}
-
-/// Integer fields, FCT samples and the transport block of a SimReport;
-/// the utilization doubles are derived and stay out.
-std::uint64_t digest(const sim::SimReport& r) {
-  Digest d;
-  add_counters(d, r.forwarding);
-  for (const std::uint64_t v :
-       {std::uint64_t{r.flows}, std::uint64_t{r.completed_flows},
-        std::uint64_t{r.ecn_marked}, std::uint64_t{r.max_queue_depth},
-        std::uint64_t{r.duration_ns}}) {
-    d.add(v);
-  }
-  d.add(r.fct_ns.size());
-  for (const sim::Tick fct : r.fct_ns) d.add(fct);
-  const sim::TransportReport& tp = r.transport;
-  for (const std::uint64_t v :
-       {std::uint64_t{tp.enabled}, tp.packets_sent, tp.retransmits,
-        tp.timeouts, tp.ecn_cwnd_cuts, tp.drop_cwnd_cuts,
-        tp.spurious_deliveries, tp.abandoned_flows, tp.offered_bytes,
-        tp.goodput_bytes}) {
-    d.add(v);
-  }
-  return d.value();
-}
+using hp::golden::digest;
 
 scenario::ScenarioSpec spec_named(const char* name, std::size_t packets) {
   const scenario::ScenarioSpec* base = scenario::find_scenario(name);

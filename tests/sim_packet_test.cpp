@@ -1,13 +1,17 @@
 // Event-driven packet-level simulator tests: event-queue ordering,
 // every registry scenario family producing congestion metrics through
 // SimRunner, bit-identical determinism across runs and thread counts,
-// waypoint parity on segmented routes, and the single-link saturation
+// waypoint parity on segmented routes, the single-link saturation
 // sanity check (offered load >> capacity => queue at cap, drops,
-// utilization ~= 1).
+// utilization ~= 1), and wiring inputs that cannot become ticks or
+// departure rings failing loudly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/traffic.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/packet_sim.hpp"
 #include "sim/runner.hpp"
 
 namespace scenario = hp::scenario;
@@ -206,6 +211,96 @@ TEST(SimRunner, SingleLinkSaturationFillsQueueDropsAndSaturatesWire) {
   EXPECT_LE(report.max_link_utilization, 1.0 + 1e-9);
   EXPECT_GT(report.ecn_marked, 0u);
   EXPECT_EQ(report.forwarding.wrong_egress, 0u);
+}
+
+// --- wiring inputs that cannot become ticks ------------------------------
+
+/// Two routers joined by one duplex link with the given delay, carrying
+/// a little uniform traffic through SimRunner.
+sim::SimReport run_two_routers(double delay_ms,
+                               const sim::SimOptions& options = {}) {
+  hp::netsim::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  topo.add_duplex_link(a, b, /*capacity_mbps=*/100.0, delay_ms);
+  scenario::BuiltFabric fabric(std::move(topo));
+  scenario::TrafficParams traffic;
+  traffic.packets = 64;
+  traffic.max_pairs = 2;
+  traffic.seed = 1;
+  const scenario::PacketStream stream =
+      scenario::generate_traffic(fabric, traffic);
+  return sim::SimRunner(options).run(fabric, stream);
+}
+
+/// `run` must throw a ContractViolation whose message names `field`.
+void expect_violation_naming(const std::function<void()>& run,
+                             const std::string& field) {
+  try {
+    run();
+    ADD_FAILURE() << "no ContractViolation for " << field;
+  } catch (const hp::core::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SimRunner, RejectsNanLinkDelay) {
+  expect_violation_naming(
+      [] {
+        (void)run_two_routers(std::numeric_limits<double>::quiet_NaN());
+      },
+      "delay_ms");
+}
+
+TEST(SimRunner, RejectsLinkDelayBeyondTickRange) {
+  expect_violation_naming([] { (void)run_two_routers(1e12); }, "delay_ms");
+}
+
+TEST(SimRunner, RejectsSourceRateWhosePacketGapLeavesTickRange) {
+  sim::SimOptions options;
+  options.source_rate_mbps = 1e-12;
+  expect_violation_naming([&] { (void)run_two_routers(0.01, options); },
+                          "source_rate_mbps");
+}
+
+TEST(SimRunner, NegativeLinkDelayClampsToZero) {
+  const sim::SimReport negative = run_two_routers(-5.0);
+  const sim::SimReport zero = run_two_routers(0.0);
+  EXPECT_EQ(negative, zero);
+  EXPECT_GT(zero.forwarding.packets, 0u);
+}
+
+TEST(PacketSim, RejectsDepartureRingsBeyondTheSlotCap) {
+  hp::netsim::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  topo.add_duplex_link(a, b, /*capacity_mbps=*/100.0, /*delay_ms=*/0.01);
+  const scenario::BuiltFabric fabric(std::move(topo));
+  const hp::polka::CompiledFabric& fast = fabric.compiled();
+  std::vector<std::uint32_t> node_offset(fast.node_count() + 1, 0);
+  std::vector<std::uint32_t> port_channel;
+  std::vector<sim::Channel> channels;
+  for (std::size_t node = 0; node < fast.node_count(); ++node) {
+    for (std::uint32_t port = 0; port < fast.port_count(node); ++port) {
+      std::uint32_t ch = sim::PacketSim::kNoChannel;
+      if (fast.neighbor(node, port) != hp::polka::CompiledFabric::kNoNode) {
+        ch = static_cast<std::uint32_t>(channels.size());
+        sim::Channel channel;
+        channel.queue_capacity = 1u << 27;  // two of these: 2^28 slots
+        channels.push_back(channel);
+      }
+      port_channel.push_back(ch);
+    }
+    node_offset[node + 1] = static_cast<std::uint32_t>(port_channel.size());
+  }
+  ASSERT_EQ(channels.size(), 2u);
+  expect_violation_naming(
+      [&] {
+        const sim::PacketSim engine(fast, channels, node_offset,
+                                    port_channel);
+      },
+      "queue_capacity");
 }
 
 }  // namespace
