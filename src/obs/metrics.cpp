@@ -41,11 +41,12 @@ std::uint64_t HistogramData::percentile(double q) const noexcept {
   return max;
 }
 
-void Histogram::record(std::uint64_t v) noexcept {
+void Histogram::record_n(std::uint64_t v, std::uint64_t n) noexcept {
+  if (n == 0) return;
   Shard& s = shards_[this_thread_shard()];
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  s.sum.fetch_add(v, std::memory_order_relaxed);
-  s.buckets[histogram_bucket(v)].fetch_add(1, std::memory_order_relaxed);
+  s.count.fetch_add(n, std::memory_order_relaxed);
+  s.sum.fetch_add(v * n, std::memory_order_relaxed);
+  s.buckets[histogram_bucket(v)].fetch_add(n, std::memory_order_relaxed);
   std::uint64_t seen = s.min.load(std::memory_order_relaxed);
   while (v < seen &&
          !s.min.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {

@@ -154,7 +154,12 @@ struct HistogramData {
 /// the caller's shard.
 class Histogram {
  public:
-  void record(std::uint64_t v) noexcept;
+  void record(std::uint64_t v) noexcept { record_n(v, 1); }
+
+  /// `n` samples of value `v` at once, exactly as n record(v) calls
+  /// would land them (no-op when n == 0).  Lets a single-threaded
+  /// producer count locally and merge once.
+  void record_n(std::uint64_t v, std::uint64_t n) noexcept;
 
   /// Merge every shard into one HistogramData.
   [[nodiscard]] HistogramData data() const noexcept;

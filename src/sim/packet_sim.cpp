@@ -22,7 +22,7 @@ enum EventKind : std::uint32_t {
   kArrive = 0,    ///< arg = packet index; packet reaches its state's node
   kLinkDown = 1,  ///< arg = channel index; the wire disappears
   kLinkUp = 2,    ///< arg = channel index; the wire comes back
-  kTimer = 3,     ///< arg = opaque cookie handed to Transport::on_timer
+  kTimer = 3,     ///< arg = flow index handed to Transport::on_timer
 };
 
 /// Cap on the summed departure-ring slots (16 B each, so 2 GiB): a
@@ -77,6 +77,13 @@ PacketSim::PacketSim(const polka::CompiledFabric& fabric,
     ring += channels_[ch].queue_capacity;
   }
   link_up_.assign(channels_.size(), 1);
+  if (config_.metrics != nullptr) {
+    std::uint32_t deepest = 0;
+    for (const Channel& ch : channels_) {
+      deepest = std::max(deepest, ch.queue_capacity);
+    }
+    depth_counts_.assign(std::size_t{deepest} + 1, 0);
+  }
   register_metrics();
 }
 
@@ -132,11 +139,11 @@ std::uint32_t PacketSim::add_flow(const polka::PacketResult& expected) {
   return static_cast<std::uint32_t>(flow_expected_.size() - 1);
 }
 
-void PacketSim::schedule_timer(Tick at, std::uint32_t arg) {
+std::uint64_t PacketSim::schedule_timer(Tick at, std::uint32_t arg) {
   if (transport_ == nullptr) {
     throw std::logic_error("PacketSim::schedule_timer: no transport attached");
   }
-  queue_.push(at, kTimer, arg);
+  return queue_.push(at, kTimer, arg);
 }
 
 std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
@@ -182,9 +189,11 @@ std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
 // rings) happens in the constructor and inject()/register_metrics()
 // before the clock starts; the loop itself must stay growth-free (lint
 // rule hot-path-purity) or event-rate throughput becomes
-// allocator-bound.  EventQueue::push re-uses its heap's capacity after
-// the first growth.  Registry metrics that mirror SimCounters/LinkStat
-// are not touched per hop: flush_counters() adds them once per run().
+// allocator-bound.  EventQueue::push re-uses its node pool once it has
+// held the in-flight high-water mark.  Registry metrics are not touched
+// per hop: the counters mirroring SimCounters/LinkStat and the
+// sim.queue_depth samples (counted per depth in depth_counts_) land
+// once per run() in flush_counters().
 
 // Free channel `ch`'s queue slots whose departure the event queue would
 // have popped before the event (t, seq): a departure stamped (at, s)
@@ -310,7 +319,7 @@ void PacketSim::handle_arrival(Tick t, std::uint64_t seq,
     ++stat.ecn_marks;
     if (transport_ != nullptr) transport_->on_ecn(s.flow);
   }
-  if (obs_.queue_depth != nullptr) obs_.queue_depth->record(state.queued);
+  if (obs_.queue_depth != nullptr) ++depth_counts_[state.queued];
   if (flight != nullptr) {
     flight->record({t, s.flow, packet, s.node, port, state.queued,
                     obs::HopOutcome::kForwarded});
@@ -334,7 +343,7 @@ void PacketSim::handle_arrival(Tick t, std::uint64_t seq,
 SimResult PacketSim::run() {
   while (!queue_.empty()) {
     const Event e = queue_.pop();
-    // Simulated time never rewinds: the heap orders by (at, seq), so a
+    // Simulated time never rewinds: the queue orders by (at, seq), so a
     // violation here means an engine scheduled into the past -- the
     // exact class of bug that silently breaks bit-identical replay.
     HP_CHECK(e.at >= now_, "PacketSim: event scheduled before now");
@@ -355,7 +364,7 @@ SimResult PacketSim::run() {
       case kTimer:
         HP_DCHECK(transport_ != nullptr,
                   "PacketSim: timer event with no transport attached");
-        transport_->on_timer(e.at, e.arg);
+        transport_->on_timer(e.at, e.arg, e.seq);
         break;
       default:
         throw std::logic_error("PacketSim: unknown event kind");
@@ -393,6 +402,11 @@ void PacketSim::flush_counters() {
   };
   obs_.in_flight->add(in_flight(now) - in_flight(was));
   was = now;
+  for (std::size_t depth = 0; depth < depth_counts_.size(); ++depth) {
+    if (depth_counts_[depth] == 0) continue;
+    obs_.queue_depth->record_n(depth, depth_counts_[depth]);
+    depth_counts_[depth] = 0;
+  }
   for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
     const LinkStat& link = result_.links[ch];
     LinkStat& seen = flushed_links_[ch];

@@ -33,8 +33,8 @@
 //    utilization).
 //
 // Time is integer nanoseconds on an EventQueue (event_queue.hpp: a
-// sorted backlog for the injection schedule, a binary heap for events
-// in flight); processing is single-threaded and the tie order is
+// sorted backlog for the injection schedule, a monotone radix queue for
+// events in flight); processing is single-threaded and the tie order is
 // pinned, so a fixed input schedule produces a bit-identical SimResult
 // on every run.
 
@@ -124,7 +124,8 @@ struct SimConfig {
   /// Observability taps, all optional (borrowed; must outlive run()).
   /// With `metrics` set the engine registers sim.* counters, the
   /// sim.queue_depth histogram and one sim.link.NNNNN.queue_depth gauge
-  /// (plus .drops/.ecn counters) per channel.  Everything recorded
+  /// (plus .drops/.ecn counters) per channel; counters and the histogram
+  /// land once per run().  Everything recorded
   /// derives from simulated ticks and event order -- never wall clock
   /// -- so a fixed-seed run snapshots bit-identically.
   obs::MetricRegistry* metrics = nullptr;
@@ -208,11 +209,12 @@ class PacketSim {
                        std::uint32_t source, std::uint32_t flow);
 
   /// Schedule a kTimer event at simulated time `at`; when it fires the
-  /// engine calls the attached transport's on_timer(at, arg).  The
+  /// engine calls the attached transport's on_timer(at, arg, seq) with
+  /// the sequence number this push took, which is returned here.  The
   /// queue never cancels: stale timers are the transport's problem (it
-  /// keeps an arm generation per flow).  Throws std::logic_error when
-  /// no transport is attached.
-  void schedule_timer(Tick at, std::uint32_t arg);
+  /// remembers the seq of each flow's live timer).  Throws
+  /// std::logic_error when no transport is attached.
+  std::uint64_t schedule_timer(Tick at, std::uint32_t arg);
 
   /// Attach the closed-loop sender (borrowed; nullptr detaches).  The
   /// engine then reports every ECN mark, delivery and loss, and every
@@ -307,6 +309,9 @@ class PacketSim {
   Transport* transport_ = nullptr;  ///< closed-loop feedback sink
   SimResult result_;
   ObsHandles obs_;
+  /// Enqueues per queue depth since the last flush (index = depth,
+  /// sized max queue_capacity + 1; empty without a registry).
+  std::vector<std::uint64_t> depth_counts_;
   /// What the last run() already added to the registry's counters.
   SimCounters flushed_;
   std::vector<LinkStat> flushed_links_;

@@ -97,12 +97,10 @@ void Transport::arm() {
   armed_ = true;
   report_.enabled = true;
   sim_.set_transport(this);
-  // Flow-open kicks: TimerRec id 0 is the open sentinel (RTO arms use
-  // generations starting at 1), so a kick needs no validity check.
+  // Flow-open kicks: on_timer tells one from an RTO by the flow having
+  // sent nothing yet, so a kick needs no validity check.
   for (std::uint32_t i = 0; i < flows_.size(); ++i) {
-    timers_.push_back({i, 0});
-    sim_.schedule_timer(flows_[i].start,
-                        static_cast<std::uint32_t>(timers_.size() - 1));
+    (void)sim_.schedule_timer(flows_[i].start, i);
   }
 }
 
@@ -131,15 +129,12 @@ std::uint32_t Transport::ensure_sim_flow(Flow& f, std::size_t epoch_index) {
 }
 
 void Transport::arm_timer(Flow& f, std::uint32_t flow_index, Tick at) {
-  ++f.timer_id;
-  timers_.push_back({flow_index, f.timer_id});
-  sim_.schedule_timer(at, static_cast<std::uint32_t>(timers_.size() - 1));
+  f.timer_seq = sim_.schedule_timer(at, flow_index);
   f.timer_armed = true;
 }
 
 void Transport::disarm_timer(Flow& f) {
-  f.timer_armed = false;
-  ++f.timer_id;  // any already-scheduled fire is now stale
+  f.timer_armed = false;  // any already-scheduled fire is now stale
 }
 
 void Transport::send_seq(Flow& f, std::uint32_t flow_index, std::uint32_t seq,
@@ -175,8 +170,13 @@ void Transport::try_send(Flow& f, Tick t) {
   const auto flow_index = static_cast<std::uint32_t>(&f - flows_.data());
   while (!f.abandoned && f.outstanding < f.cwnd) {
     // Skip entries whose sequence a stale copy meanwhile delivered.
-    while (!f.lost.empty() && f.state[f.lost.front()] != SeqState::kLost) {
-      f.lost.pop_front();
+    while (f.lost_head < f.lost.size() &&
+           f.state[f.lost[f.lost_head]] != SeqState::kLost) {
+      ++f.lost_head;
+    }
+    if (f.lost_head == f.lost.size()) {
+      f.lost.clear();
+      f.lost_head = 0;
     }
     std::uint32_t seq = kNone;
     if (!f.lost.empty()) {
@@ -185,8 +185,7 @@ void Transport::try_send(Flow& f, Tick t) {
       // rate-limited to one loss-triggered resend per RTT window --
       // see Flow::next_fast_rtx.  The armed RTO covers the wait.
       if (t < f.next_fast_rtx) return;
-      seq = f.lost.front();
-      f.lost.pop_front();
+      seq = f.lost[f.lost_head++];
       if (f.tries[seq] > options_.max_retries) {
         // Graceful degradation: this sequence burned its retry budget,
         // so the flow stops competing instead of retrying forever.
@@ -223,6 +222,7 @@ void Transport::abandon(Flow& f, Tick t) {
   (void)t;
   f.abandoned = true;
   f.lost.clear();
+  f.lost_head = 0;
   disarm_timer(f);
   ++report_.abandoned_flows;
   if (obs_.abandoned != nullptr) obs_.abandoned->add(1);
@@ -304,15 +304,16 @@ void Transport::on_dropped(Tick t, std::uint32_t sim_flow,
   try_send(f, t);
 }
 
-void Transport::on_timer(Tick t, std::uint32_t rec_index) {
-  HP_DCHECK(rec_index < timers_.size(), "Transport: unknown timer record");
-  const TimerRec rec = timers_[rec_index];
-  Flow& f = flows_[rec.flow];
-  if (rec.id == 0) {  // flow-open kick
-    if (!f.abandoned) try_send(f, t);
+void Transport::on_timer(Tick t, std::uint32_t flow, std::uint64_t seq) {
+  HP_DCHECK(flow < flows_.size(), "Transport: timer for an unknown flow");
+  Flow& f = flows_[flow];
+  if (!f.sent_any) {
+    // Flow-open kick: only the kick fires before a flow's first send,
+    // since every RTO is armed by a send.
+    try_send(f, t);
     return;
   }
-  if (!f.timer_armed || rec.id != f.timer_id) return;  // stale arm
+  if (!f.timer_armed || seq != f.timer_seq) return;  // stale arm
   f.timer_armed = false;
   if (done(f)) return;
   ++f.timeouts;

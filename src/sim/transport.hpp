@@ -46,8 +46,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "polka/label.hpp"
@@ -211,7 +211,9 @@ class Transport {
     // RTO state
     Tick srtt_ns = 0;           ///< smoothed RTT (0 until first sample)
     std::uint32_t backoff = 0;  ///< doublings since the last delivery
-    std::uint64_t timer_id = 0;  ///< arm generation; stale fires no-op
+    /// Sequence number the live RTO's kTimer push took; a fire with any
+    /// other seq is a stale arm and does nothing.
+    std::uint64_t timer_seq = 0;
     bool timer_armed = false;
     std::uint32_t timeouts = 0;
     std::vector<Tick> timeout_at;
@@ -221,18 +223,19 @@ class Transport {
     std::vector<std::uint32_t> tries;    ///< transmissions so far
     std::vector<Tick> sent_at;           ///< latest transmission tick
     std::vector<std::uint32_t> last_packet;  ///< latest sim packet index
-    std::deque<std::uint32_t> lost;      ///< retransmit queue (may go stale)
+    /// Retransmit queue [lost_head, end) (entries may go stale); emptied
+    /// whenever the cursor catches up.
+    std::vector<std::uint32_t> lost;
+    std::uint32_t lost_head = 0;
 
     /// Sim flow handle per lane epoch, created lazily (a flow whose
     /// route never changes registers exactly one).
     std::vector<std::uint32_t> sim_flow;
   };
 
-  /// One armed timer occurrence; kTimer events carry an index here.
-  struct TimerRec {
-    std::uint32_t flow = 0;
-    std::uint64_t id = 0;  ///< 0 = flow-open kick, else RTO generation
-  };
+  // flows_ grows by doubling; a throwing move would make it copy every
+  // flow's sequence vectors instead.
+  static_assert(std::is_nothrow_move_constructible_v<Flow>);
 
   struct PacketTag {
     std::uint32_t flow = 0;
@@ -245,7 +248,7 @@ class Transport {
   void on_delivered(Tick t, std::uint32_t sim_flow, std::uint32_t packet);
   void on_dropped(Tick t, std::uint32_t sim_flow, std::uint32_t packet,
                   DropCause cause);
-  void on_timer(Tick t, std::uint32_t rec_index);
+  void on_timer(Tick t, std::uint32_t flow, std::uint64_t seq);
 
   void try_send(Flow& f, Tick t);
   void send_seq(Flow& f, std::uint32_t flow_index, std::uint32_t seq, Tick t);
@@ -265,7 +268,6 @@ class Transport {
   std::uint64_t packet_bytes_;
   std::vector<std::vector<RouteEpoch>> lanes_;
   std::vector<Flow> flows_;
-  std::vector<TimerRec> timers_;
   std::vector<PacketTag> tags_;          ///< sim packet index -> (flow, seq)
   std::vector<std::uint32_t> flow_of_;   ///< sim flow handle -> flow index
   TransportReport report_;

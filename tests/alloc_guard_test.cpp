@@ -9,8 +9,12 @@
 //    exactly the same number of allocations.
 //  * PolkaFabric::add_node pays for the nodeID search, the name and the
 //    wiring only -- no per-node engine state rides along.
-//  * PacketSim::run allocates only as its event heap grows to the
+//  * PacketSim::run allocates only as its event queue grows to the
 //    number of events in flight, never per injected packet.
+//  * EventQueue, once it has held N events, runs any stream of at most
+//    N pending events without allocating.
+//  * Transport::add_flow allocates a bounded number of arrays per flow
+//    and never copies the flows already registered.
 //
 // The interposer counts every operator-new entry; tests snapshot the
 // counter around the call under test and assert on the delta, so
@@ -21,6 +25,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,7 +34,9 @@
 #include "polka/forwarding.hpp"
 #include "polka/label.hpp"
 #include "scenario/runner.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/packet_sim.hpp"
+#include "sim/transport.hpp"
 
 namespace {
 
@@ -276,6 +283,82 @@ TEST(AllocGuard, PacketSimRunAllocationsIndependentOfPacketCount) {
       << "PacketSim::run allocation count scales with packet count -- the "
          "event loop is allocating per packet, or the heap is holding the "
          "injection schedule";
+}
+
+TEST(AllocGuard, EventQueueSteadyStateAllocatesNothing) {
+  // Each pass loads one event, keeps kInFlight events pending while it
+  // pops `events` of them -- every pop replaced by a push a uniform
+  // offset later -- and drains.  The warm-up grows the backlog and the
+  // node pool to kInFlight; the measured pass holds the same number
+  // pending but pops 16x the events over about 2^40 ns of ticks, so
+  // every bucket level gets used, and must run on what the warm-up grew.
+  constexpr std::size_t kInFlight = 4096;
+  constexpr std::size_t kWarmup = 65536;
+  sim::EventQueue q;
+  std::mt19937_64 rng(5);
+  sim::Tick now = 0;
+  const auto pass = [&](std::size_t events, sim::Tick spread) {
+    std::uniform_int_distribution<sim::Tick> offset(0, spread - 1);
+    q.push(now, 0, 0);
+    std::size_t pushed = 1;
+    while (!q.empty()) {
+      now = q.pop().at;
+      while (pushed < events && q.size() < kInFlight) {
+        q.push(now + offset(rng), 0, 0);
+        ++pushed;
+      }
+    }
+  };
+  // Pending events sit roughly uniformly over one spread, so the clock
+  // advances spread / kInFlight per pop.
+  constexpr std::size_t kEvents = 16 * kWarmup;
+  constexpr sim::Tick kSpan = sim::Tick{1} << 40;
+  constexpr sim::Tick kSpread = kSpan / kEvents * kInFlight;
+  pass(kWarmup, kSpread);
+  const sim::Tick start = now;
+  const std::uint64_t before = alloc_count();
+  pass(kEvents, kSpread);
+  const std::uint64_t delta = alloc_count() - before;
+  EXPECT_EQ(delta, 0u) << "EventQueue allocated in a pass that never held "
+                          "more events than the warm-up";
+  EXPECT_GT(now - start, kSpan / 2);
+  EXPECT_LT(now - start, kSpan * 2);
+}
+
+TEST(AllocGuard, TransportAddFlowAllocationsStayBounded) {
+  // A flow's registration allocates its four per-sequence arrays and
+  // its per-epoch sim-flow handles, nothing else, and flows_ doubling
+  // moves the registered flows instead of copying them.  The mean is
+  // taken in integers, so the four doublings between the two sizes
+  // round away.
+  const PolkaFabric fabric = make_chain(2);
+  const RouteLabel label =
+      pack_label_checked(fabric.route_for_path(std::vector<std::size_t>{0, 1},
+                                               0U));
+  const CompiledFabric& fast = fabric.compiled();
+  std::vector<std::uint32_t> node_offset{0};
+  for (std::size_t node = 0; node < fast.node_count(); ++node) {
+    node_offset.push_back(node_offset.back() + fast.port_count(node));
+  }
+  const std::vector<std::uint32_t> port_channel(node_offset.back(),
+                                                sim::PacketSim::kNoChannel);
+  sim::PacketSim engine(fast, {}, node_offset, port_channel);
+  const auto allocations = [&](std::uint32_t flows) {
+    sim::Transport transport(engine, sim::TransportOptions{}, 1000, nullptr);
+    const std::uint32_t lane = transport.add_lane(
+        {sim::RouteEpoch{0, label, SegmentRef{}, fast.forward_one(label, 0)}});
+    const std::uint64_t before = alloc_count();
+    for (std::uint32_t i = 0; i < flows; ++i) {
+      (void)transport.add_flow(lane, 0, sim::Tick{i} * 100, 10, 8);
+    }
+    return alloc_count() - before;
+  };
+  const std::uint64_t small = allocations(1024);
+  const std::uint64_t large = allocations(16384);
+  ASSERT_GT(large, small);
+  const std::uint64_t per_flow = (large - small) / (16384 - 1024);
+  EXPECT_LE(per_flow, 5u) << "Transport::add_flow allocated " << per_flow
+                          << " times per flow";
 }
 
 }  // namespace

@@ -20,7 +20,9 @@ void make_steps(std::size_t n, Matrix& x, Vector& y, double noise_sd = 0.0,
   y.resize(n);
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> u(0.0, 10.0);
-  std::normal_distribution<double> noise(0.0, noise_sd);
+  // std::normal_distribution requires a positive deviation; the noiseless
+  // case never draws from it.
+  std::normal_distribution<double> noise(0.0, noise_sd > 0.0 ? noise_sd : 1.0);
   for (std::size_t i = 0; i < n; ++i) {
     const double v = u(rng);
     x(i, 0) = v;

@@ -5,16 +5,24 @@
 // first pop (the injection schedule), pushes interleaved with pops (the
 // event loop), tick ties (same-time arrivals), and refills after the
 // queue ran dry (a second run() fed in phases), with stamp() calls in
-// between as PacketSim makes them for channel departures.
+// between as PacketSim makes them for channel departures.  Further
+// streams aim at the radix queue's edges: ticks on either side of a
+// power of two (so the bucket index jumps), ticks near 2^62, pushes at
+// the floor right after a re-bucketing, backlog heads tying the radix
+// minimum, and pushes at the tick top() just returned.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "sim/event_queue.hpp"
 
 namespace sim = hp::sim;
@@ -66,6 +74,20 @@ class Differential {
     }
   }
 
+  /// Push one event at an exact tick (at or after the last pop).
+  void push_at(sim::Tick at) {
+    queue_.push(at, /*kind=*/0, next_arg_);
+    reference_.push(at, next_arg_);
+    ++next_arg_;
+  }
+
+  /// Peek, then push at the tick top() returned: the new event ties the
+  /// head and must pop after it.
+  void push_at_top() {
+    ASSERT_FALSE(queue_.empty());
+    push_at(queue_.top().at);
+  }
+
   void pop_one() {
     ASSERT_FALSE(reference_.empty());
     ASSERT_FALSE(queue_.empty());
@@ -104,6 +126,7 @@ class Differential {
   }
 
   [[nodiscard]] std::uint64_t pops() const { return pops_; }
+  [[nodiscard]] sim::Tick now() const { return now_; }
   std::mt19937_64& rng() { return rng_; }
 
  private:
@@ -157,6 +180,143 @@ TEST(EventQueueDifferential, SingleEventRefillsAlternate) {
   EXPECT_EQ(q.pop().arg, 10u);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(EventQueueDifferential, PowerOfTwoBoundaries) {
+  // A far-future event waits in the backlog the whole time, so the
+  // queue never reloads and every later push goes to the radix queue.
+  // For each k the floor becomes 2^k - 1 by a pop; the next push at
+  // 2^k differs from it in k + 1 bits, and pushes at the floor land in
+  // bucket 0 right after the re-bucketing that set the pivot.
+  Differential d(7);
+  d.push_at(0);
+  d.push_at(sim::Tick{1} << 62);
+  d.pop_one();
+  for (int k = 1; k < 62; ++k) {
+    SCOPED_TRACE(k);
+    const sim::Tick p = sim::Tick{1} << k;
+    d.push_at(p - 1);
+    d.push_at(p + 1);
+    d.pop_one();  // floor p - 1
+    d.push_at(p);
+    d.push_at(p - 1);  // at the floor, after the re-bucketing
+    d.push_at(p - 1);
+    d.push_at(2 * p - 1);
+    for (int i = 0; i < 5; ++i) d.pop_one();
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    EXPECT_EQ(d.now(), 2 * p - 1);
+  }
+  // Near 2^62: the backlog head ties a radix tick there, and the last
+  // tick a push accepts sits just below 2^63.
+  const sim::Tick top = sim::Tick{1} << 62;
+  d.push_at(top - 1);
+  d.push_at(top);
+  d.push_at(top + 1);
+  d.push_at(sim::EventQueue::kTickLimit - 1);
+  d.drain();
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_EQ(d.now(), sim::EventQueue::kTickLimit - 1);
+}
+
+TEST(EventQueueDifferential, RandomStreamsAroundPowersOfTwo) {
+  // Each push picks a power of two above the clock and lands one tick
+  // before it, on it or after it -- or exactly at the clock -- so
+  // pivots and floors keep sitting on 2^k - 1 and 2^k.
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    SCOPED_TRACE(seed);
+    Differential d(seed);
+    std::mt19937_64& rng = d.rng();
+    const auto push_near_power = [&] {
+      if (rng() % 4 == 0) {
+        d.push_at(d.now());
+        return;
+      }
+      const int low = std::max(1, static_cast<int>(std::bit_width(d.now())));
+      const int k = low + static_cast<int>(rng() % 4);
+      if (k >= 62) {
+        d.push_at(d.now() + rng() % 3);
+        return;
+      }
+      const sim::Tick p = sim::Tick{1} << k;
+      const sim::Tick at = p - 1 + rng() % 3;
+      d.push_at(std::max(at, d.now()));
+    };
+    for (int i = 0; i < 64; ++i) push_near_power();  // the backlog
+    for (int i = 0; i < 20000; ++i) {
+      d.pop_one();
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+      for (std::uint64_t n = rng() % 3; n > 0; --n) push_near_power();
+      if (rng() % 5 == 0) push_near_power();
+    }
+    d.drain();
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+}
+
+TEST(EventQueueDifferential, BacklogHeadTiesRadixMinimum) {
+  // Backlog and radix queue hold events at the same ticks; on each tie
+  // the backlog's event was pushed first, so it pops first.
+  Differential d(11);
+  for (const sim::Tick at : {10, 20, 20, 30, 40, 40}) d.push_at(at);
+  d.pop_one();  // 10 from the backlog; the queue stops loading
+  for (const sim::Tick at : {20, 20, 30, 30, 40, 50}) d.push_at(at);
+  d.pop_one();
+  d.push_at(20);  // ties both heads again, pushed last
+  d.drain();
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  // The same at scale: a bulk load on a few ticks, then churn on those
+  // ticks so radix minima keep meeting backlog heads.
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    SCOPED_TRACE(seed);
+    Differential r(seed);
+    r.push_many(3000, 64);
+    r.churn(6000, 8);
+    r.drain();
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+}
+
+TEST(EventQueueDifferential, PushAtTopTick) {
+  // top() is const and moves nothing between buckets, so pushing at the
+  // tick it returned -- which may be past the last pop -- stays legal
+  // and pops after the head it tied.
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    SCOPED_TRACE(seed);
+    Differential d(seed);
+    d.push_many(1000, 100'000);
+    for (int i = 0; i < 5000; ++i) {
+      d.push_at_top();
+      d.pop_one();
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+      d.push_many(d.rng()() % 2, 100'000);
+    }
+    d.drain();
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+}
+
+TEST(Contracts, EventQueueRejectsPushBeforeFloor) {
+  sim::EventQueue q;
+  q.push(10, 0, 1);
+  q.push(20, 0, 2);
+  EXPECT_EQ(q.pop().at, 10u);  // floor 10
+  EXPECT_THROW(q.push(9, 0, 3), hp::core::ContractViolation);
+  EXPECT_THROW(q.push(0, 0, 3), hp::core::ContractViolation);
+  EXPECT_NO_THROW(q.push(10, 0, 4));
+  EXPECT_THROW(q.push(sim::EventQueue::kTickLimit, 0, 5),
+               hp::core::ContractViolation);
+  EXPECT_THROW(q.push(std::numeric_limits<sim::Tick>::max(), 0, 5),
+               hp::core::ContractViolation);
+  EXPECT_NO_THROW(q.push(sim::EventQueue::kTickLimit - 1, 0, 6));
+  // A rejected push takes no sequence number and schedules nothing.
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.pop().arg, 4u);
+  EXPECT_EQ(q.pop().arg, 2u);
+  EXPECT_EQ(q.pop().arg, 6u);
+  EXPECT_TRUE(q.empty());
+  // The floor outlives an empty queue: reloading cannot go back either.
+  EXPECT_THROW(q.push(20, 0, 7), hp::core::ContractViolation);
+  EXPECT_EQ(q.stamp(), 4u);
 }
 
 }  // namespace
