@@ -1,11 +1,11 @@
 #include "netsim/paths.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace hp::netsim {
 
@@ -23,91 +23,87 @@ double link_weight(const Link& link, PathMetric metric) {
 
 namespace {
 
-/// Dijkstra with per-call banned nodes/links (the Yen spur machinery).
-std::optional<Path> dijkstra(const Topology& topo, NodeIndex src,
-                             NodeIndex dst, PathMetric metric,
-                             const std::set<NodeIndex>& banned_nodes,
-                             const std::set<LinkIndex>& banned_links) {
-  const std::size_t n = topo.node_count();
-  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-  std::vector<LinkIndex> via(n, kInvalidIndex);
-  using QueueEntry = std::pair<double, NodeIndex>;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
-      frontier;
-  dist[src] = 0.0;
-  frontier.emplace(0.0, src);
-  while (!frontier.empty()) {
-    const auto [d, u] = frontier.top();
-    frontier.pop();
-    if (d > dist[u]) continue;
-    if (u == dst) break;
-    // Hosts do not forward: they may start a path but not extend one.
-    if (u != src && topo.node(u).kind == NodeKind::kHost) continue;
-    for (const LinkIndex l : topo.outgoing(u)) {
-      if (banned_links.contains(l)) continue;
-      const Link& link = topo.link(l);
-      if (banned_nodes.contains(link.to)) continue;
-      const double nd = d + link_weight(link, metric);
-      if (nd < dist[link.to]) {
-        dist[link.to] = nd;
-        via[link.to] = l;
-        frontier.emplace(nd, link.to);
+using QueueEntry = std::pair<double, NodeIndex>;
+
+/// The one Dijkstra behind every query here.  Bans are dense masks
+/// indexed by LinkIndex / NodeIndex, and the tree and heap are a
+/// workspace that repeated searches (the disjoint-path planner, Yen's
+/// spurs) reuse.  Nothing allocates per banned element, and the heap is
+/// reserved once for its bound: each node settles at most once, so each
+/// link relaxes at most once.
+struct Search {
+  Search(const Topology& topo, PathMetric metric)
+      : topo(topo),
+        metric(metric),
+        banned_link(topo.link_count(), 0),
+        banned_node(topo.node_count(), 0) {
+    heap.reserve(topo.link_count() + 1);
+  }
+
+  /// Mask `links` out of every later run (ids past the topology name no
+  /// link and are ignored).
+  void ban_links(const std::vector<LinkIndex>& links) {
+    for (const LinkIndex l : links) {
+      if (l < banned_link.size()) banned_link[l] = 1;
+    }
+  }
+
+  /// Search from `src` until `dst` settles; kInvalidIndex never does,
+  /// which grows the full tree.  Entries pop in (dist, node) order and a
+  /// relax needs a strict improvement, so the first settled predecessor
+  /// keeps a tie.  Hosts do not forward: they may start a path but not
+  /// extend one.
+  void run(NodeIndex src, NodeIndex dst) {
+    const std::size_t n = topo.node_count();
+    tree.src = src;
+    tree.dist.assign(n, std::numeric_limits<double>::infinity());
+    tree.via.assign(n, kInvalidIndex);
+    heap.clear();
+    constexpr std::greater<> later;
+    tree.dist[src] = 0.0;
+    heap.emplace_back(0.0, src);
+    while (!heap.empty()) {
+      std::ranges::pop_heap(heap, later);
+      const auto [d, u] = heap.back();
+      heap.pop_back();
+      if (d > tree.dist[u]) continue;
+      if (u == dst) break;
+      if (u != src && topo.node(u).kind == NodeKind::kHost) continue;
+      for (const LinkIndex l : topo.outgoing(u)) {
+        if (banned_link[l]) continue;
+        const Link& link = topo.link(l);
+        if (banned_node[link.to]) continue;
+        const double nd = d + link_weight(link, metric);
+        if (nd < tree.dist[link.to]) {
+          tree.dist[link.to] = nd;
+          tree.via[link.to] = l;
+          heap.emplace_back(nd, link.to);
+          std::ranges::push_heap(heap, later);
+        }
       }
     }
   }
-  if (via[dst] == kInvalidIndex && src != dst) {
-    if (!std::isfinite(dist[dst])) return std::nullopt;
-  }
-  Path path;
-  for (NodeIndex cur = dst; cur != src;) {
-    const LinkIndex l = via[cur];
-    if (l == kInvalidIndex) return std::nullopt;
-    path.push_back(l);
-    cur = topo.link(l).from;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
+
+  const Topology& topo;
+  PathMetric metric;
+  std::vector<char> banned_link;
+  std::vector<char> banned_node;
+  PathTree tree;
+  std::vector<QueueEntry> heap;
+};
 
 }  // namespace
 
 PathTree shortest_path_tree(const Topology& topo, NodeIndex src,
                             PathMetric metric,
                             const std::vector<LinkIndex>& banned) {
-  const std::size_t n = topo.node_count();
-  if (src >= n) {
+  if (src >= topo.node_count()) {
     throw std::out_of_range("shortest_path_tree: bad node index");
   }
-  std::vector<char> is_banned(topo.link_count(), 0);
-  for (const LinkIndex l : banned) {
-    if (l < is_banned.size()) is_banned[l] = 1;
-  }
-  PathTree tree;
-  tree.src = src;
-  tree.dist.assign(n, std::numeric_limits<double>::infinity());
-  tree.via.assign(n, kInvalidIndex);
-  using QueueEntry = std::pair<double, NodeIndex>;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
-      frontier;
-  tree.dist[src] = 0.0;
-  frontier.emplace(0.0, src);
-  while (!frontier.empty()) {
-    const auto [d, u] = frontier.top();
-    frontier.pop();
-    if (d > tree.dist[u]) continue;
-    if (u != src && topo.node(u).kind == NodeKind::kHost) continue;
-    for (const LinkIndex l : topo.outgoing(u)) {
-      if (is_banned[l]) continue;
-      const Link& link = topo.link(l);
-      const double nd = d + link_weight(link, metric);
-      if (nd < tree.dist[link.to]) {
-        tree.dist[link.to] = nd;
-        tree.via[link.to] = l;
-        frontier.emplace(nd, link.to);
-      }
-    }
-  }
-  return tree;
+  Search search(topo, metric);
+  search.ban_links(banned);
+  search.run(src, kInvalidIndex);
+  return std::move(search.tree);
 }
 
 std::optional<Path> tree_path(const PathTree& tree, const Topology& topo,
@@ -144,7 +140,9 @@ std::optional<Path> shortest_path(const Topology& topo, NodeIndex src,
     throw std::out_of_range("shortest_path: bad node index");
   }
   if (src == dst) return Path{};
-  return dijkstra(topo, src, dst, metric, {}, {});
+  Search search(topo, metric);
+  search.run(src, dst);
+  return tree_path(search.tree, topo, dst);
 }
 
 double path_weight(const Topology& topo, const Path& path,
@@ -181,6 +179,7 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeIndex src,
   };
   std::set<Path, decltype(cmp)> candidates(cmp);
 
+  Search search(topo, metric);
   while (result.size() < k) {
     const Path& previous = result.back();
     const auto prev_nodes = path_nodes(topo, previous);
@@ -191,20 +190,23 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeIndex src,
                       previous.begin() + static_cast<std::ptrdiff_t>(i));
 
       // Ban links that would recreate an already-found path with this
-      // root, and ban root nodes to keep paths loopless.
-      std::set<LinkIndex> banned_links;
-      for (const Path& found : result) {
-        if (found.size() > i &&
-            std::equal(root.begin(), root.end(), found.begin())) {
-          banned_links.insert(found[i]);
+      // root, and ban root nodes to keep paths loopless; the same walk
+      // with 0 lifts the bans again after the spur search.
+      const auto mark = [&](char banned) {
+        for (const Path& found : result) {
+          if (found.size() > i &&
+              std::equal(root.begin(), root.end(), found.begin())) {
+            search.banned_link[found[i]] = banned;
+          }
         }
-      }
-      std::set<NodeIndex> banned_nodes(prev_nodes.begin(),
-                                       prev_nodes.begin() +
-                                           static_cast<std::ptrdiff_t>(i));
-
-      const auto spur_path =
-          dijkstra(topo, spur, dst, metric, banned_nodes, banned_links);
+        for (std::size_t j = 0; j < i; ++j) {
+          search.banned_node[prev_nodes[j]] = banned;
+        }
+      };
+      mark(1);
+      search.run(spur, dst);
+      mark(0);
+      const auto spur_path = tree_path(search.tree, topo, dst);
       if (!spur_path) continue;
       Path total = root;
       total.insert(total.end(), spur_path->begin(), spur_path->end());
@@ -231,15 +233,17 @@ std::vector<Path> k_disjoint_paths(const Topology& topo, NodeIndex src,
   // Iterative Dijkstra with an accumulating ban set: each found path
   // retires its links (both directions) before the next search, so the
   // results are mutually duplex-link-disjoint by construction.
-  std::set<LinkIndex> banned_links(banned.begin(), banned.end());
+  Search search(topo, metric);
+  search.ban_links(banned);
   while (result.size() < k) {
-    auto path = dijkstra(topo, src, dst, metric, {}, banned_links);
+    search.run(src, dst);
+    auto path = tree_path(search.tree, topo, dst);
     if (!path || path->empty()) break;
     for (const LinkIndex l : *path) {
-      banned_links.insert(l);
+      search.banned_link[l] = 1;
       const Link& link = topo.link(l);
       if (const auto rev = topo.link_between(link.to, link.from)) {
-        banned_links.insert(*rev);
+        search.banned_link[*rev] = 1;
       }
     }
     result.push_back(std::move(*path));

@@ -7,6 +7,11 @@
 // worries about topologies growing "from 10s to 100s of routers".
 // These routines give the Controller automatic tunnel planning and the
 // scale-sweep bench its machinery.
+//
+// Every query runs one Dijkstra: entries leave the queue in (distance,
+// node) order and a link relaxes only on a strict improvement, so
+// shortest_path, shortest_path_tree and the first k_disjoint_paths path
+// break ties the same way.
 
 #include <optional>
 #include <vector>

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <unordered_set>
 
 #include "core/contracts.hpp"
 #include "gf2/crt.hpp"
@@ -18,8 +21,125 @@ namespace {
 
 using netsim::kInvalidIndex;
 using netsim::NodeIndex;
+using KeysByLink = std::vector<std::vector<std::uint64_t>>;
+
+/// Add `key` to the sorted list of every link on `path`.
+void index_path(KeysByLink& by_link, std::uint64_t key,
+                const netsim::Path& path) {
+  for (const netsim::LinkIndex l : path) {
+    auto& keys = by_link[l];
+    keys.insert(std::ranges::lower_bound(keys, key), key);
+  }
+}
+
+/// Remove `key` from the sorted list of every link on `path`.
+void unindex_path(KeysByLink& by_link, std::uint64_t key,
+                  const netsim::Path& path) {
+  for (const netsim::LinkIndex l : path) {
+    auto& keys = by_link[l];
+    const auto pos = std::ranges::lower_bound(keys, key);
+    if (pos != keys.end() && *pos == key) keys.erase(pos);
+  }
+}
+
+/// Drop the sorted, non-empty `gone` from sorted `keys` in place: one
+/// forward pass over both lists, so each kept key moves at most once
+/// however many keys go.
+void erase_keys(std::vector<std::uint64_t>& keys,
+                std::span<const std::uint64_t> gone) {
+  auto next = gone.begin();
+  auto kept = static_cast<std::size_t>(
+      std::ranges::lower_bound(keys, *next) - keys.begin());
+  for (std::size_t i = kept; i < keys.size(); ++i) {
+    while (next != gone.end() && *next < keys[i]) ++next;
+    if (next != gone.end() && *next == keys[i]) continue;
+    keys[kept++] = keys[i];
+  }
+  keys.resize(kept);
+}
+
+/// Merge sorted `added` into sorted `keys` in place, from the back, so
+/// only the keys above the smallest addition move, each once.
+void insert_keys(std::vector<std::uint64_t>& keys,
+                 std::span<const std::uint64_t> added) {
+  std::size_t i = keys.size();
+  std::size_t j = added.size();
+  keys.resize(i + j);
+  std::size_t out = keys.size();
+  while (j > 0) {
+    if (i > 0 && keys[i - 1] > added[j - 1]) {
+      keys[--out] = keys[--i];
+    } else {
+      keys[--out] = added[--j];
+    }
+  }
+}
+
+/// The (link, key) hops of many routes, applied to a link -> sorted-keys
+/// index list by list: each touched list moves once per batch, where a
+/// binary-search edit per hop would move its tail once per route.
+/// Hops are grouped by a counting pass over the link ids, O(links +
+/// hops), since a comparison sort of an event's hops costs more than
+/// the edits it saves.
+class LinkKeyBatch {
+ public:
+  void add(std::uint64_t key, const netsim::Path& path) {
+    for (const netsim::LinkIndex l : path) hops_.emplace_back(l, key);
+  }
+
+  /// Remove every hop's key from its link's list (each must be there).
+  void erase_from(KeysByLink& by_link) const {
+    for_each_link(by_link.size(), [&](netsim::LinkIndex l, auto keys) {
+      erase_keys(by_link[l], keys);
+    });
+  }
+
+  /// Add every hop's key to its link's list.
+  void insert_into(KeysByLink& by_link) const {
+    for_each_link(by_link.size(), [&](netsim::LinkIndex l, auto keys) {
+      insert_keys(by_link[l], keys);
+    });
+  }
+
+ private:
+  /// Calls fn(link, sorted keys) once per link some hop names.
+  template <typename Fn>
+  void for_each_link(std::size_t links, Fn&& fn) const {
+    if (hops_.empty()) return;
+    std::vector<std::size_t> begin(links + 1, 0);
+    for (const auto& [l, key] : hops_) ++begin[l + 1];
+    std::partial_sum(begin.begin(), begin.end(), begin.begin());
+    std::vector<std::size_t> fill(begin.begin(), begin.end() - 1);
+    std::vector<std::uint64_t> keys(hops_.size());
+    for (const auto& [l, key] : hops_) keys[fill[l]++] = key;
+    for (netsim::LinkIndex l = 0; l < links; ++l) {
+      if (begin[l] == begin[l + 1]) continue;
+      const std::span<std::uint64_t> group(keys.data() + begin[l],
+                                           keys.data() + begin[l + 1]);
+      // Callers add routes in key order, so this is nearly always a
+      // pass over an already sorted handful.
+      std::ranges::sort(group);
+      fn(l, std::span<const std::uint64_t>(group));
+    }
+  }
+
+  std::vector<std::pair<netsim::LinkIndex, std::uint64_t>> hops_;
+};
 
 }  // namespace
+
+/// Link-index edits of one event, applied together at its end: every
+/// overwritten route's old hops leave, then every stored route's hops
+/// arrive.  An event writes each key at most once.
+struct BuiltFabric::IndexEdits {
+  LinkKeyBatch erased;
+  LinkKeyBatch inserted;
+
+  void apply(KeysByLink& by_link) const {
+    erased.erase_from(by_link);
+    inserted.insert_into(by_link);
+  }
+};
 
 void BuiltFabric::note_compile(
     const char* phase, const CompileStats& before,
@@ -69,6 +189,8 @@ BuiltFabric::BuiltFabric(netsim::Topology topo) : topo_(std::move(topo)) {
     }
   }
   link_down_.assign(topo_.link_count(), 0);
+  routes_by_link_.resize(topo_.link_count());
+  saved_by_link_.resize(topo_.link_count());
   node_bits_.resize(fabric_.node_count());
   node_degree_.resize(fabric_.node_count());
   for (std::size_t f = 0; f < fabric_.node_count(); ++f) {
@@ -104,28 +226,29 @@ const netsim::PathTree& BuiltFabric::tree_for(NodeIndex src) {
 }
 
 CompiledRoute& BuiltFabric::store_route(RouteKey key, CompiledRoute&& route,
-                                        bool count_compile) {
+                                        bool count_compile,
+                                        IndexEdits* batch) {
   const auto [it, inserted] = routes_.try_emplace(key);
-  if (!inserted) unindex_route(key, it->second.path);
+  if (!inserted) {
+    if (batch != nullptr) {
+      batch->erased.add(key, it->second.path);
+    } else {
+      unindex_path(routes_by_link_, key, it->second.path);
+    }
+  }
   it->second = std::move(route);
-  for (const netsim::LinkIndex l : it->second.path) {
-    routes_by_link_[l].push_back(key);
+  if (batch != nullptr) {
+    batch->inserted.add(key, it->second.path);
+  } else {
+    index_path(routes_by_link_, key, it->second.path);
   }
   if (count_compile) ++stats_.routes_compiled;
   return it->second;
 }
 
-void BuiltFabric::unindex_route(RouteKey key, const netsim::Path& path) {
-  for (const netsim::LinkIndex l : path) {
-    if (const auto it = routes_by_link_.find(l); it != routes_by_link_.end()) {
-      auto& keys = it->second;
-      if (const auto pos = std::ranges::find(keys, key); pos != keys.end()) {
-        *pos = keys.back();
-        keys.pop_back();
-      }
-      if (keys.empty()) routes_by_link_.erase(it);
-    }
-  }
+bool BuiltFabric::crosses_failed_link(const netsim::Path& path) const {
+  return std::ranges::any_of(
+      path, [&](netsim::LinkIndex l) { return link_down_[l] != 0; });
 }
 
 const CompiledRoute* BuiltFabric::route(NodeIndex src, NodeIndex dst) {
@@ -348,6 +471,19 @@ std::size_t BuiltFabric::compile_all_pairs(unsigned threads) {
     for (auto& t : pool) t.join();
   }
 
+  // Routes about to be overwritten leave the link index while every
+  // key list is still sorted.  The merge then only appends, and each
+  // list is sorted once at the end: a sorted insert per hop would cost
+  // about 40% more compile time per route.
+  LinkKeyBatch stale;
+  for (const SourceCompile& out : per_source) {
+    for (const auto& [key, route] : out.routes) {
+      if (const auto it = routes_.find(key); it != routes_.end()) {
+        stale.add(key, it->second.path);
+      }
+    }
+  }
+  stale.erase_from(routes_by_link_);
   std::size_t written = 0;
   routes_.reserve(sources * (sources - (sources > 0)));
   for (std::size_t i = 0; i < sources; ++i) {
@@ -358,10 +494,15 @@ std::size_t BuiltFabric::compile_all_pairs(unsigned threads) {
     }
     stats_.crt_steps += out.crt_steps;
     for (auto& [key, route] : out.routes) {
-      store_route(key, std::move(route));
+      for (const netsim::LinkIndex l : route.path) {
+        routes_by_link_[l].push_back(key);
+      }
+      routes_.insert_or_assign(key, std::move(route));
       ++written;
     }
   }
+  for (auto& keys : routes_by_link_) std::ranges::sort(keys);
+  stats_.routes_compiled += written;
   note_compile("all_pairs", before, t0);
   return written;
 }
@@ -410,6 +551,7 @@ std::size_t BuiltFabric::enable_protection(unsigned k) {
   if (k == 0) {
     backups_.clear();
     saved_primary_.clear();
+    for (auto& keys : saved_by_link_) keys.clear();
     return 0;
   }
   std::size_t installed = 0;
@@ -472,44 +614,35 @@ std::vector<std::pair<NodeIndex, NodeIndex>>
 BuiltFabric::evict_crossing_routes(netsim::LinkIndex fwd,
                                    netsim::LinkIndex rev) {
   // The inverted index names exactly the crossing routes: O(affected),
-  // not O(routes * hops).  Sorted for a deterministic return order.
+  // not O(routes * hops).  Both lists are sorted, so their union is the
+  // deterministic sorted-key return order.
   std::vector<RouteKey> keys;
-  for (const netsim::LinkIndex dead : {fwd, rev}) {
-    if (const auto it = routes_by_link_.find(dead);
-        it != routes_by_link_.end()) {
-      keys.insert(keys.end(), it->second.begin(), it->second.end());
-    }
-  }
-  std::ranges::sort(keys);
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::ranges::set_union(routes_by_link_[fwd], routes_by_link_[rev],
+                         std::back_inserter(keys));
 
-  // Batch-evict: filter each touched link's key list once against the
-  // evicted set, instead of a per-route linear scan (which would make
-  // a mass eviction quadratic in the keys-per-link).
-  const std::unordered_set<RouteKey> evicted(keys.begin(), keys.end());
-  std::vector<netsim::LinkIndex> touched;
+  LinkKeyBatch evicted;
+  LinkKeyBatch saved_now;
   std::vector<std::pair<NodeIndex, NodeIndex>> affected;
   affected.reserve(keys.size());
   for (const RouteKey key : keys) {
     const auto it = routes_.find(key);
+    evicted.add(key, it->second.path);
     // Protected fabrics remember the displaced route so restore_link
     // can revert hitlessly; the original primary wins over later
-    // backup-on-backup displacements (try_emplace keeps the first).
-    if (protection_k_ > 0) saved_primary_.try_emplace(key, it->second);
-    touched.insert(touched.end(), it->second.path.begin(),
-                   it->second.path.end());
+    // backup-on-backup displacements (try_emplace keeps the first and
+    // leaves the route unmoved when the key is taken).
+    if (protection_k_ > 0) {
+      const auto [saved, fresh] =
+          saved_primary_.try_emplace(key, std::move(it->second));
+      if (fresh) saved_now.add(key, saved->second.path);
+    }
     routes_.erase(it);
     affected.push_back(netsim::node_pair_from_key(key));
   }
-  std::ranges::sort(touched);
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (const netsim::LinkIndex l : touched) {
-    const auto it = routes_by_link_.find(l);
-    if (it == routes_by_link_.end()) continue;
-    std::erase_if(it->second,
-                  [&](RouteKey k) { return evicted.contains(k); });
-    if (it->second.empty()) routes_by_link_.erase(it);
-  }
+  // Batch-evict: each touched key list is filtered once against its
+  // sorted evicted keys.
+  evicted.erase_from(routes_by_link_);
+  saved_now.insert_into(saved_by_link_);
   return affected;
 }
 
@@ -538,11 +671,11 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
 
   // Drop only the trees that routed through the dead link.  Every other
   // cached tree remains a valid shortest-path tree: removing links it
-  // never used cannot create a shorter alternative.
+  // never used cannot create a shorter alternative.  A tree can use
+  // a->b only as b's parent link, so one lookup per tree settles it.
   for (auto it = trees_.begin(); it != trees_.end();) {
-    const bool uses = std::ranges::any_of(
-        it->second.via,
-        [&](netsim::LinkIndex l) { return l == *fwd || l == *rev; });
+    const auto& via = it->second.via;
+    const bool uses = via[b] == *fwd || via[a] == *rev;
     it = uses ? trees_.erase(it) : ++it;
   }
 
@@ -550,6 +683,7 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
     // Hitless path: each affected pair swaps to its best live backup.
     // The whole window is table lookups and label copies -- no
     // Dijkstra, no CRT, zero routes_compiled (the acceptance bar).
+    IndexEdits edits;
     for (const auto& pr : report.affected) {
       const RouteKey key = netsim::node_pair_key(pr.first, pr.second);
       const BackupRoute* backup = backups_.activate(key, link_down_);
@@ -560,11 +694,7 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
       }
       // activate() only returns fully-live candidates; a backup that
       // still crosses the link we just banned would re-sever the pair.
-      HP_DCHECK(std::ranges::none_of(backup->path,
-                                     [&](netsim::LinkIndex l) {
-                                       return l < link_down_.size() &&
-                                              link_down_[l] != 0;
-                                     }),
+      HP_DCHECK(!crosses_failed_link(backup->path),
                 "apply_failure: activated backup crosses a dead link");
       CompiledRoute route;
       route.segments = backup->segments;
@@ -575,11 +705,12 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
       route.ingress = backup->ingress;
       route.expected = backup->expected;
       route.path = backup->path;
-      store_route(key, std::move(route), /*count_compile=*/false);
+      store_route(key, std::move(route), /*count_compile=*/false, &edits);
       ++stats_.backup_swaps;
       report.swapped.push_back(pr);
       report.swap_stretch.push_back(backup->stretch);
     }
+    edits.apply(routes_by_link_);
     if (metrics_ != nullptr && !report.swapped.empty()) {
       metrics_->counter("compile.backup_swaps").add(report.swapped.size());
     }
@@ -672,28 +803,43 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
   if (protection_k_ > 0) {
     // Revert every displaced pair whose saved primary is fully alive
     // again -- including pairs a failure had severed outright, whose
-    // routes revive here without any recompile.
+    // routes revive here without any recompile.  Only primaries over
+    // the revived link are candidates: every other one still crosses a
+    // dead link (the invariant checked below).
     std::vector<RouteKey> revived;
-    for (const auto& [key, primary] : saved_primary_) {
-      const bool alive = std::ranges::none_of(
-          primary.path,
-          [&](netsim::LinkIndex l) { return link_down_[l] != 0; });
-      if (alive) revived.push_back(key);
-    }
-    std::ranges::sort(revived);
+    std::ranges::set_union(saved_by_link_[*fwd], saved_by_link_[*rev],
+                           std::back_inserter(revived));
+    std::erase_if(revived, [&](RouteKey key) {
+      return crosses_failed_link(saved_primary_.at(key).path);
+    });
+    IndexEdits edits;
+    LinkKeyBatch unsaved;
     for (const RouteKey key : revived) {
-      auto it = saved_primary_.find(key);
+      const auto it = saved_primary_.find(key);
       const auto pr = netsim::node_pair_from_key(key);
-      store_route(key, std::move(it->second), /*count_compile=*/false);
+      unsaved.add(key, it->second.path);
+      store_route(key, std::move(it->second), /*count_compile=*/false,
+                  &edits);
       saved_primary_.erase(it);
       backups_.release(key);
       ++stats_.backup_swaps;
       report.affected.push_back(pr);
       report.swapped.push_back(pr);
       report.swap_stretch.push_back(1.0);  // back on the primary
-      // A revived pair is no longer waiting on the lazy recompiler.
-      std::erase(pending_, pr);
     }
+    edits.apply(routes_by_link_);
+    unsaved.erase_from(saved_by_link_);
+    // Revived pairs are no longer waiting on the lazy recompiler.
+    std::erase_if(pending_, [&](const std::pair<NodeIndex, NodeIndex>& pr) {
+      return std::ranges::binary_search(
+          revived, netsim::node_pair_key(pr.first, pr.second));
+    });
+    HP_DCHECK(std::ranges::all_of(saved_primary_,
+                                  [&](const auto& entry) {
+                                    return crosses_failed_link(
+                                        entry.second.path);
+                                  }),
+              "restore_link: a fully alive saved primary was not reverted");
     if (metrics_ != nullptr && !report.swapped.empty()) {
       metrics_->counter("compile.backup_swaps").add(report.swapped.size());
     }

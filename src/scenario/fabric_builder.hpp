@@ -30,13 +30,17 @@
 // link -> route-keys inverted index names the crossing routes in
 // O(affected), only the Dijkstra trees that used the dead link are
 // rebuilt, and the severed destinations are recompiled subtree-scoped.
+// With protection armed, a second link -> saved-primary index lets a
+// restore examine only the primaries over the revived link.  Both
+// indexes are dense vectors over LinkIndex holding sorted key lists:
+// naming an event's keys and editing the lists are merges of sorted
+// lists, with no hash lookup per link or per listed key.
 
 #include <chrono>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -267,13 +271,20 @@ class BuiltFabric {
                            std::vector<KeyedRoute>& out,
                            std::size_t& crt_steps) const;
 
-  /// Insert or overwrite one cache entry, keeping the link index true;
-  /// returns the stored entry.  Hitless backup swaps pass
-  /// count_compile = false: installing a pre-compiled label is not a
-  /// route compilation.
+  /// Link-index edits an event gathers and applies at its end.
+  struct IndexEdits;
+
+  /// Insert or overwrite one cache entry and return it.  The link index
+  /// is edited at once, or, given `batch`, when the caller applies the
+  /// batch: events that swap many routes pass one, so each key list
+  /// moves once per event.  Hitless backup swaps pass count_compile =
+  /// false: installing a pre-compiled label is not a route compilation.
   CompiledRoute& store_route(RouteKey key, CompiledRoute&& route,
-                             bool count_compile = true);
-  void unindex_route(RouteKey key, const netsim::Path& path);
+                             bool count_compile = true,
+                             IndexEdits* batch = nullptr);
+
+  /// True when `path` crosses a link that is currently down.
+  [[nodiscard]] bool crosses_failed_link(const netsim::Path& path) const;
 
   /// Compile one explicit path into a route (segments, expectation,
   /// ingress) without touching the cache or stats; `crt_steps` gets
@@ -286,8 +297,9 @@ class BuiltFabric {
   std::size_t protect_pair(RouteKey key, const CompiledRoute& primary);
 
   /// Evict every cached route crossing the two directed links; returns
-  /// the affected pairs in sorted-key order.  Protected fabrics save
-  /// each pair's pre-failure primary for revert-on-restore.
+  /// the affected pairs in sorted-key order.  Protected fabrics move
+  /// each pair's pre-failure primary into saved_primary_ for
+  /// revert-on-restore.
   std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>>
   evict_crossing_routes(netsim::LinkIndex fwd, netsim::LinkIndex rev);
 
@@ -316,19 +328,28 @@ class BuiltFabric {
   BackupTable backups_;
   /// Pre-failure primaries of pairs a failure displaced (or severed),
   /// keyed like routes_; restore_link reverts from here.  The
-  /// *original* primary is kept across repeated failures.
+  /// *original* primary is kept across repeated failures.  Invariant
+  /// after every public call: each saved primary crosses at least one
+  /// failed link, since restore_link reverts every primary the moment
+  /// its last dead link revives.
   std::unordered_map<RouteKey, CompiledRoute> saved_primary_;
+  /// Per directed link (indexed by LinkIndex, sized at construction):
+  /// the sorted keys of the saved primaries crossing it.  By the
+  /// invariant above, a restore of a<->b can revive only the primaries
+  /// listed under a->b or b->a, so it never scans saved_primary_.
+  std::vector<std::vector<RouteKey>> saved_by_link_;
   /// Pairs whose protection set died, awaiting repair_pending().
   std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>> pending_;
   std::unordered_map<netsim::NodeIndex, netsim::PathTree> trees_;
   std::unordered_map<RouteKey, CompiledRoute> routes_;
-  /// Inverted index: directed link -> keys of cached routes over it,
-  /// so apply_failure names the crossing routes in O(affected) instead of
-  /// scanning every cached path.  Vector-backed: appends are the hot
-  /// path (every compiled hop), removals happen only on recompiles and
-  /// failures and swap-erase a linear scan.
-  std::unordered_map<netsim::LinkIndex, std::vector<RouteKey>>
-      routes_by_link_;
+  /// Inverted index, per directed link (indexed by LinkIndex, sized at
+  /// construction): the sorted keys of cached routes over it, so
+  /// apply_failure names the crossing routes in O(affected) instead of
+  /// scanning every cached path.  A single store_route inserts and
+  /// removes by binary search; failure and restore events batch their
+  /// edits into one merge per touched list; compile_all_pairs appends
+  /// its whole merge and sorts each list once.
+  std::vector<std::vector<RouteKey>> routes_by_link_;
   CompileStats stats_;
   obs::MetricRegistry* metrics_ = nullptr;
   obs::TraceSink* trace_ = nullptr;

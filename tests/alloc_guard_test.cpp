@@ -15,6 +15,8 @@
 //    N pending events without allocating.
 //  * Transport::add_flow allocates a bounded number of arrays per flow
 //    and never copies the flows already registered.
+//  * k_disjoint_paths allocates the same number of times whether or not
+//    links the answer never uses are banned.
 //
 // The interposer counts every operator-new entry; tests snapshot the
 // counter around the call under test and assert on the delta, so
@@ -30,10 +32,12 @@
 #include <string>
 #include <vector>
 
+#include "netsim/paths.hpp"
 #include "polka/fastpath.hpp"
 #include "polka/forwarding.hpp"
 #include "polka/label.hpp"
 #include "scenario/runner.hpp"
+#include "scenario/topologies.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/packet_sim.hpp"
 #include "sim/transport.hpp"
@@ -359,6 +363,46 @@ TEST(AllocGuard, TransportAddFlowAllocationsStayBounded) {
   const std::uint64_t per_flow = (large - small) / (16384 - 1024);
   EXPECT_LE(per_flow, 5u) << "Transport::add_flow allocated " << per_flow
                           << " times per flow";
+}
+
+TEST(AllocGuard, DisjointPathAllocationsIndependentOfBans) {
+  // The planner masks banned links in a dense per-link array: banning
+  // 200 links the answer never uses must cost no allocation beyond the
+  // unbanned call (a node-based ban set pays one per banned link).
+  const netsim::Topology topo = scenario::make_torus(10, 10);
+  const netsim::NodeIndex src = 0;
+  const netsim::NodeIndex dst = 55;
+  const auto plan = [&](const std::vector<netsim::LinkIndex>& banned) {
+    return netsim::k_disjoint_paths(topo, src, dst, 2,
+                                    netsim::PathMetric::kHopCount, banned);
+  };
+  const std::vector<netsim::Path> reference = plan({});
+  ASSERT_EQ(reference.size(), 2U);
+  std::vector<char> on_path(topo.link_count(), 0);
+  for (const netsim::Path& path : reference) {
+    for (const netsim::LinkIndex l : path) {
+      on_path[l] = 1;
+      const netsim::Link& link = topo.link(l);
+      on_path[*topo.link_between(link.to, link.from)] = 1;
+    }
+  }
+  std::vector<netsim::LinkIndex> off_path;
+  for (netsim::LinkIndex l = 0; l < topo.link_count() && off_path.size() < 200;
+       ++l) {
+    if (on_path[l] == 0) off_path.push_back(l);
+  }
+  ASSERT_EQ(off_path.size(), 200U);
+  const std::vector<netsim::LinkIndex> none;
+
+  const auto allocations = [&](const std::vector<netsim::LinkIndex>& banned) {
+    const std::uint64_t before = alloc_count();
+    const std::vector<netsim::Path> paths = plan(banned);
+    const std::uint64_t delta = alloc_count() - before;
+    EXPECT_EQ(paths, reference) << "off-path bans changed the answer";
+    return delta;
+  };
+  EXPECT_EQ(allocations(none), allocations(off_path))
+      << "k_disjoint_paths allocation count grows with the banned links";
 }
 
 }  // namespace

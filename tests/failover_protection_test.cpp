@@ -10,6 +10,9 @@
 //  * severing the fabric reports unroutable pairs explicitly instead of
 //    misdelivering;
 //  * restore reverts to the saved primary, again without compiling;
+//  * seeded flap and node storms report exactly the pairs brute-force
+//    scans of the route cache predict, and leave no cached route on a
+//    failed link;
 //  * reports are deterministic across thread counts;
 //  * FailoverPlayback sorts and clamps the schedule, reports duplicate
 //    events as no-ops and names only the stream's lanes.
@@ -17,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -202,6 +207,124 @@ TEST(FailoverProtection, SeveredPairsAreExplicitlyUnroutable) {
   EXPECT_NE(fabric.route(r("r1"), r("r2")), nullptr);
   EXPECT_NE(fabric.route(r("r4"), r("r5")), nullptr);
   EXPECT_EQ(fabric.route(r("r1"), r("r4")), nullptr);
+}
+
+/// Plays `schedule` on `fabric` (repair_pending after every event) and
+/// checks each report against brute-force scans of the route cache:
+///  * a failure's `affected` is exactly the cached routes crossing
+///    either direction of the link, in sorted-key order;
+///  * a restore's `swapped` is exactly the pairs whose route at their
+///    first displacement (tracked here, independent of the fabric's
+///    bookkeeping) is fully alive again, in sorted-key order;
+///  * after every event no cached route crosses a failed link.
+void play_and_check_storm(BuiltFabric& fabric,
+                          const std::vector<LinkFailure>& schedule,
+                          const std::string& what) {
+  const netsim::Topology& topo = fabric.topology();
+  const auto& routers = fabric.routers();
+  std::map<std::pair<NodeIndex, NodeIndex>, netsim::Path> first_displaced;
+  const auto crosses_failed = [&](const netsim::Path& path) {
+    const auto& failed = fabric.failed_links();
+    return std::ranges::any_of(path, [&](netsim::LinkIndex l) {
+      return std::ranges::find(failed, l) != failed.end();
+    });
+  };
+
+  for (std::size_t e = 0; e < schedule.size(); ++e) {
+    const LinkFailure& event = schedule[e];
+    const std::string where = what + " event " + std::to_string(e);
+    const netsim::LinkIndex fwd = *topo.link_between(event.a, event.b);
+    const netsim::LinkIndex rev = *topo.link_between(event.b, event.a);
+    std::vector<std::pair<NodeIndex, NodeIndex>> want;
+    if (event.restore) {
+      const FailoverReport report = fabric.restore_link(event.a, event.b);
+      if (fabric.protection_k() > 0) {
+        for (auto it = first_displaced.begin(); it != first_displaced.end();) {
+          if (crosses_failed(it->second)) {
+            ++it;
+            continue;
+          }
+          want.push_back(it->first);
+          it = first_displaced.erase(it);
+        }
+      }
+      EXPECT_EQ(report.swapped, want) << where;
+    } else {
+      for (const NodeIndex src : routers) {
+        for (const NodeIndex dst : routers) {
+          const CompiledRoute* route =
+              src == dst ? nullptr : fabric.cached_route(src, dst);
+          if (route == nullptr) continue;
+          if (std::ranges::none_of(route->path, [&](netsim::LinkIndex l) {
+                return l == fwd || l == rev;
+              })) {
+            continue;
+          }
+          want.emplace_back(src, dst);
+          if (fabric.protection_k() > 0) {
+            first_displaced.try_emplace({src, dst}, route->path);
+          }
+        }
+      }
+      const FailoverReport report = fabric.apply_failure(event.a, event.b);
+      EXPECT_EQ(report.affected, want) << where;
+    }
+    (void)fabric.repair_pending();
+    for (const NodeIndex src : routers) {
+      for (const NodeIndex dst : routers) {
+        const CompiledRoute* route =
+            src == dst ? nullptr : fabric.cached_route(src, dst);
+        if (route == nullptr) continue;
+        EXPECT_FALSE(crosses_failed(route->path))
+            << where << ": " << src << "->" << dst
+            << " still routes over a failed link";
+      }
+    }
+  }
+}
+
+TEST(FailoverProtection, StormReportsMatchBruteForceScans) {
+  // Seeded flap storms (failures and restores interleaved) and node
+  // storms restored link by link, so saved primaries cross several dead
+  // links at once, on a torus and a fat-tree, unprotected and 1:1.
+  const std::vector<std::pair<std::string, netsim::Topology>> topologies{
+      {"torus6x6", make_torus(6, 6)}, {"fat_tree_k4", make_fat_tree(4)}};
+  for (const auto& [name, topo] : topologies) {
+    for (const unsigned k : {0U, 1U}) {
+      for (const std::uint64_t seed : {1U, 2U, 3U}) {
+        const std::string what = name + " k=" + std::to_string(k) +
+                                 " seed=" + std::to_string(seed);
+        FailureInjectorParams flap;
+        flap.preset = FailurePreset::kFlap;
+        flap.seed = seed;
+        flap.count = 6;
+        BuiltFabric flapped(topo);
+        flapped.compile_all_pairs();
+        flapped.enable_protection(k);
+        play_and_check_storm(flapped,
+                             make_failure_schedule(flapped.topology(), flap),
+                             what + " flap");
+
+        FailureInjectorParams storm;
+        storm.preset = FailurePreset::kStorm;
+        storm.seed = seed;
+        storm.count = 2;
+        std::vector<LinkFailure> schedule =
+            make_failure_schedule(topo, storm);
+        const std::size_t failures = schedule.size();
+        for (std::size_t i = 0; i < failures; ++i) {
+          LinkFailure up = schedule[i];
+          up.restore = true;
+          schedule.push_back(up);
+        }
+        BuiltFabric stormed(topo);
+        stormed.compile_all_pairs();
+        stormed.enable_protection(k);
+        play_and_check_storm(stormed, schedule, what + " storm");
+        EXPECT_TRUE(stormed.failed_links().empty()) << what;
+      }
+    }
+  }
 }
 
 TEST(FailoverRunner, ProtectedRingLosesNothingOnSingleFailure) {

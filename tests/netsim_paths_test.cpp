@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
+
+#include "scenario/topologies.hpp"
 
 namespace hp::netsim {
 namespace {
@@ -98,14 +102,29 @@ std::pair<NodeIndex, NodeIndex> undirected(const Topology& topo,
 }
 
 TEST(KDisjoint, FirstPathIsTheShortest) {
-  const Topology topo = make_global_p4_lab();
-  const auto src = topo.index_of("MIA");
-  const auto dst = topo.index_of("AMS");
-  const auto paths = k_disjoint_paths(topo, src, dst, 3, PathMetric::kDelay);
-  ASSERT_FALSE(paths.empty());
-  const auto shortest = shortest_path(topo, src, dst, PathMetric::kDelay);
-  ASSERT_TRUE(shortest.has_value());
-  EXPECT_EQ(paths.front(), *shortest);
+  // The same path, not just the same length: on a torus and a fat-tree
+  // almost every pair has tied shortest paths, so this pins that both
+  // queries break ties identically.
+  const std::vector<std::pair<const char*, Topology>> topologies{
+      {"global_p4_lab", make_global_p4_lab()},
+      {"torus5x6", scenario::make_torus(5, 6)},
+      {"fat_tree_k4", scenario::make_fat_tree(4)}};
+  for (const auto& [name, topo] : topologies) {
+    for (const PathMetric metric :
+         {PathMetric::kHopCount, PathMetric::kDelay}) {
+      for (NodeIndex src = 0; src < topo.node_count(); ++src) {
+        for (NodeIndex dst = 0; dst < topo.node_count(); ++dst) {
+          if (src == dst) continue;
+          const auto paths = k_disjoint_paths(topo, src, dst, 3, metric);
+          ASSERT_FALSE(paths.empty()) << name << " " << src << "->" << dst;
+          const auto shortest = shortest_path(topo, src, dst, metric);
+          ASSERT_TRUE(shortest.has_value());
+          EXPECT_EQ(paths.front(), *shortest)
+              << name << " " << src << "->" << dst;
+        }
+      }
+    }
+  }
 }
 
 TEST(KDisjoint, PathsShareNoDuplexLink) {
