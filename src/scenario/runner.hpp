@@ -67,9 +67,8 @@ struct RunnerOptions {
 ///
 /// Shard-merge schema (merge_from): a full report is the merge of
 /// per-shard partial reports, and the rules are part of the type's
-/// contract because three layers build on them (replay_shards' worker
-/// merge, ScenarioRunner's epoch merge, and sim::SimReport's embedded
-/// copy):
+/// contract because two layers build on them (replay_shards' worker
+/// merge and ScenarioRunner's epoch merge):
 ///  * every packet/work counter (packets .. segment_swaps) SUMS --
 ///    shards partition the stream, so counts are disjoint;
 ///  * `seconds` SUMS, which is correct only for *sequential* partials
@@ -79,8 +78,7 @@ struct RunnerOptions {
 ///    per run); merge_from keeps the destination's value;
 ///  * distribution metrics (e.g. FCT percentiles) are NOT part of this
 ///    struct precisely because they cannot be merged as counters: a
-///    p95 must be recomputed from pooled samples, never averaged --
-///    sim::SimReport carries its samples for that reason.
+///    p95 must be recomputed from pooled samples, never averaged.
 struct ScenarioReport {
   std::size_t packets = 0;         ///< packets actually forwarded
   std::size_t mod_operations = 0;  ///< data-plane work (== total hops)

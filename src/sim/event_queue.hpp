@@ -18,7 +18,7 @@
 //
 // Two parts, one order.  While the queue is *loading* -- no pop since
 // it was last empty -- push() appends to a plain backlog vector, and
-// the first top()/pop() sorts it once by (at, seq).  Later pushes go to
+// the first pop() sorts it once by (at, seq).  Later pushes go to
 // the radix queue, and pop() takes whichever head is earlier.  An
 // open-loop simulation schedules its whole injection schedule before
 // run(), so the radix queue holds only the events in flight.  Because
@@ -130,34 +130,11 @@ class EventQueue {
     return backlog_.size() - next_ + pending_;
   }
 
-  /// Capacity for `n` events scheduled before the first pop.
-  void reserve(std::size_t n) { backlog_.reserve(n); }
-
   // HP_HOT_BEGIN(event_queue_pop)
   // One pop per simulated event: a sort of the backlog once per
   // loading phase, then a mask test, one head comparison, and now and
   // then a re-bucketing of the lowest bucket.  Runs on storage push()
   // grew; nothing here allocates.
-
-  /// The earliest pending event.  Calling on an empty queue is a
-  /// contract violation (checked in debug builds).  Moves no event
-  /// between buckets, so a push at any tick from the last pop's on
-  /// stays valid after it.
-  [[nodiscard]] const Event& top() const {
-    HP_DCHECK(!empty(), "EventQueue::top on an empty queue");
-    settle();
-    if (mask_ == 0) return backlog_[next_];
-    // The first event at the lowest bucket's minimum tick is the radix
-    // queue's head: ties sit in seq order within a bucket.
-    const Bucket& low = buckets_[lowest()];
-    std::uint32_t n = low.head;
-    while (pool_[n].event.at != low.min) n = pool_[n].next;
-    const Event& radix = pool_[n].event;
-    if (next_ == backlog_.size() || earlier(radix, backlog_[next_])) {
-      return radix;
-    }
-    return backlog_[next_];
-  }
 
   /// Remove and return the earliest pending event.
   Event pop() {
@@ -264,7 +241,7 @@ class EventQueue {
 
   /// Close the loading phase: sort the backlog once.  std::sort, not a
   /// stable sort -- the order is total, and std::sort allocates nothing.
-  void settle() const {
+  void settle() {
     if (!loading_) return;
     std::sort(backlog_.begin(), backlog_.end(),
               [](const Event& a, const Event& b) { return earlier(a, b); });
@@ -272,10 +249,8 @@ class EventQueue {
   }
   // HP_HOT_END(event_queue_pop)
 
-  // The backlog is sorted lazily by the const top(); sorting reorders
-  // pending events without changing which event is earliest.
-  mutable std::vector<Event> backlog_;  ///< pre-pop pushes; sorted [next_, end)
-  mutable bool loading_ = true;
+  std::vector<Event> backlog_;  ///< pre-pop pushes; sorted [next_, end)
+  bool loading_ = true;
   std::size_t next_ = 0;  ///< first unpopped backlog entry
 
   std::vector<Node> pool_;  ///< radix nodes, linked by index

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
-#include <utility>
+
+#include "core/contracts.hpp"
 
 namespace hp::sim {
 
 Tick SimReport::fct_percentile_ns(double q) const {
+  // Written so NaN fails too; it would reach the size_t cast below.
+  HP_CHECK(q >= 0.0 && q <= 1.0,
+           "SimReport::fct_percentile_ns: q outside [0, 1]");
   if (fct_ns.empty()) return 0;
   std::vector<Tick> sorted(fct_ns);
   std::sort(sorted.begin(), sorted.end());
@@ -17,48 +20,6 @@ Tick SimReport::fct_percentile_ns(double q) const {
   const auto rank = static_cast<std::size_t>(
       std::ceil(q * static_cast<double>(sorted.size())));
   return sorted[std::min(sorted.size(), std::max<std::size_t>(rank, 1)) - 1];
-}
-
-void SimReport::merge_from(const SimReport& partial) {
-  merge_scalars_from(partial);
-  fct_ns.insert(fct_ns.end(), partial.fct_ns.begin(), partial.fct_ns.end());
-}
-
-void SimReport::merge_from(SimReport&& partial) {
-  merge_scalars_from(partial);
-  if (fct_ns.empty()) {
-    fct_ns = std::move(partial.fct_ns);
-  } else {
-    fct_ns.insert(fct_ns.end(),
-                  std::make_move_iterator(partial.fct_ns.begin()),
-                  std::make_move_iterator(partial.fct_ns.end()));
-  }
-}
-
-void SimReport::merge_scalars_from(const SimReport& partial) {
-  forwarding.merge_from(partial.forwarding);
-  // `seconds` summed by the counter schema, but simulated shards cover
-  // the same period: restore the latest-end definition.
-  flows += partial.flows;
-  completed_flows += partial.completed_flows;
-  ecn_marked += partial.ecn_marked;
-  max_queue_depth = std::max(max_queue_depth, partial.max_queue_depth);
-  max_link_utilization =
-      std::max(max_link_utilization, partial.max_link_utilization);
-  mean_link_utilization =
-      std::max(mean_link_utilization, partial.mean_link_utilization);
-  duration_ns = std::max(duration_ns, partial.duration_ns);
-  forwarding.seconds = static_cast<double>(duration_ns) * 1e-9;
-  transport.enabled = transport.enabled || partial.transport.enabled;
-  transport.packets_sent += partial.transport.packets_sent;
-  transport.retransmits += partial.transport.retransmits;
-  transport.timeouts += partial.transport.timeouts;
-  transport.ecn_cwnd_cuts += partial.transport.ecn_cwnd_cuts;
-  transport.drop_cwnd_cuts += partial.transport.drop_cwnd_cuts;
-  transport.spurious_deliveries += partial.transport.spurious_deliveries;
-  transport.abandoned_flows += partial.transport.abandoned_flows;
-  transport.offered_bytes += partial.transport.offered_bytes;
-  transport.goodput_bytes += partial.transport.goodput_bytes;
 }
 
 }  // namespace hp::sim

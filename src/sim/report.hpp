@@ -3,16 +3,15 @@
 //
 // A SimReport embeds a ScenarioReport (so every consumer of replay
 // reports -- benches, CLIs, CI artifacts -- reads simulated runs with
-// the same fields and merge schema) and adds what only a timed data
-// plane can know: the flow-completion-time distribution, drop rate,
-// ECN marks, queue high-water marks and link utilization.
+// the same fields) and adds what only a timed data plane can know: the
+// flow-completion-time distribution, drop rate, ECN marks, queue
+// high-water marks and link utilization.
 //
 // FCT percentiles are nearest-rank statistics over the *retained
-// sample vector*, never stored precomputed: merging two partial
-// reports pools the samples and recomputes, because percentiles do not
-// average (see ScenarioReport's shard-merge schema note).  Every field
-// is derived from integer event timestamps, so a fixed scenario seed
-// reproduces a bit-identical report on every run.
+// sample vector*, computed on demand and never stored.  Every field is
+// derived from integer event timestamps, so a fixed scenario seed
+// reproduces a bit-identical report on every run.  One run makes one
+// report; nothing merges SimReports.
 
 #include <cstdint>
 #include <vector>
@@ -41,11 +40,11 @@ struct SimReport {
   Tick duration_ns = 0;  ///< simulated time of the last event
 
   /// FCT of each completed flow (ns), in completion order.  Kept raw so
-  /// percentiles can be recomputed after a merge.
+  /// any percentile can be read from it.
   std::vector<Tick> fct_ns;
 
   /// Closed-loop outcome (all-zero with `enabled` false on open-loop
-  /// runs).  Counters merge by summation, `enabled` ORs.
+  /// runs).
   TransportReport transport;
 
   /// Delivered first-copy payload over offered payload (1.0 when the
@@ -58,7 +57,9 @@ struct SimReport {
   }
 
   /// Nearest-rank percentile of the completed-flow FCTs: the
-  /// ceil(q * n)-th order statistic (0 when no flow completed).
+  /// ceil(q * n)-th order statistic (0 when no flow completed).  `q`
+  /// must lie in [0, 1]; anything else, NaN included, throws
+  /// core::ContractViolation.
   [[nodiscard]] Tick fct_percentile_ns(double q) const;
   [[nodiscard]] Tick fct_p50_ns() const { return fct_percentile_ns(0.50); }
   [[nodiscard]] Tick fct_p95_ns() const { return fct_percentile_ns(0.95); }
@@ -72,23 +73,7 @@ struct SimReport {
                : static_cast<double>(forwarding.dropped_packets) / injected;
   }
 
-  /// Merge a partial report covering a disjoint set of flows (e.g. one
-  /// simulated shard) over the same simulated period: counters sum via
-  /// the ScenarioReport schema, FCT samples pool (percentiles are then
-  /// recomputed on demand -- never averaged), high-water marks and
-  /// utilizations take the max, and the duration is the latest end.
-  void merge_from(const SimReport& partial);
-
-  /// Consuming merge: identical schema, but the partial's FCT samples
-  /// are moved (or become the pool outright when ours is empty) instead
-  /// of copied -- shard joins discard their partials, so the copy is
-  /// pure waste there.
-  void merge_from(SimReport&& partial);
-
   friend bool operator==(const SimReport&, const SimReport&) = default;
-
- private:
-  void merge_scalars_from(const SimReport& partial);
 };
 
 }  // namespace hp::sim

@@ -21,6 +21,13 @@ namespace {
 
 constexpr std::size_t kNoFlow = static_cast<std::size_t>(-1);
 
+/// Wire size of every simulated packet.
+constexpr std::uint64_t kPacketBytes = 1500;
+/// Control-plane reaction to a failure: a label swap from a warm backup
+/// table, and a Dijkstra + CRT recompile.
+constexpr Tick kSwitchoverLatencyNs = 1'000;
+constexpr Tick kRepairLatencyNs = 200'000;
+
 /// A wiring input in nanoseconds as a Tick, rounded to nearest.
 /// Negative values clamp to 0; NaN, infinities and values above 2^53 ns
 /// (~104 simulated days, where doubles stop holding every integer)
@@ -38,10 +45,9 @@ Tick checked_ticks(double ns, const char* field) {
 
 /// Serialization delay of one packet on a link, in integer ns
 /// (clamped to >= 1 so a zero capacity cannot stall time).
-Tick serialize_ns(std::uint64_t packet_bytes, double capacity_mbps,
-                  const char* field) {
+Tick serialize_ns(double capacity_mbps, const char* field) {
   if (capacity_mbps <= 0.0) return 1;
-  const double bits = static_cast<double>(packet_bytes) * 8.0;
+  const double bits = static_cast<double>(kPacketBytes) * 8.0;
   // capacity_mbps is bits per microsecond; scale to nanoseconds.
   return std::max<Tick>(1, checked_ticks(bits * 1000.0 / capacity_mbps,
                                          field));
@@ -90,8 +96,7 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
       const netsim::Link& l = topo.link(*link);
       Channel ch;
       ch.latency_ns = checked_ticks(l.delay_ms * 1e6, "delay_ms");
-      ch.serialize_ns =
-          serialize_ns(options_.packet_bytes, l.capacity_mbps, "capacity_mbps");
+      ch.serialize_ns = serialize_ns(l.capacity_mbps, "capacity_mbps");
       ch.queue_capacity = options_.queue_capacity;
       ch.ecn_threshold = options_.ecn_threshold;
       channel_of.emplace(
@@ -122,8 +127,7 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   // tick) cannot perturb packet timing -- a protected and an
   // unprotected run offer the exact same load.
   const Tick src_gap =
-      serialize_ns(options_.packet_bytes, options_.source_rate_mbps,
-                   "source_rate_mbps");
+      serialize_ns(options_.source_rate_mbps, "source_rate_mbps");
   std::vector<Tick> inject_at(stream.size(), 0);
   Tick last_inject = 0;
   // The same flow boundaries, recorded for the closed-loop branch: the
@@ -163,11 +167,10 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   // Epoch 0 is the lane's stream route.  Each played event takes the
   // physical wires down (or up) at its tick, and every lane it
   // rerouted adopts the new route one control-plane latency later --
-  // switchover_latency_ns for a hitless backup swap,
-  // repair_latency_ns for a recompile.  Packets the source emits
-  // before the adoption tick still carry the dead route and die at the
-  // wire: that gap, times the offered rate, IS the
-  // packets-lost-per-failure the reports compare.
+  // kSwitchoverLatencyNs for a hitless backup swap, kRepairLatencyNs
+  // for a recompile.  Packets the source emits before the adoption tick
+  // still carry the dead route and die at the wire: that gap, times the
+  // offered rate, IS the packets-lost-per-failure the reports compare.
   std::vector<std::vector<RouteEpoch>> epochs(stream.pairs.size());
   for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
     RouteEpoch base;
@@ -211,9 +214,8 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
         }
       }
       for (const scenario::LaneReroute& r : ev.rerouted) {
-        const Tick latency = r.kind == scenario::RerouteKind::kSwap
-                                 ? options_.switchover_latency_ns
-                                 : options_.repair_latency_ns;
+        const bool swap = r.kind == scenario::RerouteKind::kSwap;
+        const Tick latency = swap ? kSwitchoverLatencyNs : kRepairLatencyNs;
         epochs[r.lane].push_back(
             {at + latency, r.route->segments.labels.front(),
              scenario::append_segments(pool, r.route->segments),
@@ -239,7 +241,7 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     // One transport lane per traffic lane; sends resolve their epoch at
     // the send tick, so a retransmit issued after adoption carries the
     // repaired label.
-    transport.emplace(sim, options_.transport, options_.packet_bytes, registry);
+    transport.emplace(sim, options_.transport, kPacketBytes, registry);
     for (std::vector<RouteEpoch>& timeline : epochs) {
       (void)transport->add_lane(std::move(timeline));
     }
@@ -278,6 +280,11 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   phase.emplace(options_.trace, "sim.simulate", "sim");
   const SimResult result = sim.run();
   phase.emplace(options_.trace, "sim.report", "sim");
+  // run() drains the queue, so no packet is still in flight: each one
+  // injected was delivered, dropped (tail or dead wire) or ttl-killed.
+  const SimCounters& k = result.counters;
+  HP_CHECK(k.injected == k.delivered + k.dropped + k.ttl_expired,
+           "SimRunner: injected != delivered + dropped + ttl_expired");
 
   // --- shape the result into the report -------------------------------
   SimReport report;
@@ -310,6 +317,10 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     report.flows = transport->flow_count();
     report.completed_flows = transport->completed_flows();
     report.transport = transport->report();
+    // The transport's liveness invariant: no flow is left hanging.
+    const std::uint64_t abandoned = report.transport.abandoned_flows;
+    HP_CHECK(report.completed_flows + abandoned == report.flows,
+             "SimRunner: completed + abandoned flows != flows");
     for (const Tick fct : transport->completed_fct_ns()) {
       report.fct_ns.push_back(fct);
       if (fct_hist != nullptr) fct_hist->record(fct);

@@ -44,9 +44,9 @@ class FlightRecorder;
 
 namespace hp::sim {
 
-/// Timing and queueing knobs of a simulated run.
+/// Timing and queueing knobs of a simulated run.  Every packet is 1500
+/// bytes on the wire (kPacketBytes in sim/runner.cpp).
 struct SimOptions {
-  std::uint64_t packet_bytes = 1500;   ///< wire size of every packet
   double source_rate_mbps = 100.0;     ///< per-source injection line rate
   Tick flow_gap_ns = 50'000;           ///< inter-arrival of flow starts
   std::uint32_t queue_capacity = 64;   ///< per-channel egress FIFO cap
@@ -63,11 +63,11 @@ struct SimOptions {
   /// last scheduled injection tick).  At each event's tick the directed
   /// channels physically go down (or come back, restore = true):
   /// packets already routed onto a dead wire are failover losses.  The
-  /// control plane reacts `switchover_latency_ns` later when a backup
-  /// swap serves the pair, `repair_latency_ns` later when it had to
-  /// recompile -- packets a source emits inside that window still carry
-  /// the dead route and die at the wire, which is exactly the loss gap
-  /// hitless protection shrinks.
+  /// control plane reacts 1 us later when a backup swap serves the pair
+  /// (a label swap from a warm table), 200 us later when it had to
+  /// recompile (Dijkstra plus CRT) -- packets a source emits inside
+  /// that window still carry the dead route and die at the wire, which
+  /// is exactly the loss gap hitless protection shrinks.
   std::vector<scenario::LinkFailure> failures;
   /// Closed-loop transport (transport.enabled): instead of replaying
   /// the open-loop schedule verbatim, each flow runs the Transport
@@ -80,8 +80,6 @@ struct SimOptions {
   /// Pre-install up to k disjoint backups per pair before simulating
   /// (BuiltFabric::enable_protection).  0 leaves the fabric eager.
   unsigned protection_k = 0;
-  Tick switchover_latency_ns = 1'000;  ///< label swap from a warm table
-  Tick repair_latency_ns = 200'000;    ///< Dijkstra + CRT recompile path
 
   // --- observability taps (all optional, borrowed) -------------------
   /// Registry for the engine's sim.* metrics plus the runner's
@@ -108,7 +106,7 @@ class SimRunner {
   /// Simulate the stream on the fabric's topology links.  The stream
   /// itself is read-only; failure schedules rewrite labels on private
   /// copies of the segment pools, never on the caller's stream.
-  /// \return the merged SimReport; `forwarding.fold_kernel` names the
+  /// \return the run's SimReport; `forwarding.fold_kernel` names the
   ///   kernel that made every per-hop decision.
   [[nodiscard]] SimReport run(scenario::BuiltFabric& fabric,
                               const scenario::PacketStream& stream) const;

@@ -13,7 +13,8 @@
 //  * failover pair counts are per traffic lane in both runners, so
 //    swapped <= rerouted and lazy-repaired <= rerouted always hold, even
 //    when the fabric caches routes for pairs no packet uses;
-//  * a duplicate fail (or restore) reroutes nothing.
+//  * a duplicate fail (or restore) reroutes nothing;
+//  * protection with no failure scheduled changes no report.
 
 #include <gtest/gtest.h>
 
@@ -105,7 +106,7 @@ TEST(FailoverPlaybackGolden, OpenLoopTorusFlapProtected) {
 }
 
 TEST(FailoverPlaybackGolden, OpenLoopUnprotectedFailureSplitsFlows) {
-  // No protection: every affected lane waits repair_latency_ns for its
+  // No protection: every affected lane waits the repair latency for its
   // recompiled route, and flows straddling the adoption tick split
   // into one engine flow per route epoch.
   const scenario::ScenarioSpec spec = spec_named("ring12/uniform", 4096);
@@ -240,6 +241,38 @@ TEST(FailoverPlaybackCounts, DuplicateEventsRerouteNothing) {
     sim_options.failures = padded;
     EXPECT_EQ(sim::run_sim_scenario(spec, sim_options), sim_expected)
         << "sim k=" << k;
+  }
+}
+
+// --- metamorphic: protection without failures -------------------------
+
+TEST(FailoverPlaybackMetamorphic, ProtectionWithoutFailuresChangesNothing) {
+  // Backups are only pre-installed; with an empty schedule none is ever
+  // activated, so protection_k = 1 must report exactly what
+  // protection_k = 0 reports, in both runners and both loops.
+  const scenario::ScenarioSpec spec = spec_named("torus4x4/uniform", 4096);
+
+  scenario::RunnerOptions replay_options;
+  replay_options.threads = 2;
+  scenario::ScenarioReport replay_plain = replay(spec, replay_options);
+  replay_options.protection_k = 1;
+  scenario::ScenarioReport replay_protected = replay(spec, replay_options);
+  EXPECT_GT(replay_plain.packets, 0U);
+  replay_plain.seconds = replay_protected.seconds = 0.0;
+  EXPECT_EQ(digest(replay_protected), digest(replay_plain));
+  EXPECT_EQ(replay_protected, replay_plain);
+
+  for (const bool closed : {false, true}) {
+    sim::SimOptions sim_options;
+    sim_options.transport.enabled = closed;
+    const sim::SimReport sim_plain = sim::run_sim_scenario(spec, sim_options);
+    sim_options.protection_k = 1;
+    const sim::SimReport sim_protected =
+        sim::run_sim_scenario(spec, sim_options);
+    EXPECT_GT(sim_plain.completed_flows, 0U) << "closed=" << closed;
+    EXPECT_EQ(sim_plain.transport.enabled, closed);
+    EXPECT_EQ(digest(sim_protected), digest(sim_plain)) << "closed=" << closed;
+    EXPECT_EQ(sim_protected, sim_plain) << "closed=" << closed;
   }
 }
 

@@ -1,14 +1,12 @@
-// Shard-merge schema tests: ScenarioReport partial reports merge by
-// summing counters, and SimReport percentiles are recomputed from
-// pooled FCT samples -- never by averaging per-shard percentiles.
+// Report schema tests: ScenarioReport partial reports merge by summing
+// counters (replay's shard and epoch merge), and SimReport's FCT
+// percentiles are nearest-rank statistics over its retained samples.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <utility>
-#include <vector>
+#include <limits>
 
+#include "core/contracts.hpp"
 #include "scenario/runner.hpp"
 #include "sim/report.hpp"
 
@@ -57,14 +55,6 @@ TEST(ScenarioReportMerge, MergingDefaultIsIdentity) {
   EXPECT_EQ(merged, before);
 }
 
-/// Nearest-rank percentile, independently implemented.
-sim::Tick nearest_rank(std::vector<sim::Tick> samples, double q) {
-  std::sort(samples.begin(), samples.end());
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(samples.size())));
-  return samples[std::max<std::size_t>(rank, 1) - 1];
-}
-
 TEST(SimReportMerge, PercentilesAreNearestRank) {
   sim::SimReport report;
   for (sim::Tick v = 1; v <= 20; ++v) report.fct_ns.push_back(21 - v);
@@ -82,107 +72,21 @@ TEST(SimReportMerge, PercentilesAreNearestRank) {
   EXPECT_EQ(one.fct_p95_ns(), 42u);
 }
 
-TEST(SimReportMerge, P95RecomputedFromPooledSamplesNotAveraged) {
-  // Shard A: 19 fast flows + 1 slow; shard B: uniformly slow flows.
-  sim::SimReport a;
-  for (int i = 0; i < 19; ++i) a.fct_ns.push_back(100);
-  a.fct_ns.push_back(10'000);
-  a.flows = a.completed_flows = a.fct_ns.size();
-
-  sim::SimReport b;
-  for (int i = 0; i < 20; ++i) b.fct_ns.push_back(5'000);
-  b.flows = b.completed_flows = b.fct_ns.size();
-
-  const sim::Tick a_p95 = a.fct_p95_ns();
-  const sim::Tick b_p95 = b.fct_p95_ns();
-
-  sim::SimReport merged = a;
-  merged.merge_from(b);
-  ASSERT_EQ(merged.fct_ns.size(), 40u);
-  EXPECT_EQ(merged.flows, 40u);
-  EXPECT_EQ(merged.completed_flows, 40u);
-
-  std::vector<sim::Tick> pooled = a.fct_ns;
-  pooled.insert(pooled.end(), b.fct_ns.begin(), b.fct_ns.end());
-  EXPECT_EQ(merged.fct_p95_ns(), nearest_rank(pooled, 0.95));
-  EXPECT_EQ(merged.fct_p50_ns(), nearest_rank(pooled, 0.50));
-
-  // The wrong way -- averaging per-shard percentiles -- gives a
-  // different (and meaningless) number; pin that they disagree.
-  const sim::Tick averaged = (a_p95 + b_p95) / 2;
-  EXPECT_NE(merged.fct_p95_ns(), averaged);
-}
-
-TEST(SimReportMerge, CountersSumHighWaterMarksMax) {
-  sim::SimReport a;
-  a.forwarding.packets = 10;
-  a.forwarding.dropped_packets = 2;
-  a.flows = 4;
-  a.completed_flows = 3;
-  a.ecn_marked = 5;
-  a.max_queue_depth = 7;
-  a.max_link_utilization = 0.4;
-  a.mean_link_utilization = 0.2;
-  a.duration_ns = 1'000;
-  a.fct_ns = {10, 20};
-
-  sim::SimReport b;
-  b.forwarding.packets = 20;
-  b.forwarding.dropped_packets = 1;
-  b.flows = 6;
-  b.completed_flows = 5;
-  b.ecn_marked = 1;
-  b.max_queue_depth = 3;
-  b.max_link_utilization = 0.9;
-  b.mean_link_utilization = 0.5;
-  b.duration_ns = 4'000;
-  b.fct_ns = {30};
-
-  sim::SimReport merged = a;
-  merged.merge_from(b);
-  EXPECT_EQ(merged.forwarding.packets, 30u);
-  EXPECT_EQ(merged.forwarding.dropped_packets, 3u);
-  EXPECT_EQ(merged.flows, 10u);
-  EXPECT_EQ(merged.completed_flows, 8u);
-  EXPECT_EQ(merged.ecn_marked, 6u);
-  EXPECT_EQ(merged.max_queue_depth, 7u);
-  EXPECT_DOUBLE_EQ(merged.max_link_utilization, 0.9);
-  EXPECT_DOUBLE_EQ(merged.mean_link_utilization, 0.5);
-  EXPECT_EQ(merged.duration_ns, 4'000u);
-  // Simulated seconds track the merged duration, not the counter sum.
-  EXPECT_DOUBLE_EQ(merged.forwarding.seconds, 4e-6);
-  EXPECT_EQ(merged.fct_ns, (std::vector<sim::Tick>{10, 20, 30}));
-  EXPECT_EQ(merged.drop_rate(), 3.0 / 33.0);
-}
-
-TEST(SimReportMerge, ConsumingMergeMatchesCopyingMerge) {
-  // The rvalue overload exists so shard joins skip the FCT deep copy;
-  // the observable result must be indistinguishable from the copying
-  // overload, including when the destination starts empty and adopts
-  // the partial's pool wholesale.
-  sim::SimReport partial;
-  partial.flows = 3;
-  partial.completed_flows = 3;
-  partial.duration_ns = 2'000;
-  partial.fct_ns = {40, 10, 30};
-
-  sim::SimReport copied;
-  copied.merge_from(partial);
-
-  sim::SimReport moved;
-  moved.merge_from(sim::SimReport{partial});
-  EXPECT_EQ(moved, copied);
-  EXPECT_EQ(moved.fct_ns, (std::vector<sim::Tick>{40, 10, 30}));
-
-  // Non-empty destination: samples append in partial order.
-  sim::SimReport base;
-  base.fct_ns = {5};
-  sim::SimReport copied2 = base;
-  copied2.merge_from(partial);
-  sim::SimReport moved2 = base;
-  moved2.merge_from(std::move(partial));
-  EXPECT_EQ(moved2, copied2);
-  EXPECT_EQ(moved2.fct_ns, (std::vector<sim::Tick>{5, 40, 10, 30}));
+TEST(Contracts, FctPercentileRejectsQOutsideUnitInterval) {
+  using hp::core::ContractViolation;
+  sim::SimReport report;
+  report.fct_ns = {30, 10, 20};
+  // q < 0 or NaN would reach a size_t cast of a negative or NaN rank.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)report.fct_percentile_ns(-0.5), ContractViolation);
+  EXPECT_THROW((void)report.fct_percentile_ns(1.5), ContractViolation);
+  EXPECT_THROW((void)report.fct_percentile_ns(nan), ContractViolation);
+  // The closed ends stay legal: the minimum and the maximum.
+  EXPECT_EQ(report.fct_percentile_ns(0.0), 10u);
+  EXPECT_EQ(report.fct_percentile_ns(1.0), 30u);
+  // An empty report checks q too.
+  const sim::SimReport empty;
+  EXPECT_THROW((void)empty.fct_percentile_ns(-1.0), ContractViolation);
 }
 
 }  // namespace
