@@ -47,7 +47,6 @@ constexpr std::size_t kMaxHops = 2048;
 struct Workbench {
   std::unique_ptr<BuiltFabric> built;
   PacketStream stream;
-  std::vector<hp::polka::PacketResult> expected;
   // One compiled fabric per kernel, so toggling costs nothing per
   // iteration and each variant reports its own state footprint.
   std::map<FoldKernel, std::unique_ptr<CompiledFabric>> compiled;
@@ -75,12 +74,8 @@ Workbench& cached_workbench(const std::string& which) {
   params.max_pairs = 64;
   params.seed = 99;
   wb.stream = hp::scenario::generate_traffic(*wb.built, params);
-  if (wb.stream.unpackable_pairs != 0 || wb.stream.unreachable_pairs != 0) {
+  if (wb.stream.unreachable_pairs != 0) {
     throw std::runtime_error(which + ": stream skipped pairs");
-  }
-  wb.expected.resize(wb.stream.pairs.size());
-  for (std::size_t i = 0; i < wb.stream.pairs.size(); ++i) {
-    wb.expected[i] = wb.stream.pairs[i].expected;
   }
   wb.compiled.emplace(FoldKernel::kTable,
                       std::make_unique<CompiledFabric>(wb.built->fabric(),
@@ -98,14 +93,14 @@ void run_replay(benchmark::State& state, const std::string& which,
                 FoldKernel kernel) {
   const Workbench& wb = cached_workbench(which);
   const CompiledFabric& fast = *wb.compiled.at(kernel);
-  const hp::scenario::SegmentTable table{
-      wb.stream.seg_labels, wb.stream.seg_waypoints, wb.stream.seg_refs};
+  const hp::scenario::SegmentTable table{wb.stream.seg_labels,
+                                         wb.stream.seg_waypoints};
   std::size_t packets = 0;
   std::size_t mods = 0;
   for (auto _ : state) {
     const hp::scenario::ScenarioReport report = hp::scenario::replay_shards(
-        fast, wb.stream.labels, wb.stream.ingress, wb.stream.pair,
-        wb.expected, {}, table, /*threads=*/1, /*batch_size=*/1024, kMaxHops);
+        fast, wb.stream.pairs, wb.stream.pair, {}, table, /*threads=*/1,
+        /*batch_size=*/1024, kMaxHops);
     if (report.wrong_egress != 0 || report.ttl_expired != 0) {
       state.SkipWithError((which + ": replay diverged").c_str());
       return;

@@ -38,7 +38,6 @@ constexpr std::size_t kMaxHops = 2048;
 struct Workbench {
   std::unique_ptr<BuiltFabric> built;
   PacketStream stream;
-  std::vector<hp::polka::PacketResult> expected;
 };
 
 Workbench& cached_workbench() {
@@ -51,12 +50,8 @@ Workbench& cached_workbench() {
     params.max_pairs = 64;
     params.seed = 99;
     w->stream = hp::scenario::generate_traffic(*w->built, params);
-    if (w->stream.unpackable_pairs != 0 || w->stream.unreachable_pairs != 0) {
+    if (w->stream.unreachable_pairs != 0) {
       throw std::runtime_error("ring1024: stream skipped pairs");
-    }
-    w->expected.resize(w->stream.pairs.size());
-    for (std::size_t i = 0; i < w->stream.pairs.size(); ++i) {
-      w->expected[i] = w->stream.pairs[i].expected;
     }
     return w;
   }();
@@ -66,16 +61,15 @@ Workbench& cached_workbench() {
 void run_replay(benchmark::State& state, bool with_metrics) {
   const Workbench& wb = cached_workbench();
   const hp::polka::CompiledFabric fast(wb.built->fabric());
-  const hp::scenario::SegmentTable table{
-      wb.stream.seg_labels, wb.stream.seg_waypoints, wb.stream.seg_refs};
+  const hp::scenario::SegmentTable table{wb.stream.seg_labels,
+                                         wb.stream.seg_waypoints};
   hp::obs::MetricRegistry registry;
   hp::obs::MetricRegistry* metrics = with_metrics ? &registry : nullptr;
   std::size_t packets = 0;
   for (auto _ : state) {
     const hp::scenario::ScenarioReport report = hp::scenario::replay_shards(
-        fast, wb.stream.labels, wb.stream.ingress, wb.stream.pair,
-        wb.expected, {}, table, /*threads=*/1, /*batch_size=*/1024, kMaxHops,
-        metrics);
+        fast, wb.stream.pairs, wb.stream.pair, {}, table, /*threads=*/1,
+        /*batch_size=*/1024, kMaxHops, metrics);
     if (report.wrong_egress != 0 || report.ttl_expired != 0) {
       state.SkipWithError("ring1024: replay diverged");
       return;

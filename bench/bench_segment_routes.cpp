@@ -13,7 +13,7 @@
 //                        through the heap-allocating scalar engines.
 //
 // Items processed == packets forwarded, so compare items_per_second
-// across variants.  Every stream is validated (no unpackable pairs, no
+// across variants.  Every stream is validated (no unreachable pairs, no
 // wrong egress, no hop-cap kills) and the bench aborts loudly on any
 // violation instead of publishing a number for a broken replay.
 
@@ -44,7 +44,6 @@ constexpr std::size_t kMaxHops = 2048;
 struct Workbench {
   std::unique_ptr<BuiltFabric> built;
   PacketStream stream;
-  std::vector<hp::polka::PacketResult> expected;
   std::size_t multi_segment_pairs = 0;
 };
 
@@ -70,15 +69,11 @@ Workbench& cached_workbench(const std::string& which) {
   params.max_pairs = 64;
   params.seed = 99;
   wb.stream = hp::scenario::generate_traffic(*wb.built, params);
-  if (wb.stream.unpackable_pairs != 0 || wb.stream.unreachable_pairs != 0) {
+  if (wb.stream.unreachable_pairs != 0) {
     throw std::runtime_error(which + ": stream skipped pairs");
   }
-  wb.expected.resize(wb.stream.pairs.size());
-  for (std::size_t i = 0; i < wb.stream.pairs.size(); ++i) {
-    wb.expected[i] = wb.stream.pairs[i].expected;
-  }
-  for (const hp::polka::SegmentRef& ref : wb.stream.seg_refs) {
-    wb.multi_segment_pairs += ref.label_count > 1;
+  for (const hp::scenario::TrafficPair& pair : wb.stream.pairs) {
+    wb.multi_segment_pairs += pair.ref.label_count > 1;
   }
   return cache.emplace(which, std::move(wb)).first->second;
 }
@@ -94,14 +89,14 @@ void run_replay(benchmark::State& state, const std::string& which,
     return;
   }
   const auto& fast = wb.built->compiled();
-  const hp::scenario::SegmentTable table{
-      wb.stream.seg_labels, wb.stream.seg_waypoints, wb.stream.seg_refs};
+  const hp::scenario::SegmentTable table{wb.stream.seg_labels,
+                                         wb.stream.seg_waypoints};
   std::size_t packets = 0;
   std::size_t mods = 0;
   for (auto _ : state) {
     const hp::scenario::ScenarioReport report = hp::scenario::replay_shards(
-        fast, wb.stream.labels, wb.stream.ingress, wb.stream.pair,
-        wb.expected, {}, table, /*threads=*/1, /*batch_size=*/1024, kMaxHops);
+        fast, wb.stream.pairs, wb.stream.pair, {}, table, /*threads=*/1,
+        /*batch_size=*/1024, kMaxHops);
     if (report.wrong_egress != 0 || report.ttl_expired != 0) {
       state.SkipWithError((which + ": replay diverged").c_str());
       return;
@@ -132,7 +127,7 @@ void run_seed_poly_fallback(benchmark::State& state, const std::string& which,
   std::vector<std::size_t> firsts;
   for (std::size_t lane = 0;
        lane < wb.stream.pairs.size() && routes.size() < 8; ++lane) {
-    if (wb.stream.seg_refs[lane].label_count <= 1) continue;
+    if (wb.stream.pairs[lane].ref.label_count <= 1) continue;
     const auto* route = built.route(wb.stream.pairs[lane].src,
                                     wb.stream.pairs[lane].dst);
     std::vector<std::size_t> fabric_path;

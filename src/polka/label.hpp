@@ -62,8 +62,8 @@ struct SegmentRef {
   std::uint32_t label_count = 1;
 };
 
-// Three pool offsets, no padding: refs ride in per-lane flat arrays
-// next to the label stream.
+// Three pool offsets, no padding: a ref rides in every lane record and
+// in every batch-replay and simulated packet.
 HP_ASSERT_HOT_POD(SegmentRef, 12);
 
 /// Outcome of one packet's walk through the fast path.  Mirrors the tail

@@ -46,19 +46,18 @@ struct ReplayMetrics {
   }
 };
 
-/// One worker's walk over its slice: fill private batch buffers
-/// (skipping dead pairs), stream them through the compiled fabric and
-/// check each result against its pair's expectation.  Multi-segment
-/// lanes fill their own batch and stream through the pooled
-/// forward_batch_segmented -- the same interleaved fold walk as the
-/// single-label batch, just carrying each lane's pooled labels.
+/// One worker's walk over its slice: fill private batch buffers from
+/// each packet's lane record (skipping dead lanes), stream them through
+/// the compiled fabric and check each result against its lane's
+/// expectation.  Multi-segment lanes fill their own batch and stream
+/// through the pooled forward_batch_segmented -- the same interleaved
+/// fold walk as the single-label batch, just carrying each lane's
+/// pooled labels.
 void replay_slice(const polka::CompiledFabric& fabric,
-                  std::span<const polka::RouteLabel> labels,
-                  std::span<const std::uint32_t> ingress,
+                  std::span<const TrafficPair> lanes,
                   std::span<const std::uint32_t> index,
-                  std::span<const polka::PacketResult> expected,
                   std::span<const std::uint8_t> alive,
-                  const SegmentTable& segments, std::size_t batch_size,
+                  const SegmentTable& pools, std::size_t batch_size,
                   std::size_t max_hops, ScenarioReport& out,
                   const ReplayMetrics* rm) {
   const auto slice_start = std::chrono::steady_clock::now();
@@ -66,12 +65,10 @@ void replay_slice(const polka::CompiledFabric& fabric,
   std::vector<std::uint32_t> batch_firsts(batch_size);
   std::vector<std::uint32_t> batch_index(batch_size);
   std::vector<polka::PacketResult> batch_results(batch_size);
-  // Segmented-lane buffers exist only when the stream has segments.
-  const std::size_t seg_capacity = segments.refs.empty() ? 0 : batch_size;
-  std::vector<polka::SegmentRef> seg_refs(seg_capacity);
-  std::vector<std::uint32_t> seg_firsts(seg_capacity);
-  std::vector<std::uint32_t> seg_index(seg_capacity);
-  std::vector<polka::PacketResult> seg_results(seg_capacity);
+  std::vector<polka::SegmentRef> seg_refs(batch_size);
+  std::vector<std::uint32_t> seg_firsts(batch_size);
+  std::vector<std::uint32_t> seg_index(batch_size);
+  std::vector<polka::PacketResult> seg_results(batch_size);
   std::size_t fill = 0;
   std::size_t seg_fill = 0;
   // HP_HOT_BEGIN(replay_slice)
@@ -83,7 +80,7 @@ void replay_slice(const polka::CompiledFabric& fabric,
   auto score = [&](const polka::PacketResult& result, std::uint32_t lane) {
     if (result.ttl_expired) {
       ++out.ttl_expired;
-    } else if (result != expected[lane]) {
+    } else if (result != lanes[lane].expected) {
       ++out.wrong_egress;
     }
   };
@@ -108,7 +105,7 @@ void replay_slice(const polka::CompiledFabric& fabric,
   auto flush_segmented = [&] {
     if (seg_fill == 0) return;
     const std::size_t mods = fabric.forward_batch_segmented(
-        segments.labels, segments.waypoints,
+        pools.labels, pools.waypoints,
         std::span<const polka::SegmentRef>(seg_refs.data(), seg_fill),
         std::span<const std::uint32_t>(seg_firsts.data(), seg_fill),
         std::span<polka::PacketResult>(seg_results.data(), seg_fill),
@@ -124,24 +121,23 @@ void replay_slice(const polka::CompiledFabric& fabric,
     }
     seg_fill = 0;
   };
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const std::uint32_t lane = index[i];
+  for (const std::uint32_t lane : index) {
     if (!alive.empty() && !alive[lane]) {
       ++out.dropped_packets;
       continue;
     }
-    if (!segments.refs.empty() && segments.refs[lane].label_count > 1) {
-      const polka::SegmentRef& ref = segments.refs[lane];
-      seg_refs[seg_fill] = ref;
-      seg_firsts[seg_fill] = ingress[i];
+    const TrafficPair& pair = lanes[lane];
+    if (pair.ref.label_count > 1) {
+      seg_refs[seg_fill] = pair.ref;
+      seg_firsts[seg_fill] = pair.ingress;
       seg_index[seg_fill] = lane;
       ++out.segmented_packets;
-      out.segment_swaps += ref.label_count - 1;
+      out.segment_swaps += pair.ref.label_count - 1;
       if (++seg_fill == batch_size) flush_segmented();
       continue;
     }
-    batch_labels[fill] = labels[i];
-    batch_firsts[fill] = ingress[i];
+    batch_labels[fill] = pair.label;
+    batch_firsts[fill] = pair.ingress;
     batch_index[fill] = lane;
     ++fill;
     if (fill == batch_size) flush();
@@ -166,25 +162,27 @@ void replay_slice(const polka::CompiledFabric& fabric,
 }  // namespace
 
 ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
-                             std::span<const polka::RouteLabel> labels,
-                             std::span<const std::uint32_t> ingress,
+                             std::span<const TrafficPair> lanes,
                              std::span<const std::uint32_t> index,
-                             std::span<const polka::PacketResult> expected,
                              std::span<const std::uint8_t> alive,
-                             SegmentTable segments, unsigned threads,
+                             SegmentTable pools, unsigned threads,
                              std::size_t batch_size, std::size_t max_hops,
                              obs::MetricRegistry* metrics) {
-  if (labels.size() != ingress.size() || labels.size() != index.size()) {
-    throw std::invalid_argument("replay_shards: span length mismatch");
-  }
   if (batch_size == 0) {
     throw std::invalid_argument("replay_shards: batch_size must be > 0");
   }
-  if (!segments.refs.empty() && segments.refs.size() < expected.size()) {
+  if (!alive.empty() && alive.size() != lanes.size()) {
     throw std::invalid_argument(
-        "replay_shards: segment refs do not cover every lane");
+        "replay_shards: alive mask is not one entry per lane");
   }
-  const std::size_t total = labels.size();
+  // Workers index lanes unchecked, so every lane index is vetted here,
+  // before any of them starts.
+  if (std::ranges::any_of(index, [&](std::uint32_t lane) {
+        return lane >= lanes.size();
+      })) {
+    throw std::invalid_argument("replay_shards: packet names no lane");
+  }
+  const std::size_t total = index.size();
   std::size_t workers = std::max<unsigned>(threads, 1);
   workers = std::min(workers, std::max<std::size_t>(total, 1));
 
@@ -200,18 +198,16 @@ ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
   const auto start = std::chrono::steady_clock::now();
   std::vector<ScenarioReport> partial(workers);
   if (workers == 1) {
-    replay_slice(fabric, labels, ingress, index, expected, alive, segments,
-                 batch_size, max_hops, partial[0], rm);
+    replay_slice(fabric, lanes, index, alive, pools, batch_size, max_hops,
+                 partial[0], rm);
   } else {
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       const auto [begin, end] = shard_bounds(total, w, workers);
       pool.emplace_back([&, w, begin = begin, end = end] {
-        replay_slice(fabric, labels.subspan(begin, end - begin),
-                     ingress.subspan(begin, end - begin),
-                     index.subspan(begin, end - begin), expected, alive,
-                     segments, batch_size, max_hops, partial[w], rm);
+        replay_slice(fabric, lanes, index.subspan(begin, end - begin), alive,
+                     pools, batch_size, max_hops, partial[w], rm);
       });
     }
     for (auto& t : pool) t.join();
@@ -249,17 +245,6 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
 
   FailoverPlayback playback(fabric, stream.pairs, options_.failures);
   std::vector<std::uint8_t> alive(stream.pairs.size(), 1);
-  // Streams built before segmentation (or by hand) may lack refs; give
-  // every lane a default single-label ref so repair can upgrade it.
-  if (stream.seg_refs.size() < stream.pairs.size()) {
-    stream.seg_refs.resize(stream.pairs.size());
-  }
-  // Contiguous copy of the per-pair expectations (TrafficPair embeds
-  // them with a stride); refreshed whenever a failure rewrites one.
-  std::vector<polka::PacketResult> expected(stream.pairs.size());
-  for (std::size_t i = 0; i < stream.pairs.size(); ++i) {
-    expected[i] = stream.pairs[i].expected;
-  }
 
   ScenarioReport report;
   report.fold_kernel = fast.kernel();
@@ -270,21 +255,17 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
         playback.next().at_fraction * static_cast<double>(total)));
     return std::clamp(at, done, total);
   };
-  // Replay [done, upto) with the current labels and alive mask.
+  // Replay [done, upto) with the current lane routes and alive mask.
   auto replay_to = [&](std::size_t upto) {
     if (upto <= done) return;
     // Spans over the stream's pools are rebuilt per call: failure
     // repair may grow them (and reallocate).
-    const SegmentTable segments{stream.seg_labels, stream.seg_waypoints,
-                                stream.seg_refs};
-    const std::size_t count = upto - done;
     const ScenarioReport part = replay_shards(
-        fast,
-        std::span<const polka::RouteLabel>(stream.labels.data() + done, count),
-        std::span<const std::uint32_t>(stream.ingress.data() + done, count),
-        std::span<const std::uint32_t>(stream.pair.data() + done, count),
-        expected, alive, segments, options_.threads, options_.batch_size,
-        options_.max_hops, options_.metrics);
+        fast, stream.pairs,
+        std::span<const std::uint32_t>(stream.pair.data() + done, upto - done),
+        alive, SegmentTable{stream.seg_labels, stream.seg_waypoints},
+        options_.threads, options_.batch_size, options_.max_hops,
+        options_.metrics);
     // Sequential partials: counters and wall clock both sum.
     report.merge_from(part);
     done = upto;
@@ -310,27 +291,19 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
     if (ev.duplicate) continue;
 
     // Repoint every rerouted lane at its new route (a restore revives
-    // lanes an earlier failure severed) and rewrite the unreplayed
-    // tail's labels in one pass.  Recompiled lanes -- not swapped ones
-    // -- enter the loss window below.
+    // lanes an earlier failure severed); the lane's unreplayed packets
+    // then carry it.  Recompiled lanes -- not swapped ones -- enter the
+    // loss window below.
     std::vector<std::uint32_t> window_lanes;
-    if (!ev.rerouted.empty()) {
-      std::vector<const CompiledRoute*> new_route(stream.pairs.size(), nullptr);
-      for (const LaneReroute& r : ev.rerouted) {
-        alive[r.lane] = 1;
-        stream.pairs[r.lane].expected = r.route->expected;
-        expected[r.lane] = r.route->expected;
-        // A detour may gain or lose segments; pool the new list and
-        // repoint the lane (orphaning its old slice is harmless).
-        stream.seg_refs[r.lane] = append_segments(stream, r.route->segments);
-        new_route[r.lane] = r.route;
-        if (r.kind != RerouteKind::kSwap) window_lanes.push_back(r.lane);
-      }
-      for (std::size_t i = done; i < total; ++i) {
-        if (const CompiledRoute* route = new_route[stream.pair[i]]) {
-          stream.labels[i] = route->segments.labels.front();
-        }
-      }
+    for (const LaneReroute& r : ev.rerouted) {
+      alive[r.lane] = 1;
+      TrafficPair& lane = stream.pairs[r.lane];
+      lane.label = r.route->segments.labels.front();
+      // A detour may gain or lose segments; pool the new list and
+      // repoint the lane (orphaning its old slice is harmless).
+      lane.ref = append_segments(stream, r.route->segments);
+      lane.expected = r.route->expected;
+      if (r.kind != RerouteKind::kSwap) window_lanes.push_back(r.lane);
     }
 
     // Severed lanes: mark dead (remaining packets drop) and charge

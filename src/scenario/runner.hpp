@@ -1,18 +1,22 @@
 #pragma once
 // ScenarioRunner: sharded multi-threaded replay of a packet stream.
 //
-// The stream's parallel arrays are cut into one contiguous slice per
-// worker thread; each worker drives CompiledFabric::forward_batch over
-// its slice with private scratch buffers and counters, which are merged
-// after join.  The compiled fabric is immutable during a replay, so
-// workers share it without synchronization.  An optional link-failure
+// The stream's per-packet lane indices are cut into one contiguous
+// slice per worker thread; each worker reads every packet's label,
+// ingress and expectation from its lane record, drives
+// CompiledFabric::forward_batch (or forward_batch_segmented, for lanes
+// whose route pools several labels) with private scratch buffers and
+// counters, and the counters are merged after join.  The compiled
+// fabric and the lane table are immutable during a replay, so workers
+// share them without synchronization.  An optional link-failure
 // schedule splits the stream into epochs: at each failure point the
-// affected routes are recompiled against the degraded topology and the
-// not-yet-replayed packets of those pairs get their new labels --
-// including fresh segment lists when the detour outgrows one 64-bit
-// label (only pairs that lose connectivity are dropped and counted).
-// Packets a hop cap kills mid-flight are reported as ttl_expired, never
-// as deliveries.
+// affected routes are recompiled against the degraded topology (or
+// swapped to pre-installed backups) and each rerouted lane's record
+// takes the new route -- including a fresh segment list when the
+// detour outgrows one 64-bit label -- so the not-yet-replayed packets
+// of that lane carry it.  Only lanes that lose connectivity are
+// dropped and counted.  Packets a hop cap kills mid-flight are
+// reported as ttl_expired, never as deliveries.
 
 #include <cstdint>
 #include <span>
@@ -133,53 +137,34 @@ struct ScenarioReport {
                          const ScenarioReport&) noexcept = default;
 };
 
-/// Pooled per-pair segment routes for a replay: refs is indexed by the
-/// stream's pair lane; a lane whose ref has label_count > 1 replays via
-/// CompiledFabric::forward_segmented over the pooled labels/waypoints,
-/// every other lane via the packet's own 64-bit label.  Empty refs
-/// (the default) means every lane is single-label.
+/// The stream's pooled segment arrays, sliced by each lane's `ref`.
 struct SegmentTable {
   std::span<const polka::RouteLabel> labels;
   std::span<const std::uint32_t> waypoints;
-  std::span<const polka::SegmentRef> refs;
 };
 
-/// Low-level sharded replay of parallel label/ingress arrays.  Each
-/// packet's expectation is expected[index[i]]; `alive`, when nonempty,
-/// is indexed the same way and marks packets to skip (counted as
-/// dropped); `segments.refs`, when nonempty, must cover every lane
-/// value.  This is the primitive both ScenarioRunner and
-/// core::PolkaService build on.
+/// Low-level sharded replay: packet i travels lane index[i], carrying
+/// that lane's label (or pooled segment slice) from its ingress, and
+/// is checked against the lane's expectation.  `alive`, when nonempty,
+/// has one entry per lane and marks lanes whose packets are skipped
+/// (counted as dropped).  Throws std::invalid_argument, before any
+/// worker starts, when an index names no lane, `alive` is nonempty but
+/// not lanes.size() long, or batch_size is 0.
 /// `metrics`, when set, receives replay.* counters (packets and folds
 /// added per batch flush, outcome counters per slice) recorded
 /// concurrently by every worker -- the registry's sharded hot path is
 /// exactly what absorbs that.
 ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
-                             std::span<const polka::RouteLabel> labels,
-                             std::span<const std::uint32_t> ingress,
+                             std::span<const TrafficPair> lanes,
                              std::span<const std::uint32_t> index,
-                             std::span<const polka::PacketResult> expected,
                              std::span<const std::uint8_t> alive,
-                             SegmentTable segments, unsigned threads,
+                             SegmentTable pools, unsigned threads,
                              std::size_t batch_size, std::size_t max_hops = 64,
                              obs::MetricRegistry* metrics = nullptr);
 
-/// Single-label convenience overload (no segment table).
-inline ScenarioReport replay_shards(
-    const polka::CompiledFabric& fabric,
-    std::span<const polka::RouteLabel> labels,
-    std::span<const std::uint32_t> ingress,
-    std::span<const std::uint32_t> index,
-    std::span<const polka::PacketResult> expected,
-    std::span<const std::uint8_t> alive, unsigned threads,
-    std::size_t batch_size, std::size_t max_hops = 64,
-    obs::MetricRegistry* metrics = nullptr) {
-  return replay_shards(fabric, labels, ingress, index, expected, alive,
-                       SegmentTable{}, threads, batch_size, max_hops, metrics);
-}
-
 /// Replays a stream over its fabric, applying the failure schedule.
-/// The stream is mutated in place when failures rewrite labels.
+/// Failures reroute lanes in place: their records take the new route,
+/// and new segment lists are appended to the stream's pools.
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(RunnerOptions options = {})

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "core/contracts.hpp"
+
 namespace hp::scenario {
 
 namespace {
@@ -15,17 +17,15 @@ using netsim::NodeIndex;
 constexpr std::uint32_t kSkippedPair = 0xFFFFFFFFu;
 
 /// Pair interning shared by the pattern generators: compiles the route
-/// on first sight, records skip reasons once, and keeps the per-pair
-/// label/ingress the emission loop reads.
+/// on first sight, records an unreachable pair once and keeps each lane's
+/// topology path for the elephant/mice generator.
 struct PairTable {
   BuiltFabric& fabric;
   PacketStream& stream;
   std::unordered_map<std::uint64_t, std::uint32_t> index;
-  std::vector<polka::RouteLabel> label;
-  std::vector<std::uint32_t> ingress;
   std::vector<netsim::Path> path;
 
-  /// Index of the usable pair, or nullopt (unreachable / oversized).
+  /// Index of the routable pair, or nullopt (unreachable).
   std::optional<std::uint32_t> intern(NodeIndex src, NodeIndex dst) {
     const std::uint64_t key = netsim::node_pair_key(src, dst);
     if (const auto it = index.find(key); it != index.end()) {
@@ -38,18 +38,12 @@ struct PairTable {
       index.emplace(key, kSkippedPair);
       return std::nullopt;
     }
-    if (route->segments.labels.empty()) {
-      ++stream.unpackable_pairs;  // no fast-path form; cannot happen today
-      index.emplace(key, kSkippedPair);
-      return std::nullopt;
-    }
+    HP_DCHECK(!route->segments.labels.empty(),
+              "generate_traffic: compiled route has no label");
     const auto id = static_cast<std::uint32_t>(stream.pairs.size());
-    stream.pairs.push_back(TrafficPair{src, dst, route->expected});
-    // Multi-segment pairs pool their labels/waypoints; every packet's
-    // own label is the first segment's either way.
-    stream.seg_refs.push_back(append_segments(stream, route->segments));
-    label.push_back(route->segments.labels.front());
-    ingress.push_back(route->ingress);
+    stream.pairs.push_back(TrafficPair{
+        src, dst, route->ingress, route->segments.labels.front(),
+        append_segments(stream, route->segments), route->expected});
     path.push_back(route->path);
     index.emplace(key, id);
     return id;
@@ -79,12 +73,6 @@ std::vector<std::uint32_t> sample_pairs(PairTable& table,
   return lanes;
 }
 
-void emit(PacketStream& stream, const PairTable& table, std::uint32_t lane) {
-  stream.labels.push_back(table.label[lane]);
-  stream.ingress.push_back(table.ingress[lane]);
-  stream.pair.push_back(lane);
-}
-
 void generate_elephant_mice(PacketStream& stream, PairTable& table,
                             std::vector<std::uint32_t> lanes,
                             const TrafficParams& params) {
@@ -107,7 +95,7 @@ void generate_elephant_mice(PacketStream& stream, PairTable& table,
       std::size_t count = std::min(
           netsim::packet_count(flow.spec, params.mtu_bytes, per_flow_cap),
           params.packets - stream.size());
-      for (std::size_t i = 0; i < count; ++i) emit(stream, table, it->second);
+      stream.pair.insert(stream.pair.end(), count, it->second);
       if (stream.size() == params.packets) break;
     }
     ++wp.seed;  // another arrival process if the budget is not yet full
@@ -156,9 +144,7 @@ PacketStream generate_traffic(BuiltFabric& fabric,
   }
   std::mt19937_64 rng(params.seed);
   PacketStream stream;
-  PairTable table{fabric, stream, {}, {}, {}, {}};
-  stream.labels.reserve(params.packets);
-  stream.ingress.reserve(params.packets);
+  PairTable table{fabric, stream, {}, {}};
   stream.pair.reserve(params.packets);
 
   std::vector<std::uint32_t> lanes;
@@ -204,9 +190,9 @@ PacketStream generate_traffic(BuiltFabric& fabric,
       const bool hot_packet =
           !hot_lanes.empty() && (lanes.empty() || to_hot(rng));
       if (hot_packet) {
-        emit(stream, table, hot_lanes[next_hot++ % hot_lanes.size()]);
+        stream.pair.push_back(hot_lanes[next_hot++ % hot_lanes.size()]);
       } else {
-        emit(stream, table, lanes[next_bg++ % lanes.size()]);
+        stream.pair.push_back(lanes[next_bg++ % lanes.size()]);
       }
     }
     return stream;
@@ -219,7 +205,7 @@ PacketStream generate_traffic(BuiltFabric& fabric,
     return stream;
   }
   for (std::size_t i = 0; i < params.packets; ++i) {
-    emit(stream, table, lanes[i % lanes.size()]);
+    stream.pair.push_back(lanes[i % lanes.size()]);
   }
   return stream;
 }

@@ -1,14 +1,16 @@
 #pragma once
-// Traffic-matrix generators: per-packet (ingress, label) streams.
+// Traffic-matrix generators: packet streams over a BuiltFabric.
 //
-// A scenario's workload is a flat packet stream over a BuiltFabric:
-// contiguous arrays of 64-bit labels and ingress nodes (the exact shape
-// CompiledFabric::forward_batch consumes) plus, per packet, the index
-// of its (src, dst) pair so expectations can be checked and labels
-// rewritten when a link failure forces a recompile mid-run.  Four
-// matrix shapes: uniform-random pairs, a router permutation, hotspot
-// (a weighted share of traffic converging on one destination) and the
-// elephant/mice FCT mix reused from netsim::workload.
+// A scenario's workload is a stream of packets, each naming its lane:
+// the (src, dst) traffic pair it belongs to.  In PolKA every packet of
+// a flow carries its tunnel's routeID, so a label belongs to a route,
+// not to a packet; the lane record therefore holds the one copy of the
+// ingress node, the route's first label, its pooled segment slice and
+// the expected egress, and a failure that reroutes a lane rewrites
+// that record alone.  Four matrix shapes: uniform-random pairs, a
+// router permutation, hotspot (a weighted share of traffic converging
+// on one destination) and the elephant/mice FCT mix reused from
+// netsim::workload.
 
 #include <cstdint>
 #include <vector>
@@ -42,35 +44,30 @@ struct TrafficParams {
   double mtu_bytes = 1500.0;
 };
 
-/// One traffic endpoint pair and its compiled expectations.
+/// One traffic lane: an endpoint pair and the route its packets carry.
 struct TrafficPair {
   netsim::NodeIndex src = 0;  ///< topology index
   netsim::NodeIndex dst = 0;
+  std::uint32_t ingress = 0;  ///< fabric index of `src`
+  polka::RouteLabel label{};  ///< the route's first label
+  /// Slice of the stream's segment pools; label_count == 1 means the
+  /// route is single-label and `label` is all of it.
+  polka::SegmentRef ref{};
   polka::PacketResult expected;  ///< egress node/port/hops for the pair
 };
 
-/// A replayable packet stream.  labels/ingress/pair are parallel
-/// arrays, one entry per packet.  Pairs whose route needs more than one
-/// 64-bit label carry their segments in the pooled arrays below (the
-/// packet's own label then duplicates the first segment); seg_refs is
-/// parallel to `pairs`.
+/// A replayable packet stream: one lane index per packet, in emission
+/// order, and one record per lane.  Routes that need more than one
+/// 64-bit label pool their segments in seg_labels / seg_waypoints,
+/// sliced by each lane's `ref`.
 struct PacketStream {
-  std::vector<polka::RouteLabel> labels;
-  std::vector<std::uint32_t> ingress;  ///< fabric injection node
-  std::vector<std::uint32_t> pair;     ///< index into `pairs`
+  std::vector<std::uint32_t> pair;  ///< per packet: index into `pairs`
   std::vector<TrafficPair> pairs;
-  /// Pooled multi-segment routes: seg_refs[lane] slices seg_labels /
-  /// seg_waypoints; label_count == 1 means the pair is single-label.
   std::vector<polka::RouteLabel> seg_labels;
   std::vector<std::uint32_t> seg_waypoints;
-  std::vector<polka::SegmentRef> seg_refs;
-  /// Pairs skipped at generation time because the route has no
-  /// fast-path form at all (kept for reporting; zero since segmented
-  /// routes made every compiled route packable).
-  std::size_t unpackable_pairs = 0;
-  std::size_t unreachable_pairs = 0;
+  std::size_t unreachable_pairs = 0;  ///< pairs skipped: no route at all
 
-  [[nodiscard]] std::size_t size() const noexcept { return labels.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return pair.size(); }
 };
 
 /// Pool a route's segment list into the stream's pooled arrays and

@@ -200,7 +200,7 @@ class PacketSim {
   /// Schedule one packet: injected at fabric node `source` at time
   /// `at`, carrying `label` (or, when ref.label_count > 1, the pooled
   /// segment list `ref` names -- the first pooled label must equal
-  /// `label`, exactly as in a PacketStream).  Returns the packet's
+  /// `label`, as in a scenario::TrafficPair).  Returns the packet's
   /// index (the handle the transport's feedback carries).  Safe to
   /// call from inside a transport callback while run() drains, which is
   /// how retransmissions are injected.  Throws

@@ -135,7 +135,6 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   // pacing) and lets the window -- not the schedule -- decide sends.
   struct FlowDef {
     std::uint32_t lane = 0;
-    std::uint32_t source = 0;
     Tick start = 0;
     std::uint32_t packets = 0;
   };
@@ -153,7 +152,7 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
         const Tick start =
             static_cast<Tick>(flow_defs.size()) * options_.flow_gap_ns;
         c = {0, start, flow_defs.size()};
-        flow_defs.push_back({stream.pair[i], stream.ingress[i], start, 0});
+        flow_defs.push_back({stream.pair[i], start, 0});
       }
       inject_at[i] = c.next_inject;
       last_inject = std::max(last_inject, inject_at[i]);
@@ -173,16 +172,8 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   // offered rate, IS the packets-lost-per-failure the reports compare.
   std::vector<std::vector<RouteEpoch>> epochs(stream.pairs.size());
   for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
-    RouteEpoch base;
-    base.ref = lane < stream.seg_refs.size() ? stream.seg_refs[lane]
-                                             : polka::SegmentRef{};
-    base.expected = stream.pairs[lane].expected;
-    epochs[lane].push_back(base);
-  }
-  // Every packet of a lane carries its route's first label; walking
-  // backwards leaves the lane's first packet's label in epoch 0.
-  for (std::size_t i = stream.size(); i-- > 0;) {
-    epochs[stream.pair[i]].front().label = stream.labels[i];
+    const scenario::TrafficPair& pair = stream.pairs[lane];
+    epochs[lane].push_back({0, pair.label, pair.ref, pair.expected});
   }
   // Failure rewrites pool fresh segment lists on a private copy -- the
   // caller's stream is never mutated (contract of run()).
@@ -246,8 +237,8 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
       (void)transport->add_lane(std::move(timeline));
     }
     for (const FlowDef& def : flow_defs) {
-      (void)transport->add_flow(def.lane, def.source, def.start, src_gap,
-                                def.packets);
+      (void)transport->add_flow(def.lane, stream.pairs[def.lane].ingress,
+                                def.start, src_gap, def.packets);
     }
     transport->arm();
   } else {
@@ -272,7 +263,8 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
       if (flow.epoch != e || flow.injected >= options_.flow_packets) {
         flow = {sim.add_flow(epoch.expected), 0, e};
       }
-      sim.inject(at, epoch.label, epoch.ref, stream.ingress[i], flow.handle);
+      sim.inject(at, epoch.label, epoch.ref, stream.pairs[lane].ingress,
+                 flow.handle);
       ++flow.injected;
     }
   }

@@ -6,9 +6,11 @@
 // links".  It reuses every artifact the scenario engine already
 // builds -- the generated topology (whose per-link capacity_mbps /
 // delay_ms become Channel timing), the BuiltFabric's compiled routes
-// and the PacketStream's labels, pairs and pooled segments -- then
-// schedules the stream as timed flows and runs PacketSim to
-// completion.  One compiled fabric therefore drives both the
+// and the PacketStream's lanes (each lane's ingress, label, segment
+// slice and expectation) and pooled segments -- then schedules the
+// stream as timed flows and runs PacketSim to completion.  A lane's
+// record is its route epoch 0; a failure schedule appends later epochs
+// per lane.  One compiled fabric therefore drives both the
 // pure-throughput replay numbers and the congestion-sensitive
 // FCT/drop/queue numbers, with bit-identical forwarding decisions.
 //
@@ -104,8 +106,9 @@ class SimRunner {
   }
 
   /// Simulate the stream on the fabric's topology links.  The stream
-  /// itself is read-only; failure schedules rewrite labels on private
-  /// copies of the segment pools, never on the caller's stream.
+  /// itself is read-only; rerouted lanes' new segment lists are pooled
+  /// on a private copy of the segment pools, never on the caller's
+  /// stream.
   /// \return the run's SimReport; `forwarding.fold_kernel` names the
   ///   kernel that made every per-hop decision.
   [[nodiscard]] SimReport run(scenario::BuiltFabric& fabric,

@@ -186,14 +186,16 @@ TEST(AllocGuard, ReplayAllocationsIndependentOfPacketCount) {
   const CompiledFabric& fast = fabric.compiled();
   const PacketResult want = fast.forward_one(label, 0);
 
+  scenario::TrafficPair lane;
+  lane.label = label;
+  lane.expected = want;
+  const std::vector<scenario::TrafficPair> lanes{lane};
+
   const auto replay = [&](std::size_t packets) {
-    const std::vector<RouteLabel> labels(packets, label);
-    const std::vector<std::uint32_t> ingress(packets, 0);
     const std::vector<std::uint32_t> index(packets, 0);
-    const std::vector<PacketResult> expected{want};
     const std::uint64_t before = alloc_count();
     const scenario::ScenarioReport report = scenario::replay_shards(
-        fast, labels, ingress, index, expected, /*alive=*/{}, /*threads=*/1,
+        fast, lanes, index, /*alive=*/{}, /*pools=*/{}, /*threads=*/1,
         /*batch_size=*/256);
     const std::uint64_t delta = alloc_count() - before;
     EXPECT_EQ(report.packets, packets);

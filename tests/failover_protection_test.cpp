@@ -13,7 +13,8 @@
 //  * seeded flap and node storms report exactly the pairs brute-force
 //    scans of the route cache predict, and leave no cached route on a
 //    failed link;
-//  * reports are deterministic across thread counts;
+//  * reports are deterministic across thread counts, and a second
+//    replay of a failed-over stream still lands on every lane's plan;
 //  * FailoverPlayback sorts and clamps the schedule, reports duplicate
 //    events as no-ops and names only the stream's lanes.
 
@@ -361,6 +362,35 @@ TEST(FailoverRunner, ProtectedRingLosesNothingOnSingleFailure) {
   EXPECT_EQ(hitless.packets, 8192U);
   EXPECT_EQ(hitless.wrong_egress, 0U);
   EXPECT_LT(hitless.failover_packets_lost, eager.failover_packets_lost);
+}
+
+TEST(FailoverRunner, ReplayingAFailedOverStreamAgainStaysConsistent) {
+  // A failover reroutes lanes, not packets: after one pass over a cut
+  // ring, a second pass over the same stream must carry every packet
+  // on its lane's repaired route and land on that route's egress.  (The
+  // second pass replays the cut as a duplicate event, so nothing is
+  // rerouted again.)
+  BuiltFabric fabric(make_ring(16));
+  TrafficParams traffic;
+  traffic.pattern = TrafficPattern::kUniformRandom;
+  traffic.packets = 8192;
+  traffic.seed = 7;
+  PacketStream stream = generate_traffic(fabric, traffic);
+
+  RunnerOptions options;
+  options.threads = 2;
+  options.failures.push_back(LinkFailure{0.5, fabric.topology().index_of("r3"),
+                                         fabric.topology().index_of("r4")});
+  const ScenarioRunner runner(options);
+  const ScenarioReport first = runner.run(fabric, stream);
+  ASSERT_GT(first.rerouted_pairs, 0U);
+  EXPECT_EQ(first.wrong_egress, 0U);
+  EXPECT_EQ(first.packets, 8192U);
+
+  const ScenarioReport second = runner.run(fabric, stream);
+  EXPECT_EQ(second.rerouted_pairs, 0U);
+  EXPECT_EQ(second.wrong_egress, 0U);
+  EXPECT_EQ(second.packets, 8192U);
 }
 
 TEST(FailoverRunner, StormWithProtectionKeepsEgressIntent) {

@@ -32,7 +32,6 @@ TEST_P(ScenarioMatrix, ReplaysWithIntendedEgressAndScalarParity) {
   traffic.packets = 4096;  // matrix-sized, CI-friendly
   PacketStream stream = generate_traffic(fabric, traffic);
   ASSERT_EQ(stream.size(), 4096u);
-  EXPECT_EQ(stream.unpackable_pairs, 0u);
   EXPECT_EQ(stream.unreachable_pairs, 0u);
 
   // Scalar reference: every pair's routeID walks the plain PolkaFabric
@@ -185,17 +184,26 @@ TEST(ScenarioRegistry, CoversEveryFamilyAndPattern) {
 TEST(ReplayShards, ValidatesArguments) {
   BuiltFabric fabric(make_ring(4));
   const auto& fast = fabric.compiled();
-  std::vector<polka::RouteLabel> labels(4);
-  std::vector<std::uint32_t> ingress(3);
+  const std::vector<TrafficPair> lanes(2);
   std::vector<std::uint32_t> index(4, 0);
-  std::vector<polka::PacketResult> expected(1);
-  EXPECT_THROW((void)replay_shards(fast, labels, ingress, index, expected, {},
-                                   1, 16),
+  EXPECT_THROW((void)replay_shards(fast, lanes, index, {}, {}, 1, 0),
                std::invalid_argument);
-  ingress.resize(4);
-  EXPECT_THROW((void)replay_shards(fast, labels, ingress, index, expected, {},
-                                   1, 0),
+  // A packet naming a lane past the table is refused, not read.
+  index[3] = 2;
+  EXPECT_THROW((void)replay_shards(fast, lanes, index, {}, {}, 1, 16),
                std::invalid_argument);
+  EXPECT_THROW((void)replay_shards(fast, lanes, index, {}, {}, 4, 16),
+               std::invalid_argument);
+  // A nonempty alive mask must have one entry per lane.
+  index[3] = 1;
+  const std::vector<std::uint8_t> short_alive(1, 1);
+  EXPECT_THROW((void)replay_shards(fast, lanes, index, short_alive, {}, 1, 16),
+               std::invalid_argument);
+  const std::vector<std::uint8_t> alive(2, 0);
+  const ScenarioReport dead =
+      replay_shards(fast, lanes, index, alive, {}, 2, 16);
+  EXPECT_EQ(dead.dropped_packets, index.size());
+  EXPECT_EQ(dead.packets, 0u);
 }
 
 }  // namespace

@@ -2,9 +2,8 @@
 // bit-identically via single-label vs segmented walks, deep ring/torus
 // topologies compile to <= 64-bit segments with tree/per-path parity,
 // apply_failure repairs a route whose waypoint node died, and ring-1024 /
-// torus-32x32 replay entirely on the uint64 fast path -- zero
-// unpackable pairs (the old Poly fallback), zero wrong egress, zero
-// hop-cap kills.
+// torus-32x32 replay entirely on the uint64 fast path -- every pair
+// routed, zero wrong egress, zero hop-cap kills.
 
 #include <gtest/gtest.h>
 
@@ -190,9 +189,8 @@ TEST(SegmentedRoutes, FailLinkRepairsRouteWhoseWaypointDied) {
 
 /// The acceptance scenarios: ring-1024 and torus-32x32 streams compile
 /// to segmented routes (every label 64-bit by construction) and replay
-/// entirely on the uint64 fast path -- no pair is dropped as
-/// unpackable (the seed's Poly-fallback symptom), nothing mis-egresses,
-/// nothing hits the hop cap.
+/// entirely on the uint64 fast path -- no pair is skipped, nothing
+/// mis-egresses, nothing hits the hop cap.
 class DeepTopologyReplay : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DeepTopologyReplay, StreamsSegmentedTrafficOnTheFastPath) {
@@ -208,14 +206,11 @@ TEST_P(DeepTopologyReplay, StreamsSegmentedTrafficOnTheFastPath) {
   params.seed = 1234;
   PacketStream stream = generate_traffic(built, params);
   ASSERT_EQ(stream.size(), params.packets);
-  // Zero Poly-fallback: every sampled pair got a fast-path route.
-  EXPECT_EQ(stream.unpackable_pairs, 0u);
   EXPECT_EQ(stream.unreachable_pairs, 0u);
-  ASSERT_EQ(stream.seg_refs.size(), stream.pairs.size());
 
   std::size_t multi_segment_pairs = 0;
-  for (const polka::SegmentRef& ref : stream.seg_refs) {
-    multi_segment_pairs += ref.label_count > 1;
+  for (const TrafficPair& pair : stream.pairs) {
+    multi_segment_pairs += pair.ref.label_count > 1;
   }
   EXPECT_GT(multi_segment_pairs, 0u) << which;
 
@@ -243,7 +238,6 @@ TEST(SegmentedRoutes, RunnerRepairsSegmentedPairsMidRun) {
   params.packets = 4096;
   params.seed = 5;
   PacketStream stream = generate_traffic(built, params);
-  EXPECT_EQ(stream.unpackable_pairs, 0u);
 
   // Fail a link on the first pair's path so at least one compiled
   // route is affected.

@@ -30,17 +30,24 @@ TEST_P(TrafficPatterns, StreamShapeIsConsistent) {
   const PacketStream stream =
       generate_traffic(fabric, params_for(GetParam()));
   EXPECT_EQ(stream.size(), 2000u);
-  EXPECT_EQ(stream.ingress.size(), stream.size());
-  EXPECT_EQ(stream.pair.size(), stream.size());
-  EXPECT_EQ(stream.unpackable_pairs, 0u);
   EXPECT_EQ(stream.unreachable_pairs, 0u);
   ASSERT_FALSE(stream.pairs.empty());
   for (std::size_t i = 0; i < stream.size(); ++i) {
     ASSERT_LT(stream.pair[i], stream.pairs.size());
-    const TrafficPair& pair = stream.pairs[stream.pair[i]];
+  }
+  for (const TrafficPair& pair : stream.pairs) {
     EXPECT_NE(pair.src, pair.dst);
-    // The packet is injected at its pair's source router.
-    EXPECT_EQ(stream.ingress[i], fabric.fabric_index(pair.src));
+    // The lane is injected at its source router and carries its
+    // route's first label; a segmented route pools the rest.
+    EXPECT_EQ(pair.ingress, fabric.fabric_index(pair.src));
+    const CompiledRoute* route = fabric.route(pair.src, pair.dst);
+    ASSERT_NE(route, nullptr);
+    EXPECT_EQ(pair.label, route->segments.labels.front());
+    EXPECT_EQ(pair.expected, route->expected);
+    ASSERT_EQ(pair.ref.label_count, route->segments.labels.size());
+    if (pair.ref.label_count > 1) {
+      EXPECT_EQ(stream.seg_labels[pair.ref.first_label], pair.label);
+    }
   }
 }
 
@@ -118,9 +125,11 @@ TEST(Traffic, DeterministicInSeed) {
   const PacketStream a = generate_traffic(fabric_a, params);
   const PacketStream b = generate_traffic(fabric_b, params);
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.labels[i], b.labels[i]);
-    EXPECT_EQ(a.ingress[i], b.ingress[i]);
+  EXPECT_EQ(a.pair, b.pair);
+  ASSERT_EQ(a.pairs.size(), b.pairs.size());
+  for (std::size_t lane = 0; lane < a.pairs.size(); ++lane) {
+    EXPECT_EQ(a.pairs[lane].label, b.pairs[lane].label);
+    EXPECT_EQ(a.pairs[lane].ingress, b.pairs[lane].ingress);
   }
 }
 
