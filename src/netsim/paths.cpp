@@ -25,19 +25,25 @@ namespace {
 
 using QueueEntry = std::pair<double, NodeIndex>;
 
-/// The one Dijkstra behind every query here.  Bans are dense masks
-/// indexed by LinkIndex / NodeIndex, and the tree and heap are a
+/// The one search behind every query here.  Bans are dense masks
+/// indexed by LinkIndex / NodeIndex, and the tree and the queue are a
 /// workspace that repeated searches (the disjoint-path planner, Yen's
-/// spurs) reuse.  Nothing allocates per banned element, and the heap is
-/// reserved once for its bound: each node settles at most once, so each
-/// link relaxes at most once.
+/// spurs) reuse.  Nothing allocates per banned element: the frontiers
+/// (hop count) hold each node at most once, and the heap (weighted
+/// metrics) at most one entry per link plus the source, so each is
+/// reserved once for its bound.
 struct Search {
   Search(const Topology& topo, PathMetric metric)
       : topo(topo),
         metric(metric),
         banned_link(topo.link_count(), 0),
         banned_node(topo.node_count(), 0) {
-    heap.reserve(topo.link_count() + 1);
+    if (metric == PathMetric::kHopCount) {
+      frontier.reserve(topo.node_count());
+      next.reserve(topo.node_count());
+    } else {
+      heap.reserve(topo.link_count() + 1);
+    }
   }
 
   /// Mask `links` out of every later run (ids past the topology name no
@@ -48,19 +54,54 @@ struct Search {
     }
   }
 
-  /// Search from `src` until `dst` settles; kInvalidIndex never does,
-  /// which grows the full tree.  Entries pop in (dist, node) order and a
-  /// relax needs a strict improvement, so the first settled predecessor
-  /// keeps a tie.  Hosts do not forward: they may start a path but not
-  /// extend one.
+  /// Search from `src` until `dst` is reached; kInvalidIndex never is,
+  /// which grows the full tree.  Nodes settle in (dist, node) order and
+  /// a relax needs a strict improvement, so the first settled
+  /// predecessor keeps a tie.  Hosts do not forward: they may start a
+  /// path but not extend one.
   void run(NodeIndex src, NodeIndex dst) {
     const std::size_t n = topo.node_count();
     tree.src = src;
     tree.dist.assign(n, std::numeric_limits<double>::infinity());
     tree.via.assign(n, kInvalidIndex);
+    tree.dist[src] = 0.0;
+    if (metric == PathMetric::kHopCount) {
+      run_levels(src, dst);
+    } else {
+      run_heap(src, dst);
+    }
+  }
+
+  /// Unit weights: a node's distance is final once it is discovered,
+  /// so expanding one level at a time, each in ascending node order,
+  /// settles nodes in exactly the heap's (dist, node) order without a
+  /// heap.  `dst`'s via is final on discovery, so the run stops there.
+  void run_levels(NodeIndex src, NodeIndex dst) {
+    if (src == dst) return;
+    frontier.assign(1, src);
+    for (double d = 1.0; !frontier.empty(); d += 1.0) {
+      next.clear();
+      for (const NodeIndex u : frontier) {
+        if (u != src && topo.node(u).kind == NodeKind::kHost) continue;
+        for (const LinkIndex l : topo.outgoing(u)) {
+          if (banned_link[l]) continue;
+          const Link& link = topo.link(l);
+          if (banned_node[link.to] || tree.dist[link.to] <= d) continue;
+          tree.dist[link.to] = d;
+          tree.via[link.to] = l;
+          if (link.to == dst) return;
+          next.push_back(link.to);
+        }
+      }
+      std::ranges::sort(next);
+      std::swap(frontier, next);
+    }
+  }
+
+  /// Weighted metrics: Dijkstra over a binary heap of (dist, node).
+  void run_heap(NodeIndex src, NodeIndex dst) {
     heap.clear();
     constexpr std::greater<> later;
-    tree.dist[src] = 0.0;
     heap.emplace_back(0.0, src);
     while (!heap.empty()) {
       std::ranges::pop_heap(heap, later);
@@ -89,7 +130,9 @@ struct Search {
   std::vector<char> banned_link;
   std::vector<char> banned_node;
   PathTree tree;
-  std::vector<QueueEntry> heap;
+  std::vector<NodeIndex> frontier;  ///< hop count: the level being expanded
+  std::vector<NodeIndex> next;      ///< hop count: the level it discovers
+  std::vector<QueueEntry> heap;     ///< weighted metrics
 };
 
 }  // namespace
@@ -124,14 +167,31 @@ std::optional<Path> tree_path(const PathTree& tree, const Topology& topo,
   return path;
 }
 
-std::vector<std::vector<NodeIndex>> tree_children(const PathTree& tree,
-                                                  const Topology& topo) {
-  std::vector<std::vector<NodeIndex>> children(tree.via.size());
-  for (NodeIndex c = 0; c < tree.via.size(); ++c) {
-    if (c == tree.src || tree.via[c] == kInvalidIndex) continue;
-    children[topo.link(tree.via[c]).from].push_back(c);
+TreeChildren tree_children(const PathTree& tree, const Topology& topo) {
+  // Counting sort by parent: count each parent's children, prefix-sum
+  // the counts into offsets, then place children in one ascending scan.
+  const std::size_t n = tree.via.size();
+  TreeChildren out;
+  out.offset.assign(n + 1, 0);
+  const auto parent_of = [&](NodeIndex c) {
+    return c == tree.src || tree.via[c] == kInvalidIndex
+               ? kInvalidIndex
+               : topo.link(tree.via[c]).from;
+  };
+  for (NodeIndex c = 0; c < n; ++c) {
+    if (const NodeIndex p = parent_of(c); p != kInvalidIndex) {
+      ++out.offset[p + 1];
+    }
   }
-  return children;
+  for (std::size_t v = 0; v < n; ++v) out.offset[v + 1] += out.offset[v];
+  out.child.resize(out.offset[n]);
+  std::vector<std::size_t> fill(out.offset.begin(), out.offset.end() - 1);
+  for (NodeIndex c = 0; c < n; ++c) {
+    if (const NodeIndex p = parent_of(c); p != kInvalidIndex) {
+      out.child[fill[p]++] = c;
+    }
+  }
+  return out;
 }
 
 std::optional<Path> shortest_path(const Topology& topo, NodeIndex src,
@@ -230,7 +290,7 @@ std::vector<Path> k_disjoint_paths(const Topology& topo, NodeIndex src,
   }
   std::vector<Path> result;
   if (k == 0 || src == dst) return result;
-  // Iterative Dijkstra with an accumulating ban set: each found path
+  // Iterative search with an accumulating ban set: each found path
   // retires its links (both directions) before the next search, so the
   // results are mutually duplex-link-disjoint by construction.
   Search search(topo, metric);

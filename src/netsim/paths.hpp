@@ -1,6 +1,6 @@
 #pragma once
-// Path computation over the topology: Dijkstra shortest path and Yen's
-// k-shortest loopless paths.
+// Path computation over the topology: shortest paths, shortest-path
+// trees, Yen's k-shortest loopless paths and link-disjoint path sets.
 //
 // The paper hand-plans its three tunnels; a Path Computation Element
 // (Section I) must derive candidate paths itself, and Section II-A
@@ -8,12 +8,16 @@
 // These routines give the Controller automatic tunnel planning and the
 // scale-sweep bench its machinery.
 //
-// Every query runs one Dijkstra: entries leave the queue in (distance,
-// node) order and a link relaxes only on a strict improvement, so
+// Every query runs one search that settles nodes in (distance, node)
+// order and relaxes a link only on a strict improvement, so
 // shortest_path, shortest_path_tree and the first k_disjoint_paths path
-// break ties the same way.
+// break ties the same way.  Under kHopCount, where every link weighs 1,
+// the search expands level by level, each level in ascending node
+// order: no heap, same order, same paths.  The weighted metrics
+// (kDelay, kInverseCapacity) run Dijkstra over a binary heap.
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netsim/topology.hpp"
@@ -30,24 +34,25 @@ enum class PathMetric {
 /// Weight of one link under a metric.
 [[nodiscard]] double link_weight(const Link& link, PathMetric metric);
 
-/// Shortest path from `src` to `dst` (Dijkstra).  Host nodes are only
+/// Shortest path from `src` to `dst`.  Host nodes are only
 /// allowed as endpoints, never as transit (they do not forward).
 /// Returns nullopt when unreachable.
 [[nodiscard]] std::optional<Path> shortest_path(
     const Topology& topo, NodeIndex src, NodeIndex dst,
     PathMetric metric = PathMetric::kDelay);
 
-/// A full single-source shortest-path tree: one Dijkstra run answering
-/// every destination, the shape the scenario engine's all-pairs route
+/// A full single-source shortest-path tree: one search answering every
+/// destination, the shape the scenario engine's all-pairs route
 /// compiler needs (per-pair shortest_path calls would be quadratic in
-/// Dijkstra runs on dense generated topologies).
+/// searches on dense generated topologies).
 struct PathTree {
   NodeIndex src = kInvalidIndex;
   std::vector<double> dist;    ///< total weight; infinity = unreachable
   std::vector<LinkIndex> via;  ///< last link on the path; kInvalidIndex at src
 };
 
-/// Dijkstra to every destination.  Host nodes never transit (same rule
+/// Shortest paths to every destination (level order under kHopCount,
+/// Dijkstra otherwise).  Host nodes never transit (same rule
 /// as shortest_path); links in `banned` are skipped, which is how the
 /// scenario engine routes around scheduled link failures.
 [[nodiscard]] PathTree shortest_path_tree(
@@ -61,13 +66,24 @@ struct PathTree {
                                             const Topology& topo,
                                             NodeIndex dst);
 
-/// Children lists of a shortest-path tree, indexed by node: children[v]
-/// holds every node whose tree parent is v, in ascending node order
-/// (unreachable nodes appear in no list).  One pass over `via`, so a
-/// full top-down tree walk -- the shape the scenario engine's
-/// tree-incremental route compiler descends -- costs O(n) total.
-[[nodiscard]] std::vector<std::vector<NodeIndex>> tree_children(
-    const PathTree& tree, const Topology& topo);
+/// Children of every node of a shortest-path tree, in CSR form: the
+/// children of v are child[offset[v] .. offset[v + 1]), ascending.
+/// Unreachable nodes and the source are nobody's child.
+struct TreeChildren {
+  std::vector<std::size_t> offset;  ///< node_count + 1 entries
+  std::vector<NodeIndex> child;     ///< every reached node but the source
+
+  [[nodiscard]] std::span<const NodeIndex> of(NodeIndex v) const {
+    return std::span(child).subspan(offset[v], offset[v + 1] - offset[v]);
+  }
+};
+
+/// Two counting passes over `via` and a fixed number of allocations,
+/// however many inner nodes the tree has, so a full top-down tree walk
+/// -- the shape the scenario engine's tree-incremental route compiler
+/// descends -- costs O(n).
+[[nodiscard]] TreeChildren tree_children(const PathTree& tree,
+                                         const Topology& topo);
 
 /// Yen's algorithm: up to `k` loopless shortest paths, best first.
 /// Returns fewer when the graph has fewer distinct simple paths.

@@ -332,7 +332,7 @@ void BuiltFabric::compile_tree_routes(const netsim::PathTree& tree,
     // Pick this frame's next compilable child (routers only -- hosts
     // hang off the tree as leaves -- and, when pruning, marked nodes).
     Frame& frame = stack.back();
-    const auto& kids = children[frame.node];
+    const auto kids = children.of(frame.node);
     NodeIndex child = kInvalidIndex;
     while (frame.next_child < kids.size()) {
       const NodeIndex c = kids[frame.next_child++];
@@ -682,7 +682,7 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
   if (protection_k_ > 0) {
     // Hitless path: each affected pair swaps to its best live backup.
     // The whole window is table lookups and label copies -- no
-    // Dijkstra, no CRT, zero routes_compiled (the acceptance bar).
+    // path search, no CRT, zero routes_compiled (the acceptance bar).
     IndexEdits edits;
     for (const auto& pr : report.affected) {
       const RouteKey key = netsim::node_pair_key(pr.first, pr.second);

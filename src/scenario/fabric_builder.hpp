@@ -7,7 +7,7 @@
 // extra, deliberately unwired, egress port (the host-facing side on
 // which a packet leaves the fabric).  Routes between router pairs are
 // shortest paths (hop count) computed from cached single-source
-// Dijkstra trees and CRT-encoded into routeIDs.
+// shortest-path trees and CRT-encoded into routeIDs.
 //
 // Two compilation strategies coexist:
 //  - route() compiles one pair per call, folding one congruence per hop
@@ -28,7 +28,7 @@
 //
 // Scheduled link failures remove links from path computation; a
 // link -> route-keys inverted index names the crossing routes in
-// O(affected), only the Dijkstra trees that used the dead link are
+// O(affected), only the shortest-path trees that used the dead link are
 // rebuilt, and the severed destinations are recompiled subtree-scoped.
 // With protection armed, a second link -> saved-primary index lets a
 // restore examine only the primaries over the revived link.  Both
@@ -80,7 +80,7 @@ struct CompiledRoute {
 /// recompiled only the routes crossing the dead link).
 struct CompileStats {
   std::size_t routes_compiled = 0;  ///< CompiledRoute entries written
-  std::size_t trees_built = 0;      ///< single-source Dijkstra runs
+  std::size_t trees_built = 0;      ///< single-source tree searches
   std::size_t crt_steps = 0;        ///< congruences folded into solutions
   std::size_t backup_routes = 0;    ///< protection backups precompiled
   /// Hitless primary<->backup label swaps (failures and restore
@@ -101,7 +101,7 @@ struct CompileStats {
 ///  * pending     protection set entirely dead; parked for
 ///                repair_pending() (the lazy window);
 ///  * unroutable  no path left in the degraded topology (repair_pending
-///                moves pending pairs here when Dijkstra agrees).
+///                moves pending pairs here when the search agrees).
 struct FailoverReport {
   std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>> affected;
   std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>> swapped;

@@ -3,7 +3,7 @@
 //
 // The paper pitches PolKA source routing as failure-resilient, and the
 // fabric's incremental recompiler (fabric_builder.hpp) already repairs
-// routes in O(affected) -- but a recompile is still Dijkstra + CRT work
+// routes in O(affected) -- but a recompile is still path search + CRT work
 // *inside* the packet-loss window.  The protection layer moves that
 // work to compile time: for every primary route, BuiltFabric plans up
 // to k mutually link-disjoint alternates (netsim::k_disjoint_paths

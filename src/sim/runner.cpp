@@ -24,7 +24,7 @@ constexpr std::size_t kNoFlow = static_cast<std::size_t>(-1);
 /// Wire size of every simulated packet.
 constexpr std::uint64_t kPacketBytes = 1500;
 /// Control-plane reaction to a failure: a label swap from a warm backup
-/// table, and a Dijkstra + CRT recompile.
+/// table, and a path search + CRT recompile.
 constexpr Tick kSwitchoverLatencyNs = 1'000;
 constexpr Tick kRepairLatencyNs = 200'000;
 
@@ -277,6 +277,14 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   const SimCounters& k = result.counters;
   HP_CHECK(k.injected == k.delivered + k.dropped + k.ttl_expired,
            "SimRunner: injected != delivered + dropped + ttl_expired");
+  // Admission tail-drops at queue_capacity (queued plus in service), so
+  // no egress queue's high-water mark may pass it.
+  const bool queues_bounded =
+      std::ranges::all_of(result.links, [&](const LinkStat& link) {
+        return link.max_queue_depth <= options_.queue_capacity;
+      });
+  HP_CHECK(queues_bounded,
+           "SimRunner: a link's max_queue_depth exceeds queue_capacity");
 
   // --- shape the result into the report -------------------------------
   SimReport report;

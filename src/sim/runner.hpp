@@ -67,7 +67,7 @@ struct SimOptions {
   /// packets already routed onto a dead wire are failover losses.  The
   /// control plane reacts 1 us later when a backup swap serves the pair
   /// (a label swap from a warm table), 200 us later when it had to
-  /// recompile (Dijkstra plus CRT) -- packets a source emits inside
+  /// recompile (path search plus CRT) -- packets a source emits inside
   /// that window still carry the dead route and die at the wire, which
   /// is exactly the loss gap hitless protection shrinks.
   std::vector<scenario::LinkFailure> failures;

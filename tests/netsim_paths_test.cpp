@@ -1,10 +1,15 @@
-// Tests for Dijkstra and Yen's k-shortest paths over the topology.
+// Tests for shortest paths, Yen's k-shortest paths and disjoint path
+// sets over the topology.
 
 #include "netsim/paths.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -190,6 +195,138 @@ TEST(KShortest, ExhaustsFiniteGraphs) {
   const auto paths = k_shortest_paths(topo, 0, 2, 10);
   EXPECT_EQ(paths.size(), 2U);
   EXPECT_TRUE(k_shortest_paths(topo, 0, 2, 0).empty());
+}
+
+// --- level-order search against unit-weight Dijkstra -----------------
+//
+// kHopCount runs a level-order search; kDelay runs the heap Dijkstra.
+// With every delay set to 1.0 the two metrics weigh every link alike,
+// so the heap is a reference the level-order search must match exactly:
+// same dist, same via (same tie-breaks), same path sets.
+
+constexpr scenario::LinkProfile kUnitDelay{.core_capacity_mbps = 100.0,
+                                           .core_delay_ms = 1.0,
+                                           .host_capacity_mbps = 1000.0,
+                                           .host_delay_ms = 1.0};
+
+std::vector<std::pair<std::string, Topology>> unit_delay_topologies() {
+  std::vector<std::pair<std::string, Topology>> out;
+  out.emplace_back("ring9", scenario::make_ring(9, kUnitDelay));
+  out.emplace_back("torus6x7", scenario::make_torus(6, 7, kUnitDelay));
+  out.emplace_back("fat_tree_k4_hosts",
+                   scenario::make_fat_tree(4, true, kUnitDelay));
+  out.emplace_back("leaf_spine_3x5_hosts",
+                   scenario::make_leaf_spine(3, 5, 2, kUnitDelay));
+  for (const std::uint64_t seed : {1U, 2U, 3U}) {
+    out.emplace_back("random_regular_24x3_s" + std::to_string(seed),
+                     scenario::make_random_regular(24, 3, seed, kUnitDelay));
+  }
+  return out;
+}
+
+/// Each directed link banned with probability 1/6.
+std::vector<LinkIndex> random_bans(const Topology& topo,
+                                   std::mt19937_64& rng) {
+  std::vector<LinkIndex> banned;
+  for (LinkIndex l = 0; l < topo.link_count(); ++l) {
+    if (rng() % 6 == 0) banned.push_back(l);
+  }
+  return banned;
+}
+
+TEST(LevelOrderSearch, TreesMatchUnitWeightDijkstra) {
+  for (const auto& [name, topo] : unit_delay_topologies()) {
+    std::mt19937_64 rng(topo.link_count());
+    for (int round = 0; round < 4; ++round) {
+      const std::vector<LinkIndex> banned =
+          round == 0 ? std::vector<LinkIndex>{} : random_bans(topo, rng);
+      for (NodeIndex src = 0; src < topo.node_count(); ++src) {
+        const PathTree levels =
+            shortest_path_tree(topo, src, PathMetric::kHopCount, banned);
+        const PathTree heap =
+            shortest_path_tree(topo, src, PathMetric::kDelay, banned);
+        ASSERT_EQ(levels.via, heap.via)
+            << name << " round " << round << " src " << src;
+        ASSERT_EQ(levels.dist, heap.dist)
+            << name << " round " << round << " src " << src;
+      }
+    }
+  }
+}
+
+TEST(LevelOrderSearch, PathSetsMatchUnitWeightDijkstra) {
+  for (const auto& [name, topo] : unit_delay_topologies()) {
+    std::mt19937_64 rng(topo.node_count());
+    for (int round = 0; round < 4; ++round) {
+      const std::vector<LinkIndex> banned =
+          round == 0 ? std::vector<LinkIndex>{} : random_bans(topo, rng);
+      for (int sample = 0; sample < 12; ++sample) {
+        const NodeIndex src = rng() % topo.node_count();
+        const NodeIndex dst = rng() % topo.node_count();
+        const auto where = [&] {
+          return name + " round " + std::to_string(round) + " " +
+                 std::to_string(src) + "->" + std::to_string(dst);
+        };
+        ASSERT_EQ(shortest_path(topo, src, dst, PathMetric::kHopCount),
+                  shortest_path(topo, src, dst, PathMetric::kDelay))
+            << where();
+        ASSERT_EQ(
+            k_disjoint_paths(topo, src, dst, 3, PathMetric::kHopCount, banned),
+            k_disjoint_paths(topo, src, dst, 3, PathMetric::kDelay, banned))
+            << where();
+        ASSERT_EQ(k_shortest_paths(topo, src, dst, 4, PathMetric::kHopCount),
+                  k_shortest_paths(topo, src, dst, 4, PathMetric::kDelay))
+            << where();
+      }
+    }
+  }
+}
+
+// --- degenerate topologies ---------------------------------------------
+
+TEST(PathEdges, SingleNodeTopology) {
+  Topology topo;
+  topo.add_node("solo");
+  for (const PathMetric metric :
+       {PathMetric::kHopCount, PathMetric::kDelay}) {
+    const PathTree tree = shortest_path_tree(topo, 0, metric);
+    EXPECT_EQ(tree.src, 0U);
+    EXPECT_EQ(tree.dist, std::vector<double>{0.0});
+    EXPECT_EQ(tree.via, std::vector<LinkIndex>{kInvalidIndex});
+    EXPECT_EQ(tree_path(tree, topo, 0), Path{});
+    EXPECT_EQ(shortest_path(topo, 0, 0, metric), Path{});
+    EXPECT_TRUE(k_disjoint_paths(topo, 0, 0, 3, metric).empty());
+  }
+  EXPECT_THROW((void)shortest_path_tree(topo, 1), std::out_of_range);
+  EXPECT_THROW((void)k_disjoint_paths(topo, 0, 1, 1), std::out_of_range);
+}
+
+TEST(PathEdges, DisjointRingsNeverReachAcross) {
+  // Two 5-rings with no link between them: nodes 0-4 and 5-9.
+  Topology topo;
+  for (int i = 0; i < 10; ++i) topo.add_node("r" + std::to_string(i));
+  for (NodeIndex i = 0; i < 5; ++i) {
+    topo.add_duplex_link(i, (i + 1) % 5, 100.0, 1.0);
+    topo.add_duplex_link(5 + i, 5 + (i + 1) % 5, 100.0, 1.0);
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const PathMetric metric :
+       {PathMetric::kHopCount, PathMetric::kDelay}) {
+    for (NodeIndex src = 0; src < 10; ++src) {
+      const PathTree tree = shortest_path_tree(topo, src, metric);
+      for (NodeIndex dst = 0; dst < 10; ++dst) {
+        const bool same_ring = (src < 5) == (dst < 5);
+        EXPECT_EQ(tree.dist[dst] == kInf, !same_ring) << src << "->" << dst;
+        EXPECT_EQ(tree_path(tree, topo, dst).has_value(), same_ring);
+        EXPECT_EQ(shortest_path(topo, src, dst, metric).has_value(),
+                  same_ring);
+        const auto paths = k_disjoint_paths(topo, src, dst, 3, metric);
+        // Both arcs of the ring, or nothing across the gap.
+        EXPECT_EQ(paths.size(), same_ring && src != dst ? 2U : 0U)
+            << src << "->" << dst;
+      }
+    }
+  }
 }
 
 }  // namespace

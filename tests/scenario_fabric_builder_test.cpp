@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "netsim/paths.hpp"
 #include "scenario/topologies.hpp"
 
@@ -105,6 +108,78 @@ TEST(BuiltFabric, DisconnectionYieldsNullRoute) {
   EXPECT_EQ(built.route(r0, r2), nullptr);
   ASSERT_NE(built.route(r0, r3), nullptr);
   ASSERT_NE(built.route(r1, r2), nullptr);
+}
+
+TEST(BuiltFabric, SingleRouterHasNoPairs) {
+  netsim::Topology topo;
+  topo.add_node("solo");
+  BuiltFabric built(topo);
+  EXPECT_EQ(built.router_count(), 1u);
+  EXPECT_EQ(built.egress_port(0), 0u);  // the lone port faces the hosts
+  EXPECT_EQ(built.compile_all_pairs(), 0u);
+  EXPECT_EQ(built.enable_protection(1), 0u);
+  EXPECT_EQ(built.cached_route(0, 0), nullptr);
+  EXPECT_THROW((void)built.route(0, 0), std::invalid_argument);
+}
+
+TEST(BuiltFabric, DisjointRingsStayApart) {
+  // Two 4-rings with no link between them: r0-r3 and r4-r7.
+  netsim::Topology topo;
+  for (int i = 0; i < 8; ++i) topo.add_node("r" + std::to_string(i));
+  for (NodeIndex i = 0; i < 4; ++i) {
+    topo.add_duplex_link(i, (i + 1) % 4, 100.0, 1.0);
+    topo.add_duplex_link(4 + i, 4 + (i + 1) % 4, 100.0, 1.0);
+  }
+  const auto ring_of = [](NodeIndex n) { return n / 4; };
+  BuiltFabric built(topo);
+  EXPECT_EQ(built.compile_all_pairs(), 24u);  // 2 rings x 4 x 3 pairs
+  for (NodeIndex src = 0; src < 8; ++src) {
+    for (NodeIndex dst = 0; dst < 8; ++dst) {
+      if (src == dst) continue;
+      EXPECT_EQ(built.cached_route(src, dst) != nullptr,
+                ring_of(src) == ring_of(dst))
+          << src << "->" << dst;
+    }
+  }
+  EXPECT_EQ(built.route(0, 4), nullptr);
+  EXPECT_EQ(built.route(6, 1), nullptr);
+
+  // Every pair's backup is its ring's other arc.
+  EXPECT_EQ(built.enable_protection(1), 24u);
+  std::vector<const CompiledRoute*> ring_b;
+  std::vector<CompiledRoute> ring_b_before;
+  for (NodeIndex src = 4; src < 8; ++src) {
+    for (NodeIndex dst = 4; dst < 8; ++dst) {
+      if (src == dst) continue;
+      ring_b.push_back(built.cached_route(src, dst));
+      ring_b_before.push_back(*ring_b.back());
+    }
+  }
+  const FailoverReport report = built.apply_failure(0, 1);
+  EXPECT_FALSE(report.affected.empty());
+  for (const auto& [src, dst] : report.affected) {
+    EXPECT_EQ(ring_of(src), 0u) << src << "->" << dst;
+    EXPECT_EQ(ring_of(dst), 0u) << src << "->" << dst;
+  }
+  EXPECT_EQ(report.swapped, report.affected);
+  EXPECT_TRUE(report.pending.empty());
+  EXPECT_TRUE(report.unroutable.empty());
+  EXPECT_EQ(report.window_recompiles, 0u);
+
+  std::size_t i = 0;
+  for (NodeIndex src = 4; src < 8; ++src) {
+    for (NodeIndex dst = 4; dst < 8; ++dst) {
+      if (src == dst) continue;
+      const CompiledRoute* now = built.cached_route(src, dst);
+      EXPECT_EQ(now, ring_b[i]) << src << "->" << dst;
+      ASSERT_NE(now, nullptr);
+      EXPECT_EQ(now->path, ring_b_before[i].path);
+      EXPECT_EQ(now->segments, ring_b_before[i].segments);
+      ++i;
+    }
+  }
+  EXPECT_EQ(built.route(0, 4), nullptr);
+  EXPECT_EQ(built.repair_pending().affected.size(), 0u);
 }
 
 }  // namespace

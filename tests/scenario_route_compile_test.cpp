@@ -155,7 +155,7 @@ TEST(TreeCompile, SubtreeCompileWalksOnlyRequestedBranches) {
 TEST(TreeCompile, FailLinkRecompilesOnlyCrossingRoutes) {
   // leaf-spine(2, 4): failing leaf3<->spine1 severs exactly the two
   // routes using that direct link (every other pair detours through
-  // spine0 or reaches leaf3 via spine0 already, by Dijkstra pop order).
+  // spine0 or reaches leaf3 via spine0 already, by (hops, node) order).
   const auto topo = make_leaf_spine(2, 4);
   BuiltFabric built(topo);
   built.compile_all_pairs();
@@ -271,15 +271,19 @@ TEST(TreeChildren, MirrorsViaParents) {
   const auto tree =
       netsim::shortest_path_tree(topo, 0, netsim::PathMetric::kHopCount);
   const auto children = netsim::tree_children(tree, topo);
+  ASSERT_EQ(children.offset.size(), topo.node_count() + 1);
   std::size_t edges = 0;
-  for (NodeIndex parent = 0; parent < children.size(); ++parent) {
-    for (const NodeIndex child : children[parent]) {
+  for (NodeIndex parent = 0; parent < topo.node_count(); ++parent) {
+    const auto kids = children.of(parent);
+    EXPECT_TRUE(std::ranges::is_sorted(kids)) << "parent " << parent;
+    for (const NodeIndex child : kids) {
       EXPECT_EQ(topo.link(tree.via[child]).from, parent);
       EXPECT_EQ(topo.link(tree.via[child]).to, child);
       ++edges;
     }
   }
   EXPECT_EQ(edges, topo.node_count() - 1);  // spanning tree of the ring
+  EXPECT_EQ(children.child.size(), edges);
 }
 
 }  // namespace
