@@ -1,10 +1,7 @@
 #include "core/controller.hpp"
 
-#include <cmath>
 #include <limits>
 #include <stdexcept>
-
-#include "core/objective.hpp"
 
 namespace hp::core {
 
@@ -147,80 +144,6 @@ unsigned Controller::reoptimize(std::size_t managed_index, double at_s,
                                                flow.request.dst_host));
   flow.tunnel_id = chosen;
   return chosen;
-}
-
-std::vector<std::size_t> Controller::split_flow(const FlowRequest& request,
-                                                double at_s) {
-  if (!std::isfinite(request.demand_mbps)) {
-    throw std::invalid_argument("split_flow: demand must be finite");
-  }
-  std::vector<unsigned> pool;
-  std::vector<double> capacities;
-  for (const unsigned id : candidates_) {
-    if (!tunnel_healthy(id)) continue;
-    pool.push_back(id);
-    capacities.push_back(sim_->topology().path_bottleneck_mbps(
-        polka_->tunnel(id).netsim_path));
-  }
-  if (pool.empty()) throw std::domain_error("split_flow: no healthy tunnel");
-  // Section III min-max LP: balance utilization across the tunnels.
-  const std::vector<double> shares =
-      solve_k_path_min_max(request.demand_mbps, capacities);
-
-  std::vector<std::size_t> indices;
-  for (std::size_t k = 0; k < pool.size(); ++k) {
-    if (shares[k] <= 1e-9) continue;
-    FlowRequest sub = request;
-    sub.name = request.name + "." + std::to_string(k);
-    sub.acl_name = request.acl_name + "." + std::to_string(k);
-    sub.demand_mbps = shares[k];
-
-    const Tunnel& tunnel = polka_->tunnel(pool[k]);
-    hp::freertr::AccessList acl;
-    acl.name = sub.acl_name;
-    acl.protocol = sub.protocol;
-    acl.source = hp::freertr::Prefix{sub.src_ip, 24};
-    acl.destination = hp::freertr::Prefix{sub.dst_ip, 32};
-    acl.tos = sub.tos;
-    polka_->install_access_list(acl);
-    polka_->bind_flow(sub.acl_name, tunnel.id,
-                      hp::freertr::ipv4_to_string(sub.dst_ip));
-
-    hp::netsim::FlowSpec spec;
-    spec.name = sub.name;
-    spec.path =
-        polka_->host_to_host_path(tunnel.id, sub.src_host, sub.dst_host);
-    spec.demand_mbps = sub.demand_mbps;
-    spec.tos = sub.tos ? static_cast<int>(*sub.tos) : 0;
-    const hp::netsim::FlowId sim_flow = sim_->add_flow(at_s, std::move(spec));
-    managed_.push_back(ManagedFlow{std::move(sub), sim_flow, tunnel.id});
-    indices.push_back(managed_.size() - 1);
-  }
-  return indices;
-}
-
-std::size_t Controller::recover_from_failures(double at_s,
-                                              Objective objective) {
-  std::size_t migrated = 0;
-  for (std::size_t i = 0; i < managed_.size(); ++i) {
-    if (tunnel_healthy(managed_[i].tunnel_id)) continue;
-    const unsigned chosen = choose_tunnel(objective);
-    if (!tunnel_healthy(chosen)) {
-      throw std::runtime_error(
-          "recover_from_failures: no healthy candidate tunnel for flow " +
-          managed_[i].request.name);
-    }
-    ManagedFlow& flow = managed_[i];
-    polka_->bind_flow(flow.request.acl_name, chosen,
-                      hp::freertr::ipv4_to_string(flow.request.dst_ip));
-    sim_->migrate_flow(
-        at_s, flow.sim_flow,
-        polka_->host_to_host_path(chosen, flow.request.src_host,
-                                  flow.request.dst_host));
-    flow.tunnel_id = chosen;
-    ++migrated;
-  }
-  return migrated;
 }
 
 }  // namespace hp::core

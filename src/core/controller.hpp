@@ -88,34 +88,14 @@ class Controller {
   unsigned reoptimize(std::size_t managed_index, double at_s,
                       Objective objective);
 
-  /// Failure recovery (paper future work; a PolKA selling point): move
-  /// every managed flow whose tunnel crosses a down link onto the best
-  /// healthy candidate per `objective` -- one PBR rewrite per affected
-  /// flow, nothing to update in the stateless core.  Returns the number
-  /// of flows migrated.  Throws std::runtime_error when an affected
-  /// flow has no healthy candidate tunnel.
-  std::size_t recover_from_failures(double at_s, Objective objective);
-
   /// Is every link of this tunnel currently up?
   [[nodiscard]] bool tunnel_healthy(unsigned tunnel_id) const;
-
-  /// Split one finite demand across *all* healthy candidate tunnels
-  /// with the Section III min-max LP (utilization-balancing), creating
-  /// one managed subflow per tunnel that receives a nonzero share
-  /// ("<name>.k" ACLs).  Returns the managed indices.  Throws
-  /// std::invalid_argument for infinite demand and std::domain_error
-  /// when the demand exceeds the candidates' total bottleneck capacity.
-  std::vector<std::size_t> split_flow(const FlowRequest& request,
-                                      double at_s);
 
   /// The tunnel-selection logic, exposed for tests and ablations.
   [[nodiscard]] unsigned choose_tunnel(Objective objective) const;
 
   [[nodiscard]] const ManagedFlow& managed(std::size_t index) const {
     return managed_.at(index);
-  }
-  [[nodiscard]] std::size_t managed_count() const noexcept {
-    return managed_.size();
   }
 
   /// Telemetry series name used for a tunnel's available bandwidth.

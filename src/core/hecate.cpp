@@ -1,6 +1,5 @@
 #include "core/hecate.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 #include "dataset/uq_wireless.hpp"
@@ -76,11 +75,6 @@ void HecateService::load_series(const std::string& path,
 }
 
 void HecateService::fit(const std::string& path) {
-  fit_with_model(path, config_.model);
-}
-
-void HecateService::fit_with_model(const std::string& path,
-                                   const std::string& model_name) {
   auto it = paths_.find(path);
   if (it == paths_.end() || it->second.series.size() < config_.history + 2) {
     throw std::runtime_error("HecateService::fit: not enough samples for " +
@@ -91,42 +85,9 @@ void HecateService::fit_with_model(const std::string& path,
   const Matrix x = state.x_scaler.fit_transform(windows.x);
   state.y_scaler.fit(windows.y);
   const Vector y = state.y_scaler.transform(windows.y);
-  state.model = hp::ml::make_regressor(model_name);
+  state.model = hp::ml::make_regressor(config_.model);
   state.model->fit(x, y);
-  state.model_name = model_name;
   state.trained = true;
-}
-
-std::string HecateService::fit_auto(const std::string& path,
-                                    std::vector<std::string> candidates) {
-  const auto it = paths_.find(path);
-  // The holdout evaluation needs enough windows on both sides of the
-  // 75/25 split; demand a reasonable minimum.
-  if (it == paths_.end() ||
-      it->second.series.size() < 4 * (config_.history + 2)) {
-    throw std::runtime_error(
-        "HecateService::fit_auto: not enough samples for " + path);
-  }
-  if (candidates.empty()) candidates = hp::ml::regressor_short_names();
-
-  std::string best_name;
-  double best_rmse = std::numeric_limits<double>::infinity();
-  for (const std::string& name : candidates) {
-    auto model = hp::ml::make_regressor(name);
-    const PredictionTrace trace = run_pipeline(
-        *model, it->second.series, config_.history, config_.train_fraction);
-    if (trace.rmse < best_rmse) {
-      best_rmse = trace.rmse;
-      best_name = name;
-    }
-  }
-  fit_with_model(path, best_name);
-  return best_name;
-}
-
-std::string HecateService::model_of(const std::string& path) const {
-  const auto it = paths_.find(path);
-  return it == paths_.end() ? std::string{} : it->second.model_name;
 }
 
 std::vector<double> HecateService::forecast(const std::string& path,

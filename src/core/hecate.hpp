@@ -73,17 +73,6 @@ class HecateService {
   /// Throws std::runtime_error when fewer than history+2 samples exist.
   void fit(const std::string& path);
 
-  /// Model selection, as the paper runs it: evaluate a set of candidate
-  /// models on a chronological holdout of the path's series, adopt the
-  /// lowest-RMSE one for this path, and retrain it on the full series.
-  /// Returns the winning model's short name.  With an empty candidate
-  /// list the full 18-model catalogue is tried.
-  std::string fit_auto(const std::string& path,
-                       std::vector<std::string> candidates = {});
-
-  /// Short name of the model currently serving a path ("" if none).
-  [[nodiscard]] std::string model_of(const std::string& path) const;
-
   /// Recursive multi-step forecast from the latest window; fit() must
   /// have been called for the path.
   [[nodiscard]] std::vector<double> forecast(const std::string& path,
@@ -105,12 +94,8 @@ class HecateService {
     hp::ml::StandardScaler x_scaler;
     hp::ml::StandardScaler y_scaler;
     std::unique_ptr<hp::ml::Regressor> model;
-    std::string model_name;
     bool trained = false;
   };
-
-  /// Shared tail of fit()/fit_auto(): train `model_name` on the series.
-  void fit_with_model(const std::string& path, const std::string& model_name);
 
   HecateConfig config_;
   std::map<std::string, PathModel> paths_;

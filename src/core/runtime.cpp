@@ -38,38 +38,6 @@ FrameworkRuntime FrameworkRuntime::global_p4_lab(HecateConfig hecate_config) {
                           std::move(hecate_config));
 }
 
-std::vector<TunnelPlan> FrameworkRuntime::plan_tunnels(
-    const hp::netsim::Topology& topo, const std::string& src_host,
-    const std::string& dst_host, std::size_t k,
-    hp::netsim::PathMetric metric) {
-  const auto paths = hp::netsim::k_shortest_paths(
-      topo, topo.index_of(src_host), topo.index_of(dst_host), k, metric);
-  if (paths.empty()) {
-    throw std::invalid_argument("plan_tunnels: no path between " + src_host +
-                                " and " + dst_host);
-  }
-  std::vector<TunnelPlan> plans;
-  unsigned id = 1;
-  for (const auto& path : paths) {
-    const auto nodes = hp::netsim::path_nodes(topo, path);
-    TunnelPlan plan;
-    plan.id = id++;
-    plan.egress_host = dst_host;
-    // Strip the host endpoints: tunnels span routers only.
-    for (std::size_t i = 1; i + 1 < nodes.size(); ++i) {
-      plan.routers.push_back(topo.node(nodes[i]).name);
-    }
-    if (plan.routers.size() < 2) continue;  // degenerate one-router path
-    plans.push_back(std::move(plan));
-  }
-  if (plans.empty()) {
-    throw std::invalid_argument(
-        "plan_tunnels: no multi-router path between " + src_host + " and " +
-        dst_host);
-  }
-  return plans;
-}
-
 std::size_t FrameworkRuntime::train_hecate_from_telemetry() {
   // Rebuild Hecate's view from the Telemetry Service each training
   // round (the Controller "retrieves the stored telemetry data ... and

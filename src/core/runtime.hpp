@@ -16,7 +16,6 @@
 #include "core/hecate.hpp"
 #include "core/polka_service.hpp"
 #include "freertr/router_service.hpp"
-#include "netsim/paths.hpp"
 #include "netsim/simulator.hpp"
 #include "telemetry/agent.hpp"
 #include "telemetry/store.hpp"
@@ -45,15 +44,6 @@ class FrameworkRuntime {
   /// (1: MIA-SAO-AMS, 2: MIA-CHI-AMS, 3: MIA-CAL-CHI-AMS).
   [[nodiscard]] static FrameworkRuntime global_p4_lab(
       HecateConfig hecate_config = {});
-
-  /// PCE-style automatic tunnel planning: derive up to `k` tunnel plans
-  /// from the k-shortest loopless router paths between two hosts
-  /// (tunnel ids 1..k, best metric first).  Throws std::invalid_argument
-  /// when no path exists.
-  [[nodiscard]] static std::vector<TunnelPlan> plan_tunnels(
-      const hp::netsim::Topology& topo, const std::string& src_host,
-      const std::string& dst_host, std::size_t k,
-      hp::netsim::PathMetric metric = hp::netsim::PathMetric::kDelay);
 
   [[nodiscard]] hp::netsim::Simulator& simulator() noexcept { return *sim_; }
   [[nodiscard]] hp::telemetry::TimeSeriesStore& store() noexcept {

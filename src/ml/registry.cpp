@@ -6,7 +6,6 @@
 #include "ml/gpr.hpp"
 #include "ml/hist_gbr.hpp"
 #include "ml/linear.hpp"
-#include "ml/mlp.hpp"
 #include "ml/svr.hpp"
 #include "ml/tree.hpp"
 
@@ -43,9 +42,6 @@ std::unique_ptr<Regressor> make_by_name(const std::string& name) {
     return std::make_unique<SVR>(params);
   }
   if (name == "TheilSenR") return std::make_unique<TheilSenRegressor>();
-  // Extension model (paper Section VII future work); not part of the
-  // R1..R18 catalogue but constructible by name.
-  if (name == "MLP") return std::make_unique<MLPRegressor>();
   throw std::invalid_argument("make_regressor: unknown model " + name);
 }
 

@@ -223,8 +223,11 @@ std::vector<NodeIndex> path_nodes(const Topology& topo, const Path& path) {
 std::vector<Path> k_shortest_paths(const Topology& topo, NodeIndex src,
                                    NodeIndex dst, std::size_t k,
                                    PathMetric metric) {
+  if (src >= topo.node_count() || dst >= topo.node_count()) {
+    throw std::out_of_range("k_shortest_paths: bad node index");
+  }
   std::vector<Path> result;
-  if (k == 0) return result;
+  if (k == 0 || src == dst) return result;
   const auto first = shortest_path(topo, src, dst, metric);
   if (!first) return result;
   result.push_back(*first);

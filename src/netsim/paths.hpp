@@ -5,8 +5,8 @@
 // The paper hand-plans its three tunnels; a Path Computation Element
 // (Section I) must derive candidate paths itself, and Section II-A
 // worries about topologies growing "from 10s to 100s of routers".
-// These routines give the Controller automatic tunnel planning and the
-// scale-sweep bench its machinery.
+// These routines give the scenario engine its primary and backup
+// routes and the scale-sweep bench its machinery.
 //
 // Every query runs one search that settles nodes in (distance, node)
 // order and relaxes a link only on a strict improvement, so
@@ -86,7 +86,8 @@ struct TreeChildren {
                                          const Topology& topo);
 
 /// Yen's algorithm: up to `k` loopless shortest paths, best first.
-/// Returns fewer when the graph has fewer distinct simple paths.
+/// Returns fewer when the graph has fewer distinct simple paths, and
+/// none when src == dst.  Throws std::out_of_range for a bad node index.
 [[nodiscard]] std::vector<Path> k_shortest_paths(
     const Topology& topo, NodeIndex src, NodeIndex dst, std::size_t k,
     PathMetric metric = PathMetric::kDelay);

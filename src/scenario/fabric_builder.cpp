@@ -686,16 +686,16 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
     IndexEdits edits;
     for (const auto& pr : report.affected) {
       const RouteKey key = netsim::node_pair_key(pr.first, pr.second);
-      const BackupRoute* backup = backups_.activate(key, link_down_);
+      const BackupRoute* backup = backups_.live_backup(key, link_down_);
       if (backup == nullptr) {
         report.pending.push_back(pr);
         pending_.push_back(pr);
         continue;
       }
-      // activate() only returns fully-live candidates; a backup that
+      // live_backup() only returns fully-live candidates; a backup that
       // still crosses the link we just banned would re-sever the pair.
       HP_DCHECK(!crosses_failed_link(backup->path),
-                "apply_failure: activated backup crosses a dead link");
+                "apply_failure: live backup crosses a dead link");
       CompiledRoute route;
       route.segments = backup->segments;
       if (route.segments.single_label()) {
@@ -821,7 +821,6 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
       store_route(key, std::move(it->second), /*count_compile=*/false,
                   &edits);
       saved_primary_.erase(it);
-      backups_.release(key);
       ++stats_.backup_swaps;
       report.affected.push_back(pr);
       report.swapped.push_back(pr);

@@ -188,9 +188,6 @@ class BuiltFabric {
   [[nodiscard]] unsigned protection_k() const noexcept {
     return protection_k_;
   }
-  [[nodiscard]] const BackupTable& backup_table() const noexcept {
-    return backups_;
-  }
 
   /// Remove the duplex link a<->b from path computation (the fabric
   /// wiring is untouched: ports still exist, packets simply route

@@ -8,10 +8,7 @@
 namespace hp::scenario {
 
 void BackupTable::install(PairKey pair, std::vector<BackupRoute> backups) {
-  if (const auto it = pairs_.find(pair); it != pairs_.end()) {
-    backup_count_ -= it->second.backups.size();
-    pairs_.erase(it);
-  }
+  pairs_.erase(pair);
   if (backups.empty()) return;
   for (const BackupRoute& b : backups) {
     // A hitless swap copies these fields straight into the live route
@@ -22,48 +19,22 @@ void BackupTable::install(PairKey pair, std::vector<BackupRoute> backups) {
     HP_CHECK(!b.path.empty(), "BackupTable::install: backup route "
                               "without a link path");
   }
-  backup_count_ += backups.size();
-  pairs_.emplace(pair, PairProtection{std::move(backups), kNone});
+  pairs_.emplace(pair, std::move(backups));
 }
 
-void BackupTable::clear() {
-  pairs_.clear();
-  backup_count_ = 0;
-}
+void BackupTable::clear() { pairs_.clear(); }
 
-const std::vector<BackupRoute>* BackupTable::backups_for(PairKey pair) const {
-  const auto it = pairs_.find(pair);
-  return it == pairs_.end() ? nullptr : &it->second.backups;
-}
-
-const BackupRoute* BackupTable::activate(PairKey pair,
-                                         const std::vector<char>& link_down) {
+const BackupRoute* BackupTable::live_backup(
+    PairKey pair, const std::vector<char>& link_down) const {
   const auto it = pairs_.find(pair);
   if (it == pairs_.end()) return nullptr;
-  PairProtection& p = it->second;
-  for (std::size_t i = 0; i < p.backups.size(); ++i) {
-    const bool dead = std::ranges::any_of(
-        p.backups[i].path, [&](netsim::LinkIndex l) {
+  const auto live = std::ranges::find_if(
+      it->second, [&](const BackupRoute& b) {
+        return std::ranges::none_of(b.path, [&](netsim::LinkIndex l) {
           return l < link_down.size() && link_down[l] != 0;
         });
-    if (dead) continue;
-    p.active = i;
-    HP_DCHECK(p.active < p.backups.size(),
-              "BackupTable::activate: active index out of range");
-    return &p.backups[i];
-  }
-  return nullptr;
-}
-
-void BackupTable::release(PairKey pair) {
-  if (const auto it = pairs_.find(pair); it != pairs_.end()) {
-    it->second.active = kNone;
-  }
-}
-
-std::size_t BackupTable::active_index(PairKey pair) const {
-  const auto it = pairs_.find(pair);
-  return it == pairs_.end() ? kNone : it->second.active;
+      });
+  return live == it->second.end() ? nullptr : &*live;
 }
 
 }  // namespace hp::scenario

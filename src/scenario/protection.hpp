@@ -40,13 +40,12 @@ struct BackupRoute {
   double stretch = 1.0;
 };
 
-/// Per-pair protection state plus the selection logic.  Pair keys are
+/// Per-pair protection sets plus the selection logic.  Pair keys are
 /// netsim::node_pair_key(src, dst) over topology indices, matching the
 /// fabric's route-cache keys.
 class BackupTable {
  public:
   using PairKey = std::uint64_t;
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   /// Install (or replace) a pair's protection set, best backup first.
   /// An empty set erases the pair.
@@ -57,39 +56,20 @@ class BackupTable {
   [[nodiscard]] std::size_t pair_count() const noexcept {
     return pairs_.size();
   }
-  [[nodiscard]] std::size_t backup_count() const noexcept {
-    return backup_count_;
-  }
   [[nodiscard]] bool protects(PairKey pair) const {
     return pairs_.contains(pair);
   }
-  /// The pair's protection set (nullptr when unprotected).
-  [[nodiscard]] const std::vector<BackupRoute>* backups_for(
-      PairKey pair) const;
 
-  /// Select the pair's best live backup: the first (best-ranked) backup
-  /// whose path avoids every link marked in `link_down` (indexed by
-  /// directed LinkIndex).  Marks it active and returns it; nullptr when
-  /// the pair is unprotected or its whole protection set is dead --
-  /// the caller then falls back to a lazy recompile.
-  const BackupRoute* activate(PairKey pair,
-                              const std::vector<char>& link_down);
-
-  /// The pair's primary is back in service: its active backup returns
-  /// to standby.
-  void release(PairKey pair);
-
-  /// Index of the backup currently serving as the pair's primary
-  /// (kNone when the pair rides its real primary).
-  [[nodiscard]] std::size_t active_index(PairKey pair) const;
+  /// The pair's best live backup: the first (best-ranked) backup whose
+  /// path avoids every link marked in `link_down` (indexed by directed
+  /// LinkIndex).  nullptr when the pair is unprotected or its whole
+  /// protection set is dead -- the caller then falls back to a lazy
+  /// recompile.
+  [[nodiscard]] const BackupRoute* live_backup(
+      PairKey pair, const std::vector<char>& link_down) const;
 
  private:
-  struct PairProtection {
-    std::vector<BackupRoute> backups;
-    std::size_t active = kNone;
-  };
-  std::unordered_map<PairKey, PairProtection> pairs_;
-  std::size_t backup_count_ = 0;
+  std::unordered_map<PairKey, std::vector<BackupRoute>> pairs_;
 };
 
 }  // namespace hp::scenario

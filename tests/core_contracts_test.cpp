@@ -73,6 +73,34 @@ TEST(Contracts, BackupInstallRejectsUnroutableRoutes) {
   EXPECT_EQ(table.pair_count(), 1u);
 }
 
+TEST(BackupTable, LiveBackupFollowsRankOrder) {
+  // Three backups on disjoint links 10, 20 and 30, best first.  The
+  // lookup returns the first one whose links are all up and keeps no
+  // state between queries.
+  scenario::BackupTable table;
+  std::vector<scenario::BackupRoute> backups(3);
+  for (std::size_t i = 0; i < backups.size(); ++i) {
+    backups[i].segments.labels = {polka::RouteLabel{100 + i}};
+    backups[i].path = {static_cast<netsim::LinkIndex>(10 * (i + 1))};
+  }
+  table.install(7, backups);
+  std::vector<char> down(40, 0);
+  const auto live = [&] { return table.live_backup(7, down); };
+
+  ASSERT_NE(live(), nullptr);
+  EXPECT_EQ(live()->path, backups[0].path);
+  down[10] = 1;
+  ASSERT_NE(live(), nullptr);
+  EXPECT_EQ(live()->path, backups[1].path);
+  down[20] = 1;
+  down[30] = 1;
+  EXPECT_EQ(live(), nullptr);
+  EXPECT_EQ(table.live_backup(8, std::vector<char>(40, 0)), nullptr);
+  down.assign(40, 0);
+  ASSERT_NE(live(), nullptr);
+  EXPECT_EQ(live()->path, backups[0].path);
+}
+
 #if !defined(NDEBUG) || defined(HP_FORCE_DCHECKS)
 TEST(Contracts, EventQueueGuardsEmptyPop) {
   sim::EventQueue q;

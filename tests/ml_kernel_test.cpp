@@ -131,6 +131,7 @@ TEST(Registry, EighteenModelsWithPaperLabels) {
 
 TEST(Registry, UnknownNameThrows) {
   EXPECT_THROW((void)make_regressor("Perceptron"), std::invalid_argument);
+  EXPECT_THROW((void)make_regressor("MLP"), std::invalid_argument);
 }
 
 // Property sweep: every catalogue model fits a noiseless linear signal

@@ -296,9 +296,17 @@ TEST(PathEdges, SingleNodeTopology) {
     EXPECT_EQ(tree_path(tree, topo, 0), Path{});
     EXPECT_EQ(shortest_path(topo, 0, 0, metric), Path{});
     EXPECT_TRUE(k_disjoint_paths(topo, 0, 0, 3, metric).empty());
+    EXPECT_TRUE(k_shortest_paths(topo, 0, 0, 3, metric).empty());
   }
   EXPECT_THROW((void)shortest_path_tree(topo, 1), std::out_of_range);
   EXPECT_THROW((void)k_disjoint_paths(topo, 0, 1, 1), std::out_of_range);
+  try {
+    (void)k_shortest_paths(topo, 0, 1, 1);
+    ADD_FAILURE() << "k_shortest_paths accepted a bad node index";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("k_shortest_paths"),
+              std::string::npos);
+  }
 }
 
 TEST(PathEdges, DisjointRingsNeverReachAcross) {
