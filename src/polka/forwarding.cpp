@@ -91,22 +91,13 @@ PolkaFabric::Trace PolkaFabric::forward(const RouteId& route,
 }
 
 SegmentedRoute PolkaFabric::segmented_route_for_path(
-    const std::vector<std::size_t>& node_path, unsigned egress_port) const {
+    const std::vector<std::size_t>& node_path, unsigned egress_port,
+    std::size_t* crt_folds) const {
   if (node_path.empty()) {
     throw std::invalid_argument("segmented_route_for_path: empty path");
   }
-  SegmentedRoute out;
-  gf2::CrtAccumulator acc;
-  int seg_degree = 0;  // 0 <=> the current segment holds no congruence
-  const auto cut_at = [&](std::size_t node) {
-    // A closed segment always packs: a multi-congruence segment has
-    // modulus degree <= 64, and a lone congruence's solution is its
-    // reduced residue (the port bits).
-    out.labels.push_back(pack_label_checked(RouteId{acc.solution()}));
-    out.waypoints.push_back(static_cast<std::uint32_t>(node));
-    acc = {};
-    seg_degree = 0;
-  };
+  SegmentBuilder builder;
+  std::size_t folds = 0;
   for (std::size_t i = 0; i + 1 < node_path.size(); ++i) {
     const auto port = port_between(node_path[i], node_path[i + 1]);
     if (!port) {
@@ -116,34 +107,16 @@ SegmentedRoute PolkaFabric::segmented_route_for_path(
           nodes_.at(node_path[i + 1]).name + " are not wired");
     }
     const gf2::Poly& id = nodes_.at(node_path[i]).poly;
-    const int d = id.degree();
-    if (seg_degree > 0 && seg_degree + d > 64) cut_at(node_path[i]);
-    if (d <= 63) {
-      acc.add(*port, id.to_uint64());
-    } else {
-      acc.add(gf2::Congruence{port_polynomial(*port), id});
-    }
-    seg_degree += d;
+    builder.transit(static_cast<std::uint32_t>(node_path[i]), id.to_uint64(),
+                    id.degree(), *port);
+    ++folds;
   }
   const gf2::Poly& dst = nodes_.at(node_path.back()).poly;
-  const int dd = dst.degree();
-  if (port_polynomial(egress_port).degree() >= dd) {
-    throw std::domain_error(
-        "segmented_route_for_path: egress port does not fit the last "
-        "node's degree");
-  }
-  if (seg_degree > 0 && seg_degree + dd > 64) cut_at(node_path.back());
-  if (seg_degree == 0) {
-    // The destination starts a fresh segment: its label only has to
-    // satisfy label mod nodeID == egress port, and the port bits do.
-    out.labels.push_back(RouteLabel{egress_port});
-  } else {
-    out.labels.push_back(pack_label_checked(RouteId{
-        dd <= 63 ? acc.solution_with(egress_port, dst.to_uint64())
-                 : acc.solution_with(gf2::Congruence{
-                       port_polynomial(egress_port), dst})}));
-  }
-  return out;
+  SegmentedRoute route =
+      builder.finish(static_cast<std::uint32_t>(node_path.back()),
+                     dst.to_uint64(), dst.degree(), egress_port, folds);
+  if (crt_folds != nullptr) *crt_folds += folds;
+  return route;
 }
 
 std::optional<unsigned> PolkaFabric::port_between(std::size_t from,

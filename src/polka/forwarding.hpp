@@ -84,19 +84,17 @@ class PolkaFabric {
                               std::size_t max_hops = 64) const;
 
   /// Cut an explicit node-index path into a multi-segment route whose
-  /// every label fits 64 bits: transit congruences accumulate into one
-  /// segment while the CRT modulus stays within 64 coefficient bits;
-  /// when the next node would push it past, the segment is closed and
-  /// that node becomes a re-label waypoint.  The final segment carries
-  /// the egress congruence at the last node (cut there too when it does
-  /// not fit, leaving a final label of the bare egress-port bits).
-  /// Consecutive nodes must be wired (throws std::invalid_argument);
-  /// the egress port polynomial must fit the last node's degree (throws
-  /// std::domain_error, mirroring compute_route_id).  A path whose full
-  /// routeID already fits returns exactly one label, bit-identical to
-  /// pack_label(route_for_path(...)).
+  /// every label fits 64 bits, by driving a SegmentBuilder (which owns
+  /// the cut rule) over its hops and the egress congruence at the last
+  /// node.  Consecutive nodes must be wired (throws
+  /// std::invalid_argument); the egress port must fit the last node's
+  /// degree (throws std::domain_error, mirroring compute_route_id).  A
+  /// path whose full routeID already fits returns exactly one label,
+  /// bit-identical to pack_label(route_for_path(...)).  `crt_folds`,
+  /// when given, gains the CRT folds the route cost.
   [[nodiscard]] SegmentedRoute segmented_route_for_path(
-      const std::vector<std::size_t>& node_path, unsigned egress_port) const;
+      const std::vector<std::size_t>& node_path, unsigned egress_port,
+      std::size_t* crt_folds = nullptr) const;
 
   /// The port `from` uses to reach `to`, if wired.
   [[nodiscard]] std::optional<unsigned> port_between(std::size_t from,

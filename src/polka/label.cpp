@@ -1,5 +1,6 @@
 #include "polka/label.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace hp::polka {
@@ -20,6 +21,59 @@ RouteLabel pack_label_checked(const RouteId& route) {
 
 RouteId unpack_label(RouteLabel label) {
   return RouteId{gf2::Poly(label.bits)};
+}
+
+namespace {
+
+/// Close `acc` into `route` as one label and re-label at `node`.  A
+/// closed segment always packs: its modulus degree is at most 64, so
+/// its CRT solution's degree is at most 63.
+void close_segment(const gf2::CrtAccumulator& acc, std::uint32_t node,
+                   SegmentedRoute& route) {
+  route.labels.push_back(pack_label_checked(RouteId{acc.solution()}));
+  route.waypoints.push_back(node);
+}
+
+}  // namespace
+
+void SegmentBuilder::transit(std::uint32_t node, std::uint64_t id_bits,
+                             int degree, unsigned port) {
+  // Every allocated nodeID has degree <= 48 (NodeIdAllocator searches at
+  // most 16 degrees past the 32 a 32-bit port count needs), so one
+  // always fits a fresh segment and the word-form fold.
+  HP_CHECK(degree >= 1 && degree <= 63,
+           "SegmentBuilder: nodeID degree outside [1, 63]");
+  if (degree_ > 0 && degree_ + degree > 64) {
+    close_segment(acc_, node, closed_);
+    acc_ = {};
+    degree_ = 0;
+  }
+  acc_.add(port, id_bits);
+  degree_ += degree;
+}
+
+SegmentedRoute SegmentBuilder::finish(std::uint32_t node,
+                                      std::uint64_t id_bits, int degree,
+                                      unsigned egress_port,
+                                      std::size_t& folds) const {
+  HP_CHECK(degree >= 1 && degree <= 63,
+           "SegmentBuilder: nodeID degree outside [1, 63]");
+  if (std::bit_width(egress_port) > static_cast<unsigned>(degree)) {
+    throw std::domain_error(
+        "SegmentBuilder: egress port does not fit the last node's degree");
+  }
+  SegmentedRoute route = closed_;
+  if (degree_ > 0 && degree_ + degree <= 64) {
+    route.labels.push_back(
+        pack_label_checked(RouteId{acc_.solution_with(egress_port, id_bits)}));
+    ++folds;
+    return route;
+  }
+  // The destination starts a fresh segment: its label only has to
+  // satisfy label mod nodeID == egress port, and the port bits do.
+  if (degree_ > 0) close_segment(acc_, node, route);
+  route.labels.push_back(RouteLabel{egress_port});
+  return route;
 }
 
 }  // namespace hp::polka

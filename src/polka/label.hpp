@@ -6,15 +6,17 @@
 // headers carry a fixed-width label; RouteLabel is that form -- the
 // coefficient bits of a routeID packed into one uint64.  The packing is
 // exact whenever the CRT degree bound (sum of nodeID degrees along the
-// path) stays below 64, which holds for every path the fast path cares
-// about; longer routes fall back to the polynomial slow path.  Labels
-// are trivially copyable so batches live in flat contiguous arrays.
+// path) stays below 64; longer routes are cut into segments that each
+// fit (SegmentedRoute, built by SegmentBuilder).  Labels are trivially
+// copyable so batches live in flat contiguous arrays.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "core/contracts.hpp"
+#include "gf2/crt.hpp"
 #include "polka/route.hpp"
 
 namespace hp::polka {
@@ -49,6 +51,39 @@ struct SegmentedRoute {
 
   friend bool operator==(const SegmentedRoute&, const SegmentedRoute&) =
       default;
+};
+
+/// The one implementation of the 64-bit segment cut, shared by the
+/// per-path compiler (PolkaFabric::segmented_route_for_path) and the
+/// tree compiler (BuiltFabric's DFS).  Feed a path's transit hops in
+/// order, then finish at the destination.  Copies are cheap (one CRT
+/// accumulator plus the closed segments), so a tree walk copies one
+/// builder per descent and finishes it once per destination.
+class SegmentBuilder {
+ public:
+  /// Fold "leave `node` through `port`" into the open segment: exactly
+  /// one CRT fold.  When the nodeID (coefficient word `id_bits`, degree
+  /// `degree`) would push the segment's modulus past 64 bits, the
+  /// segment is closed first and `node` becomes a re-label waypoint.
+  /// Throws core::ContractViolation unless 1 <= degree <= 63.
+  void transit(std::uint32_t node, std::uint64_t id_bits, int degree,
+               unsigned port);
+
+  /// The finished route: the open segment plus the egress congruence
+  /// at `node`, cut there too when it does not fit (the destination
+  /// then re-labels to the bare egress-port bits).  Adds to `folds` the
+  /// CRT folds this made: 1 when the egress congruence joins a segment,
+  /// 0 when it re-labels.  The builder is unchanged.  Throws
+  /// std::domain_error when `egress_port` does not fit `degree`.
+  [[nodiscard]] SegmentedRoute finish(std::uint32_t node,
+                                      std::uint64_t id_bits, int degree,
+                                      unsigned egress_port,
+                                      std::size_t& folds) const;
+
+ private:
+  gf2::CrtAccumulator acc_;  ///< the open segment's congruences
+  int degree_ = 0;           ///< its modulus degree (0 = empty)
+  SegmentedRoute closed_;    ///< segments closed so far
 };
 
 /// One route's slice of pooled segment arrays (the flat storage batch

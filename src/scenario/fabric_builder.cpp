@@ -4,15 +4,14 @@
 #include <cstdio>
 #include <iterator>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
 
 #include "core/contracts.hpp"
-#include "gf2/crt.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "polka/route.hpp"
 #include "scenario/shard.hpp"
 
 namespace hp::scenario {
@@ -195,7 +194,7 @@ BuiltFabric::BuiltFabric(netsim::Topology topo) : topo_(std::move(topo)) {
   node_degree_.resize(fabric_.node_count());
   for (std::size_t f = 0; f < fabric_.node_count(); ++f) {
     const gf2::Poly& id = fabric_.node(f).poly;
-    node_bits_[f] = id.degree() <= 63 ? id.to_uint64() : 0;
+    node_bits_[f] = id.to_uint64();
     node_degree_[f] = id.degree();
   }
 }
@@ -266,10 +265,8 @@ const CompiledRoute* BuiltFabric::route(NodeIndex src, NodeIndex dst) {
   const auto path = netsim::tree_path(tree_for(src), topo_, dst);
   if (!path) return nullptr;
 
-  std::size_t crt_steps = 0;
-  CompiledRoute route = compile_path_route(*path, crt_steps);
-  stats_.crt_steps += crt_steps;
-  CompiledRoute& stored = store_route(key, std::move(route));
+  CompiledRoute& stored =
+      store_route(key, compile_path_route(*path, stats_.crt_steps));
   note_compile("route", before, t0);
   return &stored;
 }
@@ -280,32 +277,34 @@ const CompiledRoute* BuiltFabric::cached_route(NodeIndex src,
   return it == routes_.end() ? nullptr : &it->second;
 }
 
+CompiledRoute BuiltFabric::make_route(std::size_t fsrc, std::size_t fdst,
+                                      polka::SegmentedRoute segments,
+                                      netsim::Path path) const {
+  CompiledRoute route;
+  route.segments = std::move(segments);
+  route.ingress = static_cast<std::uint32_t>(fsrc);
+  route.expected.egress_node = static_cast<std::uint32_t>(fdst);
+  route.expected.egress_port = egress_port(fdst);
+  route.expected.hops = static_cast<std::uint32_t>(path.size() + 1);
+  route.path = std::move(path);
+  return route;
+}
+
 CompiledRoute BuiltFabric::compile_path_route(const netsim::Path& path,
                                               std::size_t& crt_steps) const {
   // Per-path baseline: derives the whole congruence system for this
-  // one destination (one CRT fold per hop plus the egress fold),
-  // cutting segments at the same 64-bit boundary as the tree compiler.
-  CompiledRoute route;
-  route.path = path;
+  // one destination, one CRT fold per hop plus the egress fold (none
+  // when the destination re-labels).
   std::vector<std::size_t> fabric_path;
   fabric_path.reserve(path.size() + 1);
   for (const NodeIndex n : netsim::path_nodes(topo_, path)) {
     fabric_path.push_back(topo_to_fabric_[n]);
   }
-  const std::size_t egress_node = fabric_path.back();
-  route.segments =
-      fabric_.segmented_route_for_path(fabric_path, egress_port(egress_node));
-  if (route.segments.single_label()) {
-    // The lone label *is* the full-path CRT solution; no recompute.
-    route.label = route.segments.labels.front();
-    route.id = polka::unpack_label(*route.label);
-  }
-  route.ingress = static_cast<std::uint32_t>(fabric_path.front());
-  route.expected.egress_node = static_cast<std::uint32_t>(egress_node);
-  route.expected.egress_port = egress_port(egress_node);
-  route.expected.hops = static_cast<std::uint32_t>(fabric_path.size());
-  crt_steps += fabric_path.size();
-  return route;
+  const std::size_t fdst = fabric_path.back();
+  return make_route(fabric_path.front(), fdst,
+                    fabric_.segmented_route_for_path(
+                        fabric_path, egress_port(fdst), &crt_steps),
+                    path);
 }
 
 void BuiltFabric::compile_tree_routes(const netsim::PathTree& tree,
@@ -320,12 +319,10 @@ void BuiltFabric::compile_tree_routes(const netsim::PathTree& tree,
   struct Frame {
     NodeIndex node;
     std::size_t next_child;
-    gf2::CrtAccumulator acc;  ///< current segment's congruences so far
-    int seg_degree;           ///< accumulated modulus degree of acc (0 = empty)
-    polka::SegmentedRoute done;  ///< segments closed above this frame
+    polka::SegmentBuilder segments;  ///< the tree path from src to node
   };
   std::vector<Frame> stack;
-  stack.push_back(Frame{src, 0, {}, 0, {}});
+  stack.push_back(Frame{src, 0, {}});
   netsim::Path links;  // tree links from src to the current node
 
   while (!stack.empty()) {
@@ -355,70 +352,24 @@ void BuiltFabric::compile_tree_routes(const netsim::PathTree& tree,
       throw std::logic_error(
           "BuiltFabric: tree edge between routers is not wired");
     }
-    gf2::CrtAccumulator acc = frame.acc;
-    int seg_degree = frame.seg_degree;
-    polka::SegmentedRoute done = frame.done;
-    if (seg_degree > 0 && seg_degree + node_degree_[fv] > 64) {
-      // This node would push the segment's modulus past 64 bits: close
-      // the segment (its label packs by construction) and re-label
-      // here.  The fresh accumulator keeps every deeper route on the
-      // fast path no matter how far the tree goes.
-      done.labels.push_back(
-          polka::pack_label_checked(polka::RouteId{acc.solution()}));
-      done.waypoints.push_back(static_cast<std::uint32_t>(fv));
-      acc = {};
-      seg_degree = 0;
-    }
-    if (node_bits_[fv] != 0) {
-      acc.add(*port, node_bits_[fv]);
-    } else {
-      acc.add(gf2::Congruence{polka::port_polynomial(*port),
-                              fabric_.node(fv).poly});
-    }
-    seg_degree += node_degree_[fv];
-    // The segment-cut rule above must keep every open segment's CRT
-    // modulus packable: one more violation here and pack_label_checked
-    // would throw deep inside a worker thread instead.
-    HP_CHECK(seg_degree <= 64,
-             "compile_tree_routes: open segment modulus exceeds 64 bits");
+    polka::SegmentBuilder segments = frame.segments;
+    segments.transit(static_cast<std::uint32_t>(fv), node_bits_[fv],
+                     node_degree_[fv], *port);
     ++crt_steps;
     links.push_back(tree.via[child]);
 
     if (emit == nullptr || (*emit)[child]) {
-      CompiledRoute route;
-      route.segments = done;
-      if (seg_degree + node_degree_[fc] > 64) {
-        // The egress congruence does not fit the open segment either:
-        // the destination re-labels to a final bare-port label.
-        route.segments.labels.push_back(
-            polka::pack_label_checked(polka::RouteId{acc.solution()}));
-        route.segments.waypoints.push_back(static_cast<std::uint32_t>(fc));
-        route.segments.labels.push_back(
-            polka::RouteLabel{egress_port(fc)});
-      } else {
-        // The destination adds only its egress congruence.
-        ++crt_steps;
-        route.segments.labels.push_back(polka::pack_label_checked(
-            polka::RouteId{
-                node_bits_[fc] != 0
-                    ? acc.solution_with(egress_port(fc), node_bits_[fc])
-                    : acc.solution_with(gf2::Congruence{
-                          polka::port_polynomial(egress_port(fc)),
-                          fabric_.node(fc).poly})}));
-      }
-      if (route.segments.single_label()) {
-        route.label = route.segments.labels.front();
-        route.id = polka::unpack_label(*route.label);
-      }
-      route.ingress = static_cast<std::uint32_t>(fsrc);
-      route.expected.egress_node = static_cast<std::uint32_t>(fc);
-      route.expected.egress_port = egress_port(fc);
-      route.expected.hops = static_cast<std::uint32_t>(links.size() + 1);
-      route.path = links;
-      out.emplace_back(netsim::node_pair_key(src, child), std::move(route));
+      // The destination finishes the shared prefix with its own egress
+      // congruence: one fold at most.
+      out.emplace_back(
+          netsim::node_pair_key(src, child),
+          make_route(fsrc, fc,
+                     segments.finish(static_cast<std::uint32_t>(fc),
+                                     node_bits_[fc], node_degree_[fc],
+                                     egress_port(fc), crt_steps),
+                     links));
     }
-    stack.push_back(Frame{child, 0, std::move(acc), seg_degree,
-                          std::move(done)});
+    stack.push_back(Frame{child, 0, std::move(segments)});
   }
 }
 
@@ -590,19 +541,12 @@ std::size_t BuiltFabric::protect_pair(RouteKey key,
   std::vector<BackupRoute> backups;
   backups.reserve(paths.size());
   for (const netsim::Path& path : paths) {
-    std::size_t crt_steps = 0;
-    CompiledRoute compiled = compile_path_route(path, crt_steps);
-    stats_.crt_steps += crt_steps;
-    BackupRoute backup;
-    backup.segments = std::move(compiled.segments);
-    backup.expected = compiled.expected;
-    backup.path = std::move(compiled.path);
-    backup.ingress = compiled.ingress;
-    backup.stretch = primary.path.empty()
-                         ? 1.0
-                         : static_cast<double>(path.size()) /
-                               static_cast<double>(primary.path.size());
-    backups.push_back(std::move(backup));
+    const double stretch = primary.path.empty()
+                               ? 1.0
+                               : static_cast<double>(path.size()) /
+                                     static_cast<double>(primary.path.size());
+    backups.push_back(
+        BackupRoute{compile_path_route(path, stats_.crt_steps), stretch});
   }
   const std::size_t count = backups.size();
   stats_.backup_routes += count;
@@ -696,16 +640,8 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
       // still crosses the link we just banned would re-sever the pair.
       HP_DCHECK(!crosses_failed_link(backup->path),
                 "apply_failure: live backup crosses a dead link");
-      CompiledRoute route;
-      route.segments = backup->segments;
-      if (route.segments.single_label()) {
-        route.label = route.segments.labels.front();
-        route.id = polka::unpack_label(*route.label);
-      }
-      route.ingress = backup->ingress;
-      route.expected = backup->expected;
-      route.path = backup->path;
-      store_route(key, std::move(route), /*count_compile=*/false, &edits);
+      store_route(key, CompiledRoute(*backup), /*count_compile=*/false,
+                  &edits);
       ++stats_.backup_swaps;
       report.swapped.push_back(pr);
       report.swap_stretch.push_back(backup->stretch);

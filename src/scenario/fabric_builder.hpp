@@ -13,18 +13,18 @@
 //  - route() compiles one pair per call, folding one congruence per hop
 //    (the per-path baseline: O(depth) CRT steps per route);
 //  - compile_all_pairs() / compile_subtree() walk a source's tree once
-//    with a CrtAccumulator carried down the DFS.  Every tree edge v->c
+//    with a SegmentBuilder carried down the DFS.  Every tree edge v->c
 //    serves all destinations in c's subtree with the same port
 //    congruence at v, so descending adds exactly one CRT step and each
 //    destination needs only its final egress congruence: O(n) steps for
 //    a whole source instead of O(n * depth).
 //
-// Both strategies cut multi-segment routes at the same boundary: while
-// descending (or walking a path), the moment the accumulated CRT
-// modulus would pass 64 coefficient bits the current segment is closed
-// into one <= 64-bit label, the node becomes a re-label waypoint, and a
-// fresh accumulator starts -- so deep ring/torus paths never leave the
-// uint64 fast path and the compiler never materializes a wide Poly.
+// Both strategies drive one polka::SegmentBuilder, the only author of
+// a route's wire form: the moment the accumulated CRT modulus would
+// pass 64 coefficient bits it closes the open segment into one <= 64-bit
+// label and makes the node a re-label waypoint -- so deep ring/torus
+// paths never leave the uint64 fast path and the compiler never
+// materializes a wide Poly.
 //
 // Scheduled link failures remove links from path computation; a
 // link -> route-keys inverted index names the crossing routes in
@@ -38,7 +38,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -56,24 +55,6 @@ class TraceSink;
 }  // namespace hp::obs
 
 namespace hp::scenario {
-
-/// A compiled router-to-router route through the fabric.
-///
-/// Every route is carried by `segments`, whose labels each fit 64 bits
-/// (one label when the whole path's CRT modulus stays within 64
-/// coefficient bits, more with re-label waypoints otherwise), so every
-/// compiled route replays on the uint64 fast path.  `id` and `label`
-/// are the single-label forms: populated exactly when
-/// segments.single_label(), zero/nullopt for multi-segment routes (the
-/// full-path polynomial is never materialized for those).
-struct CompiledRoute {
-  polka::RouteId id;                        ///< CRT routeID (single-label only)
-  std::optional<polka::RouteLabel> label;   ///< 64-bit form, when it fits
-  polka::SegmentedRoute segments;           ///< fast-path wire form, always set
-  std::uint32_t ingress = 0;                ///< fabric index of the source
-  polka::PacketResult expected;             ///< egress node/port and hop count
-  netsim::Path path;                        ///< topology links traversed
-};
 
 /// Counters behind the route compiler, exposed so tests and benches can
 /// assert *how much* work a call performed (e.g. that apply_failure
@@ -258,7 +239,7 @@ class BuiltFabric {
   /// Cached tree for `src`, built on first use (counts in stats_).
   const netsim::PathTree& tree_for(netsim::NodeIndex src);
 
-  /// DFS down `tree` carrying a CrtAccumulator, emitting one route per
+  /// DFS down `tree` carrying a SegmentBuilder, emitting one route per
   /// visited router destination.  `descend`, when given, prunes the
   /// walk to marked nodes; `emit`, when given, selects which visited
   /// nodes produce a route.  Thread-safe (touches no mutable state).
@@ -283,9 +264,16 @@ class BuiltFabric {
   /// True when `path` crosses a link that is currently down.
   [[nodiscard]] bool crosses_failed_link(const netsim::Path& path) const;
 
-  /// Compile one explicit path into a route (segments, expectation,
-  /// ingress) without touching the cache or stats; `crt_steps` gets
-  /// the fold count.  Shared by route() and the backup planner.
+  /// The route from fabric node `fsrc` to `fdst` over `path`, carrying
+  /// `segments`: ingress and expectation, written once for every
+  /// compiler.
+  [[nodiscard]] CompiledRoute make_route(std::size_t fsrc, std::size_t fdst,
+                                         polka::SegmentedRoute segments,
+                                         netsim::Path path) const;
+
+  /// Compile one explicit path into a route without touching the cache
+  /// or stats; `crt_steps` gains the fold count.  Shared by route() and
+  /// the backup planner.
   [[nodiscard]] CompiledRoute compile_path_route(const netsim::Path& path,
                                                  std::size_t& crt_steps) const;
 
@@ -309,12 +297,9 @@ class BuiltFabric {
   polka::PolkaFabric fabric_;
   std::vector<std::size_t> topo_to_fabric_;  // kInvalidIndex for hosts
   std::vector<netsim::NodeIndex> fabric_to_topo_;
-  /// Per fabric node: the nodeID's coefficient words when its degree
-  /// fits 64 bits (the common case), else 0 -- lets the compiler fold
-  /// congruences through the word-form CRT API without building Polys.
+  /// Per fabric node: the nodeID's coefficient word and degree, the
+  /// SegmentBuilder's inputs (every nodeID fits one word).
   std::vector<std::uint64_t> node_bits_;
-  /// Per fabric node: deg(nodeID), driving the segment-cut rule (a
-  /// segment closes when its accumulated modulus degree would pass 64).
   std::vector<int> node_degree_;
   std::vector<netsim::LinkIndex> banned_links_;
   /// Per directed link: 1 while failed.  The O(1) form of

@@ -16,7 +16,8 @@
 //
 // The table is pure bookkeeping: it never computes paths or labels
 // itself (BuiltFabric owns both), which keeps it trivially reusable by
-// the replay runner and the timed simulator alike.
+// the replay runner and the timed simulator alike.  CompiledRoute, the
+// one record of a compiled route, lives here because a backup is one.
 
 #include <cstddef>
 #include <cstdint>
@@ -28,13 +29,22 @@
 
 namespace hp::scenario {
 
-/// One pre-installed backup: a fully compiled alternate route, ready to
-/// serve as the pair's primary the moment a failure demands it.
-struct BackupRoute {
+/// A compiled router-to-router route through the fabric.  `segments` is
+/// its only wire form: each label fits 64 bits (one label when the
+/// whole path's CRT modulus stays within 64 coefficient bits, more with
+/// re-label waypoints otherwise), so every compiled route replays on
+/// the uint64 fast path.
+struct CompiledRoute {
   polka::SegmentedRoute segments;  ///< fast-path wire form, always set
-  polka::PacketResult expected;    ///< egress node/port/hops on the backup
-  netsim::Path path;               ///< topology links traversed
   std::uint32_t ingress = 0;       ///< fabric index of the source
+  polka::PacketResult expected;    ///< egress node/port and hop count
+  netsim::Path path;               ///< topology links traversed
+};
+
+/// One pre-installed backup: a fully compiled alternate route, ready to
+/// serve as the pair's primary the moment a failure demands it (a swap
+/// installs its CompiledRoute part as is).
+struct BackupRoute : CompiledRoute {
   /// Backup hops over primary hops at protection time: the path
   /// stretch a swap pays (1.0 = equal length).
   double stretch = 1.0;

@@ -212,10 +212,12 @@ TEST_P(GeneratedTopologyParityFuzz, CompiledRoutesAgreeWithScalarWalks) {
     if (src == dst) continue;
     const hp::scenario::CompiledRoute* route = built.route(src, dst);
     ASSERT_NE(route, nullptr);  // generated families are connected
-    ASSERT_TRUE(route->label.has_value());
+    ASSERT_TRUE(route->segments.single_label());
+    const RouteLabel label = route->segments.labels.front();
 
     // Scalar reference walk agrees with the planned egress...
-    const auto trace = built.fabric().forward(route->id, route->ingress);
+    const auto trace =
+        built.fabric().forward(unpack_label(label), route->ingress);
     ASSERT_FALSE(trace.nodes.empty());
     EXPECT_EQ(trace.nodes.back(), route->expected.egress_node);
     EXPECT_EQ(trace.ports.back(), route->expected.egress_port);
@@ -225,10 +227,9 @@ TEST_P(GeneratedTopologyParityFuzz, CompiledRoutesAgreeWithScalarWalks) {
               built.egress_port(built.fabric_index(dst)));
 
     // ...and so does the compiled walk.
-    EXPECT_EQ(fast.forward_one(*route->label, route->ingress),
-              route->expected);
+    EXPECT_EQ(fast.forward_one(label, route->ingress), route->expected);
 
-    labels.push_back(*route->label);
+    labels.push_back(label);
     firsts.push_back(route->ingress);
     expected.push_back(route->expected);
   }

@@ -7,7 +7,10 @@
 
 #include <limits>
 #include <random>
+#include <string>
+#include <vector>
 
+#include "core/contracts.hpp"
 #include "core/polka_service.hpp"
 #include "freertr/router_service.hpp"
 #include "gf2/irreducible.hpp"
@@ -383,6 +386,36 @@ TEST(SegmentedRoute, ValidatesInputs) {
   EXPECT_THROW((void)fast.forward_batch_segmented(solo.labels, solo.waypoints,
                                                   bad_refs, firsts, results),
                std::out_of_range);
+}
+
+TEST(SegmentBuilder, RejectsNodeIdDegreesOutsideOneTo63) {
+  // t^64 + t^4 + t^3 + t + 1 has degree 64: one coefficient word drops
+  // its leading term, so the word-form CRT fold cannot take it.  The
+  // builder refuses it (and a degree-0 "nodeID") by contract, naming
+  // itself.
+  constexpr std::uint64_t kLowWord = 0x1B;
+  SegmentBuilder builder;
+  std::size_t folds = 0;
+  for (const int degree : {64, 0}) {
+    try {
+      builder.transit(0, kLowWord, degree, 1);
+      ADD_FAILURE() << "transit accepted degree " << degree;
+    } catch (const core::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("SegmentBuilder"),
+                std::string::npos);
+    }
+    EXPECT_THROW((void)builder.finish(0, kLowWord, degree, 0, folds),
+                 core::ContractViolation);
+  }
+  EXPECT_EQ(folds, 0u);
+
+  // Degree 63, the widest modulus a word holds, is accepted.
+  builder.transit(0, (std::uint64_t{1} << 63) | 1, 63, 1);
+  const SegmentedRoute route = builder.finish(1, 0x7, 2, 1, folds);
+  EXPECT_EQ(route.labels.size(), 2u);  // 63 + 2 > 64: egress re-labels
+  EXPECT_EQ(route.waypoints, std::vector<std::uint32_t>{1});
+  EXPECT_EQ(route.labels.back().bits, 1u);
+  EXPECT_EQ(folds, 0u);
 }
 
 TEST(WorkloadPackets, PacketCountShapes) {

@@ -60,7 +60,7 @@ TEST(BuiltFabric, RoutesFollowShortestPathsAndAreCached) {
   EXPECT_EQ(route->path.size(), 3u);        // r0-r1-r2-r3
   EXPECT_EQ(route->expected.hops, 4u);
   EXPECT_EQ(route->expected.egress_node, built.fabric_index(dst));
-  ASSERT_TRUE(route->label.has_value());
+  EXPECT_TRUE(route->segments.single_label());
   EXPECT_THROW((void)built.route(src, src), std::invalid_argument);
 }
 

@@ -23,7 +23,7 @@ using netsim::NodeIndex;
 
 /// Compare every ordered router pair of `tree_compiled` (filled via
 /// compile_all_pairs / apply_failure repair) against a per-path baseline
-/// fabric in the same topology state: bit-identical labels, ids, paths
+/// fabric in the same topology state: bit-identical segments, paths
 /// and expectations, including unreachable pairs.
 void expect_all_pairs_parity(BuiltFabric& tree_compiled,
                              BuiltFabric& baseline) {
@@ -36,9 +36,8 @@ void expect_all_pairs_parity(BuiltFabric& tree_compiled,
       ASSERT_EQ(t == nullptr, b == nullptr)
           << "reachability diverges for " << src << " -> " << dst;
       if (t == nullptr) continue;
-      EXPECT_EQ(t->id.value, b->id.value)
-          << "routeID diverges for " << src << " -> " << dst;
-      EXPECT_EQ(t->label, b->label);
+      EXPECT_EQ(t->segments, b->segments)
+          << "segments diverge for " << src << " -> " << dst;
       EXPECT_EQ(t->ingress, b->ingress);
       EXPECT_EQ(t->expected, b->expected);
       EXPECT_EQ(t->path, b->path);
@@ -93,7 +92,7 @@ TEST(TreeCompile, ParallelCompilationIsIdentical) {
         const CompiledRoute* p = parallel.route(src, dst);
         ASSERT_NE(s, nullptr);
         ASSERT_NE(p, nullptr);
-        EXPECT_EQ(s->id.value, p->id.value);
+        EXPECT_EQ(s->segments, p->segments);
         EXPECT_EQ(s->path, p->path);
       }
     }
@@ -145,11 +144,40 @@ TEST(TreeCompile, SubtreeCompileWalksOnlyRequestedBranches) {
     const CompiledRoute* got = built.route(r0, dst);
     const CompiledRoute* want = baseline.route(r0, dst);
     ASSERT_NE(got, nullptr);
-    EXPECT_EQ(got->id.value, want->id.value);
+    EXPECT_EQ(got->segments, want->segments);
     EXPECT_EQ(got->path, want->path);
   }
   // Unreachable / degenerate destinations are skipped, not compiled.
   EXPECT_EQ(built.compile_subtree(r0, std::vector<NodeIndex>{r0}), 0u);
+}
+
+TEST(TreeCompile, PerPathAndTreeCountTheSameCrtSteps) {
+  // Both compilers count only the folds they make: a destination that
+  // re-labels to bare egress-port bits folds no egress congruence on
+  // either path.  A 256-ring's long routes cut at their destination.
+  const auto topo = make_ring(256);
+  BuiltFabric per_path(topo);
+  BuiltFabric tree(topo);
+  const NodeIndex r0 = topo.index_of("r0");
+  std::size_t egress_cuts = 0;
+  for (int i = 1; i < 256; i += 7) {
+    const NodeIndex dst = topo.index_of("r" + std::to_string(i));
+    SCOPED_TRACE(i);
+    const std::size_t per_path_before = per_path.compile_stats().crt_steps;
+    const CompiledRoute* want = per_path.route(r0, dst);
+    const std::size_t tree_before = tree.compile_stats().crt_steps;
+    ASSERT_EQ(tree.compile_subtree(r0, std::vector<NodeIndex>{dst}), 1u);
+    const CompiledRoute* got = tree.cached_route(r0, dst);
+    ASSERT_NE(want, nullptr);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->segments, want->segments);
+    EXPECT_EQ(tree.compile_stats().crt_steps - tree_before,
+              per_path.compile_stats().crt_steps - per_path_before);
+    const auto& waypoints = want->segments.waypoints;
+    egress_cuts += !waypoints.empty() &&
+                   waypoints.back() == per_path.fabric_index(dst);
+  }
+  EXPECT_GT(egress_cuts, 0u);
 }
 
 TEST(TreeCompile, FailLinkRecompilesOnlyCrossingRoutes) {
@@ -167,7 +195,7 @@ TEST(TreeCompile, FailLinkRecompilesOnlyCrossingRoutes) {
   const NodeIndex leaf0 = topo.index_of("leaf0");
   const CompiledRoute* untouched = built.route(leaf0, leaf3);
   ASSERT_NE(untouched, nullptr);
-  const auto untouched_id = untouched->id.value;
+  const auto untouched_segments = untouched->segments;
 
   const CompileStats before = built.compile_stats();
   const auto affected = built.apply_failure(leaf3, spine1).affected;
@@ -185,7 +213,7 @@ TEST(TreeCompile, FailLinkRecompilesOnlyCrossingRoutes) {
   // label), proving the cache was not rebuilt wholesale.
   const CompiledRoute* still = built.route(leaf0, leaf3);
   EXPECT_EQ(still, untouched);
-  EXPECT_EQ(still->id.value, untouched_id);
+  EXPECT_EQ(still->segments, untouched_segments);
 
   // The severed pair detours leaf3 -> spine0 -> leaf -> spine1.
   const CompiledRoute* detour = built.route(spine1, leaf3);

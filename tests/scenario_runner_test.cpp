@@ -39,7 +39,8 @@ TEST_P(ScenarioMatrix, ReplaysWithIntendedEgressAndScalarParity) {
   for (const TrafficPair& pair : stream.pairs) {
     const CompiledRoute* route = fabric.route(pair.src, pair.dst);
     ASSERT_NE(route, nullptr);
-    const auto trace = fabric.fabric().forward(route->id, route->ingress);
+    const auto trace = fabric.fabric().forward(
+        polka::unpack_label(route->segments.labels.front()), route->ingress);
     ASSERT_FALSE(trace.nodes.empty());
     EXPECT_EQ(trace.nodes.back(), pair.expected.egress_node);
     EXPECT_EQ(trace.ports.back(), pair.expected.egress_port);

@@ -56,28 +56,27 @@ std::vector<std::size_t> path_fabric_nodes(const BuiltFabric& built,
   return nodes;
 }
 
-/// Full per-route invariants: segments exist, label <=> single segment,
-/// the segmented fast-path walk delivers the expected result, and its
-/// hop sequence is exactly the compiled topology path.
+/// Full per-route invariants: segments exist, the segmented fast-path
+/// walk delivers the expected result, and its hop sequence is exactly
+/// the compiled topology path.
 void expect_segmented_route_exact(BuiltFabric& built, NodeIndex src,
                                   const CompiledRoute& route,
                                   std::size_t max_hops) {
   ASSERT_FALSE(route.segments.labels.empty());
   ASSERT_EQ(route.segments.waypoints.size(),
             route.segments.labels.size() - 1);
-  EXPECT_EQ(route.label.has_value(), route.segments.single_label());
   const polka::CompiledFabric& fast = built.compiled();
   const polka::PacketResult got = fast.forward_segmented(
       route.segments.labels, route.segments.waypoints, route.ingress,
       max_hops);
   EXPECT_FALSE(got.ttl_expired);
   EXPECT_EQ(got, route.expected);
-  if (route.label) {
+  if (route.segments.single_label()) {
     // Where the single-label path exists the two walks must agree
     // bit for bit, packet for packet.
-    EXPECT_EQ(fast.forward_one(*route.label, route.ingress, max_hops), got);
-    EXPECT_EQ(route.label, route.segments.labels.front());
-    EXPECT_EQ(route.id.value.to_uint64(), route.label->bits);
+    EXPECT_EQ(fast.forward_one(route.segments.labels.front(), route.ingress,
+                               max_hops),
+              got);
   }
   EXPECT_EQ(fold_walk_nodes(built, route.segments, route.ingress),
             path_fabric_nodes(built, src, route.path));
@@ -121,8 +120,6 @@ TEST(SegmentedRoutes, DeepRingTreeAndPerPathCutIdenticalSegments) {
       ASSERT_NE(t, nullptr);
       ASSERT_NE(b, nullptr);
       EXPECT_EQ(t->segments, b->segments);
-      EXPECT_EQ(t->label, b->label);
-      EXPECT_EQ(t->id.value, b->id.value);
       EXPECT_EQ(t->path, b->path);
       multi_segment += !t->segments.single_label();
     }
