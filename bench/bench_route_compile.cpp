@@ -13,9 +13,15 @@
 //                     shortest-path-tree walk per source, O(n) CRT
 //                     steps per source.
 //   tree_parallel  -- compile_all_pairs(hardware threads).
+//   protect        -- BuiltFabric::enable_protection(1) after
+//                     compile_all_pairs: one disjoint search per pair
+//                     on the fabric's one search, then one
+//                     prefix-shared compile per source.  Items are
+//                     backups; the counters report us_per_backup and
+//                     folds_per_backup (CRT folds the compile made).
 //
-// Items processed == routes compiled, so compare `items_per_second`
-// across variants.  On deep families (ring/torus at >= 256 nodes) the
+// Items processed == routes compiled (backups for protect), so compare
+// `items_per_second` across the route variants.  On deep families (ring/torus at >= 256 nodes) the
 // quadratic per-path variants would run for minutes, so they compile
 // all destinations from a capped number of sources; routes/sec stays
 // comparable because these families are vertex-symmetric.
@@ -24,10 +30,12 @@
 
 #include "bench_json.hpp"
 
+#include <chrono>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gf2/poly.hpp"
@@ -142,6 +150,33 @@ void run_tree(benchmark::State& state, const Topology& topo,
   state.counters["threads"] = threads;
 }
 
+void run_protect(benchmark::State& state, const Topology& topo) {
+  std::size_t backups = 0;
+  std::size_t folds = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    BuiltFabric built(topo);
+    (void)built.compile_all_pairs(1);
+    const std::size_t before = built.compile_stats().crt_steps;
+    state.ResumeTiming();
+    const auto t0 = std::chrono::steady_clock::now();
+    backups = built.enable_protection(1);
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    folds = built.compile_stats().crt_steps - before;
+    benchmark::DoNotOptimize(backups);
+  }
+  const auto planned =
+      static_cast<double>(backups) * static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(planned));
+  state.counters["us_per_backup"] = planned == 0.0 ? 0.0 : seconds * 1e6 / planned;
+  state.counters["folds_per_backup"] =
+      backups == 0 ? 0.0
+                   : static_cast<double>(folds) / static_cast<double>(backups);
+}
+
 Topology make_family(const std::string& family, std::size_t n) {
   if (family == "ring") {
     return hp::scenario::make_ring(static_cast<unsigned>(n));
@@ -188,6 +223,11 @@ void BM_TreeAllPairsParallel(benchmark::State& state,
            std::max(1u, std::thread::hardware_concurrency()));
 }
 
+void BM_Protect(benchmark::State& state, const std::string& family) {
+  run_protect(state,
+              make_family(family, static_cast<std::size_t>(state.range(0))));
+}
+
 void register_family(const std::string& family,
                      std::initializer_list<std::int64_t> sizes) {
   for (const std::int64_t n : sizes) {
@@ -221,6 +261,16 @@ int main(int argc, char** argv) {
         ("tree_parallel/" + family).c_str(),
         [family](benchmark::State& s) { BM_TreeAllPairsParallel(s, family); })
         ->Arg(256)
+        ->Unit(benchmark::kMillisecond);
+  }
+  for (const auto& [family, n] :
+       {std::pair<std::string, std::int64_t>{"torus", 64},
+        {"torus", 256},
+        {"ring", 256}}) {
+    benchmark::RegisterBenchmark(
+        ("protect/" + family).c_str(),
+        [family](benchmark::State& s) { BM_Protect(s, family); })
+        ->Arg(n)
         ->Unit(benchmark::kMillisecond);
   }
   return hp::benchjson::run_and_export(argc, argv, "route_compile");

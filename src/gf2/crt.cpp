@@ -77,6 +77,26 @@ Poly CrtAccumulator::solution_with(std::uint64_t residue_bits,
       Congruence{Poly(residue_bits), Poly(modulus_bits)});
 }
 
+std::uint64_t CrtAccumulator::solution_word() const {
+  // deg(solution) < deg(modulus) <= 64: the low word holds it all.
+  if (wide_ || fast_degree_ > 64) {
+    throw std::domain_error("crt: solution does not fit one word");
+  }
+  return fast_solution_.lo;
+}
+
+std::uint64_t CrtAccumulator::solution_word_with(
+    std::uint64_t residue_bits, std::uint64_t modulus_bits) const {
+  const int dm = fixed::degree(modulus_bits);
+  if (dm < 0) throw std::domain_error("crt: zero modulus");
+  if (wide_ || fast_degree_ + dm > 64) {
+    throw std::domain_error("crt: solution does not fit one word");
+  }
+  const auto k = fast_fold_k(residue_bits, modulus_bits);
+  if (!k) throw std::domain_error("crt: moduli are not pairwise coprime");
+  return (fast_solution_ ^ fixed::mul(fast_modulus_, *k)).lo;
+}
+
 void CrtAccumulator::add(std::uint64_t residue_bits,
                          std::uint64_t modulus_bits) {
   const int dm = fixed::degree(modulus_bits);

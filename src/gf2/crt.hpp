@@ -68,6 +68,15 @@ class CrtAccumulator {
   [[nodiscard]] Poly solution_with(std::uint64_t residue_bits,
                                    std::uint64_t modulus_bits) const;
 
+  /// One-word forms of solution() / solution_with for a system whose
+  /// combined modulus has degree at most 64, so the solution fits one
+  /// coefficient word: no Poly is built.  Throws std::domain_error when
+  /// the degree would pass 64 (and, like add, on a zero or non-coprime
+  /// modulus).
+  [[nodiscard]] std::uint64_t solution_word() const;
+  [[nodiscard]] std::uint64_t solution_word_with(
+      std::uint64_t residue_bits, std::uint64_t modulus_bits) const;
+
  private:
   /// Fixed-width fold scalar: the k with new solution == solution XOR
   /// modulus * k; nullopt when the modulus is not coprime.  Only valid

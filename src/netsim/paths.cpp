@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/contracts.hpp"
+
 namespace hp::netsim {
 
 double link_weight(const Link& link, PathMetric metric) {
@@ -23,119 +25,204 @@ double link_weight(const Link& link, PathMetric metric) {
 
 namespace {
 
-using QueueEntry = std::pair<double, NodeIndex>;
-
-/// The one search behind every query here.  Bans are dense masks
-/// indexed by LinkIndex / NodeIndex, and the tree and the queue are a
-/// workspace that repeated searches (the disjoint-path planner, Yen's
-/// spurs) reuse.  Nothing allocates per banned element: the frontiers
-/// (hop count) hold each node at most once, and the heap (weighted
-/// metrics) at most one entry per link plus the source, so each is
-/// reserved once for its bound.
-struct Search {
-  Search(const Topology& topo, PathMetric metric)
-      : topo(topo),
-        metric(metric),
-        banned_link(topo.link_count(), 0),
-        banned_node(topo.node_count(), 0) {
-    if (metric == PathMetric::kHopCount) {
-      frontier.reserve(topo.node_count());
-      next.reserve(topo.node_count());
-    } else {
-      heap.reserve(topo.link_count() + 1);
-    }
+/// The path `via` records from `src` to `dst`, sized before it is
+/// filled: one allocation.  `tail(l)` names link l's tail.
+template <typename Tail>
+std::optional<Path> walk_back(NodeIndex src, const std::vector<LinkIndex>& via,
+                              NodeIndex dst, Tail tail) {
+  if (dst == src) return Path{};
+  std::size_t hops = 0;
+  for (NodeIndex cur = dst; cur != src; cur = tail(via[cur])) {
+    if (via[cur] == kInvalidIndex) return std::nullopt;
+    ++hops;
   }
-
-  /// Mask `links` out of every later run (ids past the topology name no
-  /// link and are ignored).
-  void ban_links(const std::vector<LinkIndex>& links) {
-    for (const LinkIndex l : links) {
-      if (l < banned_link.size()) banned_link[l] = 1;
-    }
+  Path path(hops);
+  for (NodeIndex cur = dst; cur != src; cur = tail(via[cur])) {
+    path[--hops] = via[cur];
   }
-
-  /// Search from `src` until `dst` is reached; kInvalidIndex never is,
-  /// which grows the full tree.  Nodes settle in (dist, node) order and
-  /// a relax needs a strict improvement, so the first settled
-  /// predecessor keeps a tie.  Hosts do not forward: they may start a
-  /// path but not extend one.
-  void run(NodeIndex src, NodeIndex dst) {
-    const std::size_t n = topo.node_count();
-    tree.src = src;
-    tree.dist.assign(n, std::numeric_limits<double>::infinity());
-    tree.via.assign(n, kInvalidIndex);
-    tree.dist[src] = 0.0;
-    if (metric == PathMetric::kHopCount) {
-      run_levels(src, dst);
-    } else {
-      run_heap(src, dst);
-    }
-  }
-
-  /// Unit weights: a node's distance is final once it is discovered,
-  /// so expanding one level at a time, each in ascending node order,
-  /// settles nodes in exactly the heap's (dist, node) order without a
-  /// heap.  `dst`'s via is final on discovery, so the run stops there.
-  void run_levels(NodeIndex src, NodeIndex dst) {
-    if (src == dst) return;
-    frontier.assign(1, src);
-    for (double d = 1.0; !frontier.empty(); d += 1.0) {
-      next.clear();
-      for (const NodeIndex u : frontier) {
-        if (u != src && topo.node(u).kind == NodeKind::kHost) continue;
-        for (const LinkIndex l : topo.outgoing(u)) {
-          if (banned_link[l]) continue;
-          const Link& link = topo.link(l);
-          if (banned_node[link.to] || tree.dist[link.to] <= d) continue;
-          tree.dist[link.to] = d;
-          tree.via[link.to] = l;
-          if (link.to == dst) return;
-          next.push_back(link.to);
-        }
-      }
-      std::ranges::sort(next);
-      std::swap(frontier, next);
-    }
-  }
-
-  /// Weighted metrics: Dijkstra over a binary heap of (dist, node).
-  void run_heap(NodeIndex src, NodeIndex dst) {
-    heap.clear();
-    constexpr std::greater<> later;
-    heap.emplace_back(0.0, src);
-    while (!heap.empty()) {
-      std::ranges::pop_heap(heap, later);
-      const auto [d, u] = heap.back();
-      heap.pop_back();
-      if (d > tree.dist[u]) continue;
-      if (u == dst) break;
-      if (u != src && topo.node(u).kind == NodeKind::kHost) continue;
-      for (const LinkIndex l : topo.outgoing(u)) {
-        if (banned_link[l]) continue;
-        const Link& link = topo.link(l);
-        if (banned_node[link.to]) continue;
-        const double nd = d + link_weight(link, metric);
-        if (nd < tree.dist[link.to]) {
-          tree.dist[link.to] = nd;
-          tree.via[link.to] = l;
-          heap.emplace_back(nd, link.to);
-          std::ranges::push_heap(heap, later);
-        }
-      }
-    }
-  }
-
-  const Topology& topo;
-  PathMetric metric;
-  std::vector<char> banned_link;
-  std::vector<char> banned_node;
-  PathTree tree;
-  std::vector<NodeIndex> frontier;  ///< hop count: the level being expanded
-  std::vector<NodeIndex> next;      ///< hop count: the level it discovers
-  std::vector<QueueEntry> heap;     ///< weighted metrics
-};
+  return path;
+}
 
 }  // namespace
+
+PathSearch::PathSearch(const Topology& topo, PathMetric metric)
+    : metric_(metric) {
+  const std::size_t n = topo.node_count();
+  const std::size_t m = topo.link_count();
+  HP_CHECK(n < kNoLink, "PathSearch: node count exceeds its 32-bit index");
+  HP_CHECK(m < kNoLink, "PathSearch: link count exceeds its 32-bit index");
+  offset_.reserve(n + 1);
+  offset_.push_back(0);
+  arcs_.reserve(m);
+  forwards_.resize(n);
+  for (NodeIndex u = 0; u < n; ++u) {
+    forwards_[u] = topo.node(u).kind == NodeKind::kRouter ? 1 : 0;
+    for (const LinkIndex l : topo.outgoing(u)) {
+      arcs_.push_back(Arc{static_cast<std::uint32_t>(topo.link(l).to),
+                          static_cast<std::uint32_t>(l)});
+    }
+    offset_.push_back(static_cast<std::uint32_t>(arcs_.size()));
+  }
+  from_.resize(m);
+  for (LinkIndex l = 0; l < m; ++l) {
+    from_[l] = static_cast<std::uint32_t>(topo.link(l).from);
+  }
+  // A link's reverse is the first arc back from its head, the link
+  // Topology::link_between(to, from) names.
+  reverse_.assign(m, kNoLink);
+  for (LinkIndex l = 0; l < m; ++l) {
+    const std::uint32_t tail = from_[l];
+    const NodeIndex head = topo.link(l).to;
+    for (std::uint32_t e = offset_[head]; e < offset_[head + 1]; ++e) {
+      if (arcs_[e].to == tail) {
+        reverse_[l] = arcs_[e].link;
+        break;
+      }
+    }
+  }
+  if (metric != PathMetric::kHopCount) {
+    weight_.resize(m);
+    for (LinkIndex l = 0; l < m; ++l) {
+      weight_[l] = link_weight(topo.link(l), metric);
+    }
+    heap_.reserve(m + 1);
+  }
+  link_bans_.assign(m, 0);
+  node_bans_.assign(n, 0);
+  dist_.assign(n, std::numeric_limits<double>::infinity());
+  via_.assign(n, kInvalidIndex);
+  touched_.reserve(n);
+}
+
+void PathSearch::ban_link(LinkIndex l) { ++link_bans_[l]; }
+
+void PathSearch::unban_link(LinkIndex l) {
+  HP_DCHECK(link_bans_[l] > 0, "PathSearch: unban of an unbanned link");
+  --link_bans_[l];
+}
+
+void PathSearch::ban_duplex(LinkIndex l) {
+  ban_link(l);
+  if (reverse_[l] != kNoLink) ban_link(reverse_[l]);
+}
+
+void PathSearch::unban_duplex(LinkIndex l) {
+  unban_link(l);
+  if (reverse_[l] != kNoLink) unban_link(reverse_[l]);
+}
+
+void PathSearch::ban_node(NodeIndex v) { ++node_bans_[v]; }
+
+void PathSearch::unban_node(NodeIndex v) {
+  HP_DCHECK(node_bans_[v] > 0, "PathSearch: unban of an unbanned node");
+  --node_bans_[v];
+}
+
+void PathSearch::run(NodeIndex src, NodeIndex dst) {
+  for (const NodeIndex v : touched_) {
+    dist_[v] = std::numeric_limits<double>::infinity();
+    via_[v] = kInvalidIndex;
+  }
+  touched_.clear();
+  src_ = src;
+  dist_[src] = 0.0;
+  touched_.push_back(src);
+  if (metric_ == PathMetric::kHopCount) {
+    run_levels(src, dst);
+  } else {
+    run_heap(src, dst);
+  }
+}
+
+void PathSearch::run_levels(NodeIndex src, NodeIndex dst) {
+  // Unit weights: a node's distance is final once it is discovered, so
+  // expanding one level at a time, each in ascending node order,
+  // settles nodes in exactly the heap's (dist, node) order without a
+  // heap.  `dst`'s via is final on discovery, so the run stops there.
+  // touched_ is the queue: each level is one sorted run of it.
+  if (src == dst) return;
+  std::size_t level = 0;
+  for (double d = 1.0; level < touched_.size(); d += 1.0) {
+    const std::size_t level_end = touched_.size();
+    for (std::size_t i = level; i < level_end; ++i) {
+      const NodeIndex u = touched_[i];
+      if (u != src && forwards_[u] == 0) continue;
+      for (std::uint32_t e = offset_[u]; e < offset_[u + 1]; ++e) {
+        const Arc arc = arcs_[e];
+        if (link_bans_[arc.link] != 0 || node_bans_[arc.to] != 0 ||
+            dist_[arc.to] <= d) {
+          continue;
+        }
+        dist_[arc.to] = d;
+        via_[arc.to] = arc.link;
+        touched_.push_back(arc.to);
+        if (arc.to == dst) return;
+      }
+    }
+    std::sort(touched_.begin() + static_cast<std::ptrdiff_t>(level_end),
+              touched_.end());
+    level = level_end;
+  }
+}
+
+void PathSearch::run_heap(NodeIndex src, NodeIndex dst) {
+  // Weighted metrics: Dijkstra over a binary heap of (dist, node).
+  heap_.clear();
+  constexpr std::greater<> later;
+  heap_.emplace_back(0.0, src);
+  while (!heap_.empty()) {
+    std::ranges::pop_heap(heap_, later);
+    const auto [d, u] = heap_.back();
+    heap_.pop_back();
+    if (d > dist_[u]) continue;
+    if (u == dst) break;
+    if (u != src && forwards_[u] == 0) continue;
+    for (std::uint32_t e = offset_[u]; e < offset_[u + 1]; ++e) {
+      const Arc arc = arcs_[e];
+      if (link_bans_[arc.link] != 0 || node_bans_[arc.to] != 0) continue;
+      const double nd = d + weight_[arc.link];
+      if (nd < dist_[arc.to]) {
+        if (dist_[arc.to] == std::numeric_limits<double>::infinity()) {
+          touched_.push_back(arc.to);
+        }
+        dist_[arc.to] = nd;
+        via_[arc.to] = arc.link;
+        heap_.emplace_back(nd, arc.to);
+        std::ranges::push_heap(heap_, later);
+      }
+    }
+  }
+}
+
+std::optional<Path> PathSearch::path_to(NodeIndex dst) const {
+  return walk_back(src_, via_, dst, [&](LinkIndex l) { return from_[l]; });
+}
+
+PathTree PathSearch::tree() const { return PathTree{src_, dist_, via_}; }
+
+std::size_t PathSearch::disjoint_paths(NodeIndex src, NodeIndex dst,
+                                       std::size_t k, std::vector<Path>& out) {
+  // Each found path retires its links (both directions) before the
+  // next search, so the results are mutually duplex-link-disjoint by
+  // construction; the last one needs no retiring.
+  const std::size_t first = out.size();
+  if (src == dst) return 0;
+  std::size_t found = 0;
+  std::size_t retired = 0;
+  while (found < k) {
+    run(src, dst);
+    auto path = path_to(dst);
+    if (!path || path->empty()) break;
+    out.push_back(std::move(*path));
+    if (++found == k) break;
+    for (const LinkIndex l : out.back()) ban_duplex(l);
+    ++retired;
+  }
+  for (std::size_t i = 0; i < retired; ++i) {
+    for (const LinkIndex l : out[first + i]) unban_duplex(l);
+  }
+  return found;
+}
 
 PathTree shortest_path_tree(const Topology& topo, NodeIndex src,
                             PathMetric metric,
@@ -143,10 +230,12 @@ PathTree shortest_path_tree(const Topology& topo, NodeIndex src,
   if (src >= topo.node_count()) {
     throw std::out_of_range("shortest_path_tree: bad node index");
   }
-  Search search(topo, metric);
-  search.ban_links(banned);
-  search.run(src, kInvalidIndex);
-  return std::move(search.tree);
+  PathSearch search(topo, metric);
+  for (const LinkIndex l : banned) {
+    if (l < search.link_count()) search.ban_link(l);
+  }
+  search.run(src);
+  return search.tree();
 }
 
 std::optional<Path> tree_path(const PathTree& tree, const Topology& topo,
@@ -154,17 +243,8 @@ std::optional<Path> tree_path(const PathTree& tree, const Topology& topo,
   if (dst >= tree.via.size()) {
     throw std::out_of_range("tree_path: bad node index");
   }
-  if (dst == tree.src) return Path{};
-  if (tree.via[dst] == kInvalidIndex) return std::nullopt;
-  Path path;
-  for (NodeIndex cur = dst; cur != tree.src;) {
-    const LinkIndex l = tree.via[cur];
-    if (l == kInvalidIndex) return std::nullopt;
-    path.push_back(l);
-    cur = topo.link(l).from;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
+  return walk_back(tree.src, tree.via, dst,
+                   [&](LinkIndex l) { return topo.link(l).from; });
 }
 
 TreeChildren tree_children(const PathTree& tree, const Topology& topo) {
@@ -200,9 +280,9 @@ std::optional<Path> shortest_path(const Topology& topo, NodeIndex src,
     throw std::out_of_range("shortest_path: bad node index");
   }
   if (src == dst) return Path{};
-  Search search(topo, metric);
+  PathSearch search(topo, metric);
   search.run(src, dst);
-  return tree_path(search.tree, topo, dst);
+  return search.path_to(dst);
 }
 
 double path_weight(const Topology& topo, const Path& path,
@@ -228,9 +308,11 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeIndex src,
   }
   std::vector<Path> result;
   if (k == 0 || src == dst) return result;
-  const auto first = shortest_path(topo, src, dst, metric);
+  PathSearch search(topo, metric);
+  search.run(src, dst);
+  auto first = search.path_to(dst);
   if (!first) return result;
-  result.push_back(*first);
+  result.push_back(std::move(*first));
 
   // Candidate pool ordered by weight (then lexicographic for
   // determinism).
@@ -242,7 +324,6 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeIndex src,
   };
   std::set<Path, decltype(cmp)> candidates(cmp);
 
-  Search search(topo, metric);
   while (result.size() < k) {
     const Path& previous = result.back();
     const auto prev_nodes = path_nodes(topo, previous);
@@ -255,21 +336,21 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeIndex src,
       // Ban links that would recreate an already-found path with this
       // root, and ban root nodes to keep paths loopless; the same walk
       // with 0 lifts the bans again after the spur search.
-      const auto mark = [&](char banned) {
+      const auto mark = [&](bool ban) {
         for (const Path& found : result) {
           if (found.size() > i &&
               std::equal(root.begin(), root.end(), found.begin())) {
-            search.banned_link[found[i]] = banned;
+            ban ? search.ban_link(found[i]) : search.unban_link(found[i]);
           }
         }
         for (std::size_t j = 0; j < i; ++j) {
-          search.banned_node[prev_nodes[j]] = banned;
+          ban ? search.ban_node(prev_nodes[j]) : search.unban_node(prev_nodes[j]);
         }
       };
-      mark(1);
+      mark(true);
       search.run(spur, dst);
-      mark(0);
-      const auto spur_path = tree_path(search.tree, topo, dst);
+      mark(false);
+      const auto spur_path = search.path_to(dst);
       if (!spur_path) continue;
       Path total = root;
       total.insert(total.end(), spur_path->begin(), spur_path->end());
@@ -292,25 +373,13 @@ std::vector<Path> k_disjoint_paths(const Topology& topo, NodeIndex src,
     throw std::out_of_range("k_disjoint_paths: bad node index");
   }
   std::vector<Path> result;
-  if (k == 0 || src == dst) return result;
-  // Iterative search with an accumulating ban set: each found path
-  // retires its links (both directions) before the next search, so the
-  // results are mutually duplex-link-disjoint by construction.
-  Search search(topo, metric);
-  search.ban_links(banned);
-  while (result.size() < k) {
-    search.run(src, dst);
-    auto path = tree_path(search.tree, topo, dst);
-    if (!path || path->empty()) break;
-    for (const LinkIndex l : *path) {
-      search.banned_link[l] = 1;
-      const Link& link = topo.link(l);
-      if (const auto rev = topo.link_between(link.to, link.from)) {
-        search.banned_link[*rev] = 1;
-      }
-    }
-    result.push_back(std::move(*path));
+  if (k == 0) return result;
+  PathSearch search(topo, metric);
+  for (const LinkIndex l : banned) {
+    if (l < search.link_count()) search.ban_link(l);
   }
+  result.reserve(k);
+  (void)search.disjoint_paths(src, dst, k, result);
   return result;
 }
 

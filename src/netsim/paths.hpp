@@ -8,16 +8,27 @@
 // These routines give the scenario engine its primary and backup
 // routes and the scale-sweep bench its machinery.
 //
-// Every query runs one search that settles nodes in (distance, node)
-// order and relaxes a link only on a strict improvement, so
-// shortest_path, shortest_path_tree and the first k_disjoint_paths path
-// break ties the same way.  Under kHopCount, where every link weighs 1,
-// the search expands level by level, each level in ascending node
-// order: no heap, same order, same paths.  The weighted metrics
-// (kDelay, kInverseCapacity) run Dijkstra over a binary heap.
+// Every query runs one search, PathSearch, that settles nodes in
+// (distance, node) order and relaxes a link only on a strict
+// improvement, so shortest_path, shortest_path_tree and the first
+// k_disjoint_paths path break ties the same way.  Under kHopCount,
+// where every link weighs 1, the search expands level by level, each
+// level in ascending node order: no heap, same order, same paths.  The
+// weighted metrics (kDelay, kInverseCapacity) run Dijkstra over a
+// binary heap.
+//
+// A PathSearch is built once per topology: a CSR adjacency of (to,
+// link) arcs, a reverse-link table, a forwards flag per node, stacked
+// ban masks and a workspace that a run resets only where the previous
+// run wrote.  The free functions below each build one and run it; the
+// scenario engine keeps one per fabric instead, so planning a backup
+// for every pair -- one source at a time, the primary's links banned
+// and lifted around each search -- builds nothing per pair.
 
+#include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "netsim/topology.hpp"
@@ -65,6 +76,91 @@ struct PathTree {
 [[nodiscard]] std::optional<Path> tree_path(const PathTree& tree,
                                             const Topology& topo,
                                             NodeIndex dst);
+
+/// The one search behind every query here, built once per topology and
+/// reused across runs.  Adjacency, reverse links, host flags and (for
+/// weighted metrics) link weights are copied in at construction, so a
+/// search holds no reference to the topology.  Bans stack: each
+/// ban_link/ban_node needs one unban to lift it, so a caller's
+/// temporary bans (a primary's links while its backup is planned)
+/// never lift a standing one (a failed link).  A run allocates
+/// nothing: it resets only the entries the previous run wrote, and
+/// every workspace is reserved for its bound at construction.
+class PathSearch {
+ public:
+  /// Throws core::ContractViolation when the node or link count does
+  /// not fit the 32-bit indices the adjacency stores.
+  PathSearch(const Topology& topo, PathMetric metric);
+
+  [[nodiscard]] std::size_t node_count() const noexcept {
+    return forwards_.size();
+  }
+  [[nodiscard]] std::size_t link_count() const noexcept {
+    return from_.size();
+  }
+
+  void ban_link(LinkIndex l);
+  void unban_link(LinkIndex l);
+  /// Ban (lift) `l` and its reverse -- the first link back from l's
+  /// head to its tail, the one Topology::link_between names.
+  void ban_duplex(LinkIndex l);
+  void unban_duplex(LinkIndex l);
+  void ban_node(NodeIndex v);
+  void unban_node(NodeIndex v);
+
+  /// Search from `src` until `dst` is reached; kInvalidIndex never is,
+  /// which grows the full tree.  Nodes settle in (dist, node) order and
+  /// a relax needs a strict improvement, so the first settled
+  /// predecessor keeps a tie.  Hosts do not forward: they may start a
+  /// path but not extend one.  Indices are the caller's to validate.
+  void run(NodeIndex src, NodeIndex dst = kInvalidIndex);
+
+  /// The last run's path to `dst`: nullopt when it was not reached,
+  /// empty when dst is the run's source.  One allocation.
+  [[nodiscard]] std::optional<Path> path_to(NodeIndex dst) const;
+
+  /// The last run's tree (complete after a run without a destination).
+  [[nodiscard]] PathTree tree() const;
+
+  /// Append to `out` up to `k` mutually duplex-link-disjoint src -> dst
+  /// paths under the current bans, best first (see k_disjoint_paths);
+  /// returns how many.  The bans are as they were on return, and the
+  /// only allocations are the paths themselves (and `out`'s growth).
+  std::size_t disjoint_paths(NodeIndex src, NodeIndex dst, std::size_t k,
+                             std::vector<Path>& out);
+
+ private:
+  /// The 32-bit "none": no reverse link.  Counts are checked to stay
+  /// below it, so it is never a valid index.
+  static constexpr std::uint32_t kNoLink = UINT32_MAX;
+
+  struct Arc {
+    std::uint32_t to;
+    std::uint32_t link;
+  };
+
+  void run_levels(NodeIndex src, NodeIndex dst);
+  void run_heap(NodeIndex src, NodeIndex dst);
+
+  PathMetric metric_;
+  /// Node u's outgoing arcs are arcs_[offset_[u] .. offset_[u + 1]),
+  /// in Topology::outgoing order.
+  std::vector<std::uint32_t> offset_;
+  std::vector<Arc> arcs_;
+  std::vector<std::uint32_t> from_;     ///< per link: its tail
+  std::vector<std::uint32_t> reverse_;  ///< per link: its reverse, or kNoLink
+  std::vector<char> forwards_;          ///< per node: 1 for routers
+  std::vector<double> weight_;          ///< per link; weighted metrics only
+  std::vector<std::uint32_t> link_bans_;
+  std::vector<std::uint32_t> node_bans_;
+  NodeIndex src_ = kInvalidIndex;
+  std::vector<double> dist_;     ///< infinity where the last run never wrote
+  std::vector<LinkIndex> via_;   ///< kInvalidIndex where it never wrote
+  /// Nodes the last run wrote, in discovery order; under kHopCount also
+  /// the level-order queue, each level one sorted run.
+  std::vector<NodeIndex> touched_;
+  std::vector<std::pair<double, NodeIndex>> heap_;  ///< weighted metrics
+};
 
 /// Children of every node of a shortest-path tree, in CSR form: the
 /// children of v are child[offset[v] .. offset[v + 1]), ascending.

@@ -26,11 +26,11 @@ RouteId unpack_label(RouteLabel label) {
 namespace {
 
 /// Close `acc` into `route` as one label and re-label at `node`.  A
-/// closed segment always packs: its modulus degree is at most 64, so
-/// its CRT solution's degree is at most 63.
+/// closed segment's modulus degree is at most 64, so its CRT solution
+/// fits one word.
 void close_segment(const gf2::CrtAccumulator& acc, std::uint32_t node,
                    SegmentedRoute& route) {
-  route.labels.push_back(pack_label_checked(RouteId{acc.solution()}));
+  route.labels.push_back(RouteLabel{acc.solution_word()});
   route.waypoints.push_back(node);
 }
 
@@ -45,7 +45,9 @@ void SegmentBuilder::transit(std::uint32_t node, std::uint64_t id_bits,
            "SegmentBuilder: nodeID degree outside [1, 63]");
   if (degree_ > 0 && degree_ + degree > 64) {
     close_segment(acc_, node, closed_);
-    acc_ = {};
+    // Copy-assigning an empty accumulator reuses acc_'s storage.
+    static const gf2::CrtAccumulator kEmpty;
+    acc_ = kEmpty;
     degree_ = 0;
   }
   acc_.add(port, id_bits);
@@ -62,10 +64,21 @@ SegmentedRoute SegmentBuilder::finish(std::uint32_t node,
     throw std::domain_error(
         "SegmentBuilder: egress port does not fit the last node's degree");
   }
-  SegmentedRoute route = closed_;
-  if (degree_ > 0 && degree_ + degree <= 64) {
+  // Size the copy of the closed segments for what this call appends:
+  // one label when the egress joins the open segment (or there is
+  // none), else the closed open segment plus the egress label.
+  const bool joins = degree_ > 0 && degree_ + degree <= 64;
+  const std::size_t cuts = joins || degree_ == 0 ? 0 : 1;
+  SegmentedRoute route;
+  route.labels.reserve(closed_.labels.size() + 1 + cuts);
+  route.labels = closed_.labels;
+  if (!closed_.waypoints.empty() || cuts > 0) {
+    route.waypoints.reserve(closed_.waypoints.size() + cuts);
+    route.waypoints = closed_.waypoints;
+  }
+  if (joins) {
     route.labels.push_back(
-        pack_label_checked(RouteId{acc_.solution_with(egress_port, id_bits)}));
+        RouteLabel{acc_.solution_word_with(egress_port, id_bits)});
     ++folds;
     return route;
   }

@@ -125,6 +125,18 @@ class LinkKeyBatch {
   std::vector<std::pair<netsim::LinkIndex, std::uint64_t>> hops_;
 };
 
+/// Calls fn(run) once per source in ascending `keys`, each run the
+/// keys (src << 32 | dst) of one source.
+template <typename Fn>
+void for_each_source(std::span<const std::uint64_t> keys, Fn&& fn) {
+  for (std::size_t begin = 0; begin < keys.size();) {
+    std::size_t end = begin + 1;
+    while (end < keys.size() && keys[end] >> 32 == keys[begin] >> 32) ++end;
+    fn(keys.subspan(begin, end - begin));
+    begin = end;
+  }
+}
+
 }  // namespace
 
 /// Link-index edits of one event, applied together at its end: every
@@ -158,7 +170,9 @@ void BuiltFabric::note_compile(
           .count()));
 }
 
-BuiltFabric::BuiltFabric(netsim::Topology topo) : topo_(std::move(topo)) {
+BuiltFabric::BuiltFabric(netsim::Topology topo)
+    : topo_(std::move(topo)),
+      search_(topo_, netsim::PathMetric::kHopCount) {
   topo_to_fabric_.assign(topo_.node_count(), kInvalidIndex);
   // First pass: distinct router neighbours of every router, in
   // outgoing-link order, so port numbering is deterministic.  A hash
@@ -197,6 +211,14 @@ BuiltFabric::BuiltFabric(netsim::Topology topo) : topo_(std::move(topo)) {
     node_bits_[f] = id.to_uint64();
     node_degree_[f] = id.degree();
   }
+  link_port_.assign(topo_.link_count(), 0);
+  for (netsim::LinkIndex l = 0; l < topo_.link_count(); ++l) {
+    const netsim::Link& link = topo_.link(l);
+    const std::size_t from = topo_to_fabric_[link.from];
+    const std::size_t to = topo_to_fabric_[link.to];
+    if (from == kInvalidIndex || to == kInvalidIndex) continue;
+    link_port_[l] = *fabric_.port_between(from, to);
+  }
 }
 
 std::size_t BuiltFabric::fabric_index(NodeIndex topo_node) const {
@@ -214,11 +236,8 @@ unsigned BuiltFabric::egress_port(std::size_t fabric_node) const {
 const netsim::PathTree& BuiltFabric::tree_for(NodeIndex src) {
   auto it = trees_.find(src);
   if (it == trees_.end()) {
-    it = trees_
-             .emplace(src, netsim::shortest_path_tree(
-                               topo_, src, netsim::PathMetric::kHopCount,
-                               banned_links_))
-             .first;
+    search_.run(src);
+    it = trees_.emplace(src, search_.tree()).first;
     ++stats_.trees_built;
   }
   return it->second;
@@ -262,11 +281,13 @@ const CompiledRoute* BuiltFabric::route(NodeIndex src, NodeIndex dst) {
   (void)fabric_index(dst);
   const CompileStats before = stats_;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto path = netsim::tree_path(tree_for(src), topo_, dst);
+  auto path = netsim::tree_path(tree_for(src), topo_, dst);
   if (!path) return nullptr;
 
-  CompiledRoute& stored =
-      store_route(key, compile_path_route(*path, stats_.crt_steps));
+  // The one-path case of the route walk: every hop folds.
+  cursor_.restart(topo_to_fabric_[src]);
+  CompiledRoute& stored = store_route(
+      key, walk_route(cursor_, std::move(*path), stats_.crt_steps));
   note_compile("route", before, t0);
   return &stored;
 }
@@ -290,40 +311,56 @@ CompiledRoute BuiltFabric::make_route(std::size_t fsrc, std::size_t fdst,
   return route;
 }
 
-CompiledRoute BuiltFabric::compile_path_route(const netsim::Path& path,
-                                              std::size_t& crt_steps) const {
-  // Per-path baseline: derives the whole congruence system for this
-  // one destination, one CRT fold per hop plus the egress fold (none
-  // when the destination re-labels).
-  std::vector<std::size_t> fabric_path;
-  fabric_path.reserve(path.size() + 1);
-  for (const NodeIndex n : netsim::path_nodes(topo_, path)) {
-    fabric_path.push_back(topo_to_fabric_[n]);
+void BuiltFabric::extend(PathCursor& cursor, netsim::LinkIndex link,
+                         std::size_t& crt_steps) const {
+  const std::size_t depth = cursor.links.size();
+  if (cursor.builders.size() < depth + 2) cursor.builders.resize(depth + 2);
+  const std::size_t fv = topo_to_fabric_[topo_.link(link).from];
+  polka::SegmentBuilder& next = cursor.builders[depth + 1];
+  next = cursor.builders[depth];
+  next.transit(static_cast<std::uint32_t>(fv), node_bits_[fv],
+               node_degree_[fv], link_port_[link]);
+  ++crt_steps;
+  cursor.links.push_back(link);
+}
+
+CompiledRoute BuiltFabric::finish(const PathCursor& cursor, netsim::Path path,
+                                  std::size_t& crt_steps) const {
+  const std::size_t fdst = topo_to_fabric_[topo_.link(path.back()).to];
+  return make_route(cursor.fsrc, fdst,
+                    cursor.builders[cursor.links.size()].finish(
+                        static_cast<std::uint32_t>(fdst), node_bits_[fdst],
+                        node_degree_[fdst], egress_port(fdst), crt_steps),
+                    std::move(path));
+}
+
+CompiledRoute BuiltFabric::walk_route(PathCursor& cursor, netsim::Path path,
+                                      std::size_t& crt_steps) const {
+  const auto shared = static_cast<std::size_t>(
+      std::ranges::mismatch(cursor.links, path).in1 - cursor.links.begin());
+  cursor.links.resize(shared);
+  for (std::size_t i = shared; i < path.size(); ++i) {
+    extend(cursor, path[i], crt_steps);
   }
-  const std::size_t fdst = fabric_path.back();
-  return make_route(fabric_path.front(), fdst,
-                    fabric_.segmented_route_for_path(
-                        fabric_path, egress_port(fdst), &crt_steps),
-                    path);
+  return finish(cursor, std::move(path), crt_steps);
 }
 
 void BuiltFabric::compile_tree_routes(const netsim::PathTree& tree,
                                       const std::vector<char>* descend,
                                       const std::vector<char>* emit,
+                                      PathCursor& cursor,
                                       std::vector<KeyedRoute>& out,
                                       std::size_t& crt_steps) const {
   const auto children = netsim::tree_children(tree, topo_);
   const NodeIndex src = tree.src;
-  const std::size_t fsrc = topo_to_fabric_[src];
+  cursor.restart(topo_to_fabric_[src]);
 
   struct Frame {
     NodeIndex node;
     std::size_t next_child;
-    polka::SegmentBuilder segments;  ///< the tree path from src to node
   };
   std::vector<Frame> stack;
-  stack.push_back(Frame{src, 0, {}});
-  netsim::Path links;  // tree links from src to the current node
+  stack.push_back(Frame{src, 0});
 
   while (!stack.empty()) {
     // Pick this frame's next compilable child (routers only -- hosts
@@ -339,37 +376,20 @@ void BuiltFabric::compile_tree_routes(const netsim::PathTree& tree,
       break;
     }
     if (child == kInvalidIndex) {
-      if (frame.node != src) links.pop_back();
+      if (frame.node != src) cursor.links.pop_back();
       stack.pop_back();
       continue;
     }
 
-    // Descend: one CRT step covers every destination under `child`.
-    const std::size_t fv = topo_to_fabric_[frame.node];
-    const std::size_t fc = topo_to_fabric_[child];
-    const auto port = fabric_.port_between(fv, fc);
-    if (!port) {
-      throw std::logic_error(
-          "BuiltFabric: tree edge between routers is not wired");
-    }
-    polka::SegmentBuilder segments = frame.segments;
-    segments.transit(static_cast<std::uint32_t>(fv), node_bits_[fv],
-                     node_degree_[fv], *port);
-    ++crt_steps;
-    links.push_back(tree.via[child]);
-
+    // Descend: one CRT step covers every destination under `child`,
+    // which then finishes the shared prefix with its own egress
+    // congruence (one fold at most).
+    extend(cursor, tree.via[child], crt_steps);
     if (emit == nullptr || (*emit)[child]) {
-      // The destination finishes the shared prefix with its own egress
-      // congruence: one fold at most.
-      out.emplace_back(
-          netsim::node_pair_key(src, child),
-          make_route(fsrc, fc,
-                     segments.finish(static_cast<std::uint32_t>(fc),
-                                     node_bits_[fc], node_degree_[fc],
-                                     egress_port(fc), crt_steps),
-                     links));
+      out.emplace_back(netsim::node_pair_key(src, child),
+                       finish(cursor, cursor.links, crt_steps));
     }
-    stack.push_back(Frame{child, 0, std::move(segments)});
+    stack.push_back(Frame{child, 0});
   }
 }
 
@@ -387,8 +407,10 @@ std::size_t BuiltFabric::compile_all_pairs(unsigned threads) {
 
   // Workers only read shared state (trees_ is not mutated while they
   // run); new trees and routes are collected per source and merged
-  // single-threaded after the join.
-  auto compile_range = [&](std::size_t begin, std::size_t end) {
+  // single-threaded after the join.  Each worker runs its own search
+  // and cursor; the serial case uses the fabric's.
+  auto compile_range = [&](std::size_t begin, std::size_t end,
+                           netsim::PathSearch& search, PathCursor& cursor) {
     for (std::size_t i = begin; i < end; ++i) {
       const NodeIndex src = fabric_to_topo_[i];
       SourceCompile& out = per_source[i];
@@ -397,26 +419,29 @@ std::size_t BuiltFabric::compile_all_pairs(unsigned threads) {
       if (const auto it = trees_.find(src); it != trees_.end()) {
         tree = &it->second;
       } else {
-        out.fresh = netsim::shortest_path_tree(
-            topo_, src, netsim::PathMetric::kHopCount, banned_links_);
+        search.run(src);
+        out.fresh = search.tree();
         tree = &*out.fresh;
       }
-      compile_tree_routes(*tree, nullptr, nullptr, out.routes, out.crt_steps);
+      compile_tree_routes(*tree, nullptr, nullptr, cursor, out.routes,
+                          out.crt_steps);
     }
   };
 
   std::size_t workers = std::max(1u, threads);
   workers = std::min<std::size_t>(workers, std::max<std::size_t>(sources, 1));
   if (workers <= 1) {
-    compile_range(0, sources);
+    compile_range(0, sources, search_, cursor_);
   } else {
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       const auto [begin, end] = shard_bounds(sources, w, workers);
       if (begin == end) continue;
-      pool.emplace_back([&compile_range, begin = begin, end = end] {
-        compile_range(begin, end);
+      pool.emplace_back([this, &compile_range, begin = begin, end = end] {
+        netsim::PathSearch search = search_;
+        PathCursor cursor;
+        compile_range(begin, end, search, cursor);
       });
     }
     for (auto& t : pool) t.join();
@@ -487,7 +512,7 @@ std::size_t BuiltFabric::compile_subtree(NodeIndex src,
 
   std::vector<KeyedRoute> out;
   std::size_t crt_steps = 0;
-  compile_tree_routes(tree, &descend, &emit, out, crt_steps);
+  compile_tree_routes(tree, &descend, &emit, cursor_, out, crt_steps);
   stats_.crt_steps += crt_steps;
   for (auto& [key, route] : out) store_route(key, std::move(route));
   note_compile("subtree", before, t0);
@@ -506,15 +531,17 @@ std::size_t BuiltFabric::enable_protection(unsigned k) {
     return 0;
   }
   std::size_t installed = 0;
-  // Deterministic planning order (routes_ iteration order is not).
+  // Deterministic planning order (routes_ iteration order is not):
+  // ascending keys, so each source's pairs are one run.
   std::vector<RouteKey> keys;
   keys.reserve(routes_.size());
-  for (const auto& [key, route] : routes_) keys.push_back(key);
-  std::ranges::sort(keys);
-  for (const RouteKey key : keys) {
-    if (backups_.protects(key)) continue;
-    installed += protect_pair(key, routes_.at(key));
+  for (const auto& [key, route] : routes_) {
+    if (!backups_.protects(key)) keys.push_back(key);
   }
+  std::ranges::sort(keys);
+  for_each_source(keys, [&](std::span<const RouteKey> same_source) {
+    installed += protect_source(same_source);
+  });
   if (metrics_ != nullptr) {
     metrics_->counter("compile.backup_routes")
         .add(stats_.backup_routes - before.backup_routes);
@@ -523,35 +550,53 @@ std::size_t BuiltFabric::enable_protection(unsigned k) {
   return installed;
 }
 
-std::size_t BuiltFabric::protect_pair(RouteKey key,
-                                      const CompiledRoute& primary) {
-  const auto [src, dst] = netsim::node_pair_from_key(key);
-  // Disjoint alternates: ban the primary's links (both directions) on
-  // top of everything already failed, then peel off k disjoint paths.
-  std::vector<netsim::LinkIndex> banned = banned_links_;
-  for (const netsim::LinkIndex l : primary.path) {
-    banned.push_back(l);
-    const netsim::Link& link = topo_.link(l);
-    if (const auto rev = topo_.link_between(link.to, link.from)) {
-      banned.push_back(*rev);
+std::size_t BuiltFabric::protect_source(std::span<const RouteKey> keys) {
+  const NodeIndex src = netsim::node_pair_from_key(keys.front()).first;
+  std::vector<netsim::Path> paths;    // every backup path of the source
+  std::vector<std::size_t> first{0};  // pair i's: [first[i], first[i + 1])
+  std::vector<std::size_t> primary_hops;
+  first.reserve(keys.size() + 1);
+  primary_hops.reserve(keys.size());
+  for (const RouteKey key : keys) {
+    const netsim::Path& primary = routes_.at(key).path;
+    // Disjoint alternates: the primary's links (both directions) are
+    // banned on top of the failed ones for this one search.
+    for (const netsim::LinkIndex l : primary) search_.ban_duplex(l);
+    (void)search_.disjoint_paths(src, netsim::node_pair_from_key(key).second,
+                                 protection_k_, paths);
+    for (const netsim::LinkIndex l : primary) search_.unban_duplex(l);
+    first.push_back(paths.size());
+    primary_hops.push_back(primary.size());
+  }
+
+  // Lexicographic path order puts every shared prefix in one run, so
+  // the cursor folds each distinct prefix once.
+  std::vector<std::size_t> order(paths.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::ranges::sort(order, [&](std::size_t a, std::size_t b) {
+    return paths[a] < paths[b];
+  });
+  std::vector<BackupRoute> compiled(paths.size());
+  cursor_.restart(topo_to_fabric_[src]);
+  for (const std::size_t i : order) {
+    static_cast<CompiledRoute&>(compiled[i]) =
+        walk_route(cursor_, std::move(paths[i]), stats_.crt_steps);
+  }
+
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    std::vector<BackupRoute> backups(
+        std::make_move_iterator(compiled.begin() + first[i]),
+        std::make_move_iterator(compiled.begin() + first[i + 1]));
+    for (BackupRoute& backup : backups) {
+      backup.stretch = primary_hops[i] == 0
+                           ? 1.0
+                           : static_cast<double>(backup.path.size()) /
+                                 static_cast<double>(primary_hops[i]);
     }
+    stats_.backup_routes += backups.size();
+    backups_.install(keys[i], std::move(backups));
   }
-  const auto paths = netsim::k_disjoint_paths(
-      topo_, src, dst, protection_k_, netsim::PathMetric::kHopCount, banned);
-  std::vector<BackupRoute> backups;
-  backups.reserve(paths.size());
-  for (const netsim::Path& path : paths) {
-    const double stretch = primary.path.empty()
-                               ? 1.0
-                               : static_cast<double>(path.size()) /
-                                     static_cast<double>(primary.path.size());
-    backups.push_back(
-        BackupRoute{compile_path_route(path, stats_.crt_steps), stretch});
-  }
-  const std::size_t count = backups.size();
-  stats_.backup_routes += count;
-  backups_.install(key, std::move(backups));
-  return count;
+  return paths.size();
 }
 
 std::vector<std::pair<NodeIndex, NodeIndex>>
@@ -610,6 +655,8 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
   banned_links_.push_back(*rev);
   link_down_[*fwd] = 1;
   link_down_[*rev] = 1;
+  search_.ban_link(*fwd);
+  search_.ban_link(*rev);
 
   report.affected = evict_crossing_routes(*fwd, *rev);
 
@@ -697,17 +744,23 @@ FailoverReport BuiltFabric::repair_pending() {
   for (const auto& [src, dsts] : by_source) {
     (void)compile_subtree(src, dsts);
   }
+  std::vector<RouteKey> replan;
   for (const auto& pr : work) {
     const RouteKey key = netsim::node_pair_key(pr.first, pr.second);
-    const auto it = routes_.find(key);
-    if (it == routes_.end()) {
+    if (!routes_.contains(key)) {
       report.unroutable.push_back(pr);
       continue;
     }
     report.repaired.push_back(pr);
-    // The pair's old protection set is dead; replan it against the
-    // repaired primary and the degraded topology.
-    if (protection_k_ > 0) (void)protect_pair(key, it->second);
+    replan.push_back(key);
+  }
+  // The repaired pairs' old protection sets are dead; replan them
+  // against the repaired primaries and the degraded topology, one
+  // source at a time (work is sorted, so replan is too).
+  if (protection_k_ > 0) {
+    for_each_source(replan, [&](std::span<const RouteKey> same_source) {
+      (void)protect_source(same_source);
+    });
   }
   report.window_recompiles = stats_.routes_compiled - before.routes_compiled;
   note_compile("repair_pending", stats_, t0);
@@ -731,6 +784,8 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
   link_down_[*rev] = 0;
   std::erase(banned_links_, *fwd);
   std::erase(banned_links_, *rev);
+  search_.unban_link(*fwd);
+  search_.unban_link(*rev);
   // Any cached tree may now be improvable by the revived link; flush
   // them all (rebuilt lazily).  Cached routes stay valid -- their
   // paths still exist -- they are just possibly no longer shortest.

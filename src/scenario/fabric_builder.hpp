@@ -9,22 +9,29 @@
 // shortest paths (hop count) computed from cached single-source
 // shortest-path trees and CRT-encoded into routeIDs.
 //
-// Two compilation strategies coexist:
-//  - route() compiles one pair per call, folding one congruence per hop
-//    (the per-path baseline: O(depth) CRT steps per route);
-//  - compile_all_pairs() / compile_subtree() walk a source's tree once
-//    with a SegmentBuilder carried down the DFS.  Every tree edge v->c
-//    serves all destinations in c's subtree with the same port
-//    congruence at v, so descending adds exactly one CRT step and each
-//    destination needs only its final egress congruence: O(n) steps for
-//    a whole source instead of O(n * depth).
+// One route compiler, a cursor walk: a stack of polka::SegmentBuilders,
+// one per link of the current path from a source, so moving to another
+// path from the same source keeps the builders of the prefix the two
+// share and folds only the rest.  Three callers drive it:
+//  - route() compiles one pair per call from a fresh cursor, folding
+//    one congruence per hop (O(depth) CRT steps per route);
+//  - compile_all_pairs() / compile_subtree() walk a source's tree
+//    depth-first.  Every tree edge v->c serves all destinations in c's
+//    subtree with the same port congruence at v, so descending adds
+//    exactly one CRT step and each destination needs only its final
+//    egress congruence: O(n) steps for a whole source instead of
+//    O(n * depth);
+//  - enable_protection() and repair_pending() plan backups one source
+//    at a time: one disjoint search per pair on the fabric's one
+//    netsim::PathSearch, the primary's duplex links banned around it,
+//    then the source's backup paths compile in lexicographic order, so
+//    each distinct prefix is folded once.  Nothing is rebuilt per pair.
 //
-// Both strategies drive one polka::SegmentBuilder, the only author of
-// a route's wire form: the moment the accumulated CRT modulus would
-// pass 64 coefficient bits it closes the open segment into one <= 64-bit
-// label and makes the node a re-label waypoint -- so deep ring/torus
-// paths never leave the uint64 fast path and the compiler never
-// materializes a wide Poly.
+// polka::SegmentBuilder is the only author of a route's wire form: the
+// moment the accumulated CRT modulus would pass 64 coefficient bits it
+// closes the open segment into one <= 64-bit label and makes the node a
+// re-label waypoint -- so deep ring/torus paths never leave the uint64
+// fast path and the compiler never materializes a wide Poly.
 //
 // Scheduled link failures remove links from path computation; a
 // link -> route-keys inverted index names the crossing routes in
@@ -239,13 +246,49 @@ class BuiltFabric {
   /// Cached tree for `src`, built on first use (counts in stats_).
   const netsim::PathTree& tree_for(netsim::NodeIndex src);
 
-  /// DFS down `tree` carrying a SegmentBuilder, emitting one route per
-  /// visited router destination.  `descend`, when given, prunes the
-  /// walk to marked nodes; `emit`, when given, selects which visited
-  /// nodes produce a route.  Thread-safe (touches no mutable state).
+  /// A compiler's position on the routes out of one source: the links
+  /// from the source to the current node, and in builders[i] the
+  /// SegmentBuilder that has folded the first i of them.  Rewinding to
+  /// a shared prefix keeps its builder, and slots are reused, so a warm
+  /// cursor walks any number of paths without allocating.
+  struct PathCursor {
+    std::size_t fsrc = 0;  ///< fabric index of the source
+    netsim::Path links;
+    std::vector<polka::SegmentBuilder> builders =
+        std::vector<polka::SegmentBuilder>(1);
+
+    void restart(std::size_t fabric_src) {
+      fsrc = fabric_src;
+      links.clear();
+    }
+  };
+
+  /// Step `cursor` over `link`, leaving its tail: one transit fold.
+  void extend(PathCursor& cursor, netsim::LinkIndex link,
+              std::size_t& crt_steps) const;
+
+  /// The route from the cursor's source to its current node over
+  /// `path` (the cursor's links), finished there: one egress fold at
+  /// most.
+  [[nodiscard]] CompiledRoute finish(const PathCursor& cursor,
+                                     netsim::Path path,
+                                     std::size_t& crt_steps) const;
+
+  /// The route compiler.  Walk `cursor` from the prefix `path` shares
+  /// with the cursor's links to the end of `path`, and compile the
+  /// route there; `crt_steps` gains the folds made.  Thread-safe given
+  /// a cursor per thread.
+  [[nodiscard]] CompiledRoute walk_route(PathCursor& cursor, netsim::Path path,
+                                         std::size_t& crt_steps) const;
+
+  /// DFS down `tree` with one cursor, emitting one route per visited
+  /// router destination: each tree edge is one fold, shared by every
+  /// destination below it.  `descend`, when given, prunes the walk to
+  /// marked nodes; `emit`, when given, selects which visited nodes
+  /// produce a route.  Thread-safe given a cursor per thread.
   void compile_tree_routes(const netsim::PathTree& tree,
                            const std::vector<char>* descend,
-                           const std::vector<char>* emit,
+                           const std::vector<char>* emit, PathCursor& cursor,
                            std::vector<KeyedRoute>& out,
                            std::size_t& crt_steps) const;
 
@@ -271,15 +314,13 @@ class BuiltFabric {
                                          polka::SegmentedRoute segments,
                                          netsim::Path path) const;
 
-  /// Compile one explicit path into a route without touching the cache
-  /// or stats; `crt_steps` gains the fold count.  Shared by route() and
-  /// the backup planner.
-  [[nodiscard]] CompiledRoute compile_path_route(const netsim::Path& path,
-                                                 std::size_t& crt_steps) const;
-
-  /// Plan and install `protection_k_` disjoint backups for one pair
-  /// against its primary; returns how many were installed.
-  std::size_t protect_pair(RouteKey key, const CompiledRoute& primary);
+  /// Plan and install `protection_k_` disjoint backups for the cached
+  /// pairs `keys`, all from one source and ascending.  Each pair costs
+  /// one disjoint search on search_, its primary's duplex links banned
+  /// around it; then every backup path of the source compiles in one
+  /// walk of cursor_ in lexicographic order, so backups that share a
+  /// prefix share its folds.  Returns how many backups were installed.
+  std::size_t protect_source(std::span<const RouteKey> keys);
 
   /// Evict every cached route crossing the two directed links; returns
   /// the affected pairs in sorted-key order.  Protected fabrics move
@@ -294,6 +335,12 @@ class BuiltFabric {
                     std::chrono::steady_clock::time_point start) const;
 
   netsim::Topology topo_;
+  /// The fabric's one path search; its link bans are the failed links
+  /// between calls.
+  netsim::PathSearch search_;
+  /// The cursor of the single-threaded compiles (route(), subtree
+  /// repair, backup planning).
+  PathCursor cursor_;
   polka::PolkaFabric fabric_;
   std::vector<std::size_t> topo_to_fabric_;  // kInvalidIndex for hosts
   std::vector<netsim::NodeIndex> fabric_to_topo_;
@@ -301,6 +348,9 @@ class BuiltFabric {
   /// SegmentBuilder's inputs (every nodeID fits one word).
   std::vector<std::uint64_t> node_bits_;
   std::vector<int> node_degree_;
+  /// Per directed router-router link: the fabric port its tail leaves
+  /// through.
+  std::vector<unsigned> link_port_;
   std::vector<netsim::LinkIndex> banned_links_;
   /// Per directed link: 1 while failed.  The O(1) form of
   /// banned_links_, sized at construction, consulted by backup

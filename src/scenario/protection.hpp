@@ -6,9 +6,9 @@
 // routes in O(affected) -- but a recompile is still path search + CRT work
 // *inside* the packet-loss window.  The protection layer moves that
 // work to compile time: for every primary route, BuiltFabric plans up
-// to k mutually link-disjoint alternates (netsim::k_disjoint_paths
-// seeded with the primary's links banned), compiles each into segmented
-// labels once, and parks them here.  A failure then swaps the pair's
+// to k mutually link-disjoint alternates (a disjoint-path search with
+// the primary's links banned, one source at a time), compiles each into
+// segmented labels once, and parks them here.  A failure then swaps the pair's
 // primary for the first backup that avoids every dead link -- an O(1)
 // table lookup plus a label copy, no path computation at all.  Only
 // pairs whose entire protection set is dead fall back to the lazy

@@ -17,6 +17,8 @@
 //    and never copies the flows already registered.
 //  * k_disjoint_paths allocates the same number of times whether or not
 //    links the answer never uses are banned.
+//  * BuiltFabric::enable_protection allocates a bounded number of
+//    records per backup, and nothing per search.
 //
 // The interposer counts every operator-new entry; tests snapshot the
 // counter around the call under test and assert on the delta, so
@@ -30,12 +32,14 @@
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "netsim/paths.hpp"
 #include "polka/fastpath.hpp"
 #include "polka/forwarding.hpp"
 #include "polka/label.hpp"
+#include "scenario/fabric_builder.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/topologies.hpp"
 #include "sim/event_queue.hpp"
@@ -405,6 +409,39 @@ TEST(AllocGuard, DisjointPathAllocationsIndependentOfBans) {
   };
   EXPECT_EQ(allocations(none), allocations(off_path))
       << "k_disjoint_paths allocation count grows with the banned links";
+}
+
+TEST(AllocGuard, ProtectionAllocationsPerBackupStayBounded) {
+  // enable_protection plans on the fabric's one search and compiles
+  // with its one cursor: a backup pays for its own records (path,
+  // labels, its pair's set and table entry), and no search or compile
+  // allocates per pair.  Per-backup growth between two torus sizes
+  // stays under a small bound; on a ring, where k = 2 runs twice the
+  // searches of k = 1 for the same backups, the counts are equal.
+  const auto allocations = [](const netsim::Topology& topo, unsigned k) {
+    scenario::BuiltFabric fabric(topo);
+    (void)fabric.compile_all_pairs();
+    const std::uint64_t before = alloc_count();
+    const std::size_t backups = fabric.enable_protection(k);
+    return std::pair{alloc_count() - before, backups};
+  };
+  const auto [small, small_backups] = allocations(scenario::make_torus(6, 6), 1);
+  const auto [large, large_backups] =
+      allocations(scenario::make_torus(12, 12), 1);
+  ASSERT_GT(large_backups, small_backups);
+  const std::uint64_t per_backup =
+      (large - small) / (large_backups - small_backups);
+  // Four records per backup -- its path, its labels, its pair's set and
+  // the table entry -- plus the waypoints of multi-segment backups.
+  EXPECT_LE(per_backup, 5u) << "enable_protection allocated " << per_backup
+                            << " times per backup";
+
+  const netsim::Topology ring = scenario::make_ring(24);
+  const auto [one_search, one_backups] = allocations(ring, 1);
+  const auto [two_searches, two_backups] = allocations(ring, 2);
+  EXPECT_EQ(one_backups, two_backups);
+  EXPECT_EQ(one_search, two_searches)
+      << "enable_protection allocation count grows with the searches";
 }
 
 }  // namespace

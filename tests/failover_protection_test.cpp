@@ -30,6 +30,8 @@
 #include <vector>
 
 #include "core/contracts.hpp"
+#include "netsim/paths.hpp"
+#include "polka/label.hpp"
 #include "scenario/fabric_builder.hpp"
 #include "scenario/failover_playback.hpp"
 #include "scenario/failure_injector.hpp"
@@ -178,6 +180,200 @@ TEST(FailoverProtection, RestoreRevertsToThePrimaryWithoutCompiling) {
   EXPECT_EQ(fabric.route(r0, r1)->expected.hops, primary_hops);
   for (const double stretch : restore.swap_stretch) {
     EXPECT_DOUBLE_EQ(stretch, 1.0);
+  }
+}
+
+// --- the batched planner against per-pair planning ---------------------
+
+/// One backup the per-pair planner would install.
+struct PlannedBackup {
+  netsim::Path path;
+  polka::SegmentedRoute segments;
+};
+
+/// The per-pair planning of one pair, from the public API alone:
+/// netsim::k_disjoint_paths with the primary's links (both directions)
+/// and every failed link banned, each path compiled by
+/// PolkaFabric::segmented_route_for_path.
+std::vector<PlannedBackup> plan_per_pair(const BuiltFabric& fabric,
+                                         NodeIndex src, NodeIndex dst,
+                                         const netsim::Path& primary,
+                                         unsigned k) {
+  const netsim::Topology& topo = fabric.topology();
+  std::vector<netsim::LinkIndex> banned = fabric.failed_links();
+  for (const netsim::LinkIndex l : primary) {
+    banned.push_back(l);
+    banned.push_back(*topo.link_between(topo.link(l).to, topo.link(l).from));
+  }
+  std::vector<PlannedBackup> out;
+  for (netsim::Path& path : netsim::k_disjoint_paths(
+           topo, src, dst, k, netsim::PathMetric::kHopCount, banned)) {
+    std::vector<std::size_t> fabric_path;
+    for (const NodeIndex n : netsim::path_nodes(topo, path)) {
+      fabric_path.push_back(fabric.fabric_index(n));
+    }
+    out.push_back({std::move(path),
+                   fabric.fabric().segmented_route_for_path(
+                       fabric_path, fabric.egress_port(fabric_path.back()))});
+  }
+  return out;
+}
+
+using PlanBook =
+    std::map<std::pair<NodeIndex, NodeIndex>, std::vector<PlannedBackup>>;
+
+/// Per-pair plans for every cached route, as they stand now.
+PlanBook plan_every_pair(const BuiltFabric& fabric, unsigned k) {
+  PlanBook plans;
+  for (const NodeIndex src : fabric.routers()) {
+    for (const NodeIndex dst : fabric.routers()) {
+      const CompiledRoute* route =
+          src == dst ? nullptr : fabric.cached_route(src, dst);
+      if (route == nullptr) continue;
+      plans[{src, dst}] = plan_per_pair(fabric, src, dst, route->path, k);
+    }
+  }
+  return plans;
+}
+
+/// Every swapped pair of `report` now runs its first per-pair plan that
+/// avoids every failed link, path and labels alike; every pending pair
+/// has no such plan.
+void expect_swaps_follow_plans(BuiltFabric& fabric, const PlanBook& plans,
+                               const FailoverReport& report,
+                               const std::string& where) {
+  const auto& failed = fabric.failed_links();
+  const auto first_live = [&](const std::pair<NodeIndex, NodeIndex>& pr) {
+    const std::vector<PlannedBackup>& list = plans.at(pr);
+    return std::ranges::find_if(list, [&](const PlannedBackup& plan) {
+      return std::ranges::none_of(plan.path, [&](netsim::LinkIndex l) {
+        return std::ranges::find(failed, l) != failed.end();
+      });
+    });
+  };
+  for (const auto& pr : report.swapped) {
+    const auto plan = first_live(pr);
+    ASSERT_NE(plan, plans.at(pr).end())
+        << where << ": " << pr.first << "->" << pr.second
+        << " swapped with no live per-pair plan";
+    const CompiledRoute* route = fabric.route(pr.first, pr.second);
+    ASSERT_NE(route, nullptr) << where;
+    EXPECT_EQ(route->path, plan->path)
+        << where << ": " << pr.first << "->" << pr.second;
+    EXPECT_EQ(route->segments, plan->segments)
+        << where << ": " << pr.first << "->" << pr.second;
+  }
+  for (const auto& pr : report.pending) {
+    EXPECT_EQ(first_live(pr), plans.at(pr).end())
+        << where << ": " << pr.first << "->" << pr.second
+        << " is pending but has a live per-pair plan";
+  }
+}
+
+TEST(FailoverProtection, BatchedBackupsEqualPerPairPlanning) {
+  // enable_protection plans and compiles a source's backups together;
+  // every swap must install exactly what per-pair planning gives.
+  // Hosts never transit (fat-tree with hosts), the 33-ring's backups
+  // run to many segments, and k = 2 adds a second rank.
+  const std::vector<std::pair<std::string, netsim::Topology>> topologies{
+      {"fat_tree_k4_hosts", make_fat_tree(4, true)},
+      {"rr16d4", build_topology(*find_scenario("rr16d4/uniform"))},
+      {"ring33", make_ring(33)}};
+  for (const auto& [name, topo] : topologies) {
+    for (const unsigned k : {1U, 2U}) {
+      const std::string what = name + " k=" + std::to_string(k);
+      BuiltFabric fabric(topo);
+      fabric.compile_all_pairs();
+      ASSERT_GT(fabric.enable_protection(k), 0U) << what;
+      const PlanBook plans = plan_every_pair(fabric, k);
+      for (netsim::LinkIndex l = 0; l < topo.link_count(); ++l) {
+        const netsim::Link& link = topo.link(l);
+        if (link.from > link.to ||
+            topo.node(link.from).kind != netsim::NodeKind::kRouter ||
+            topo.node(link.to).kind != netsim::NodeKind::kRouter) {
+          continue;
+        }
+        const std::string where = what + " fail " + std::to_string(link.from) +
+                                  "<->" + std::to_string(link.to);
+        const FailoverReport first = fabric.apply_failure(link.from, link.to);
+        ASSERT_FALSE(first.affected.empty()) << where;
+        expect_swaps_follow_plans(fabric, plans, first, where);
+        // A second failure on the first swapped pair's backup moves
+        // pairs to their second rank (or leaves them pending).
+        if (!first.swapped.empty()) {
+          const auto [s, d] = first.swapped.front();
+          const netsim::Link& hit =
+              topo.link(fabric.cached_route(s, d)->path.front());
+          const FailoverReport second = fabric.apply_failure(hit.from, hit.to);
+          expect_swaps_follow_plans(fabric, plans, second,
+                                    where + " then " +
+                                        std::to_string(hit.from) + "<->" +
+                                        std::to_string(hit.to));
+          (void)fabric.restore_link(hit.from, hit.to);
+        }
+        (void)fabric.restore_link(link.from, link.to);
+        ASSERT_TRUE(fabric.failed_links().empty()) << where;
+      }
+    }
+  }
+}
+
+TEST(FailoverProtection, ReplannedBackupsEqualPerPairPlanning) {
+  // repair_pending replans a repaired pair against its new primary and
+  // the degraded topology.  Cut one pair's primary, then its backup, so
+  // it goes pending; repair; then cut each repaired pair's new primary:
+  // the swap must install the per-pair plan made under the same bans.
+  const netsim::Topology topo = build_topology(*find_scenario("rr16d4/uniform"));
+  for (const unsigned k : {1U, 2U}) {
+    const std::string what = "rr16d4 k=" + std::to_string(k);
+    BuiltFabric fabric(topo);
+    fabric.compile_all_pairs();
+    (void)fabric.enable_protection(k);
+    PlanBook plans = plan_every_pair(fabric, k);
+    const auto fail_first_link = [&](NodeIndex s, NodeIndex d) {
+      const netsim::Link& hit = topo.link(fabric.cached_route(s, d)->path.front());
+      return fabric.apply_failure(hit.from, hit.to);
+    };
+    const NodeIndex src = fabric.routers().front();
+    const NodeIndex dst = fabric.routers().back();
+    ASSERT_NE(fabric.route(src, dst), nullptr);
+    // Cut the primary, then every backup the pair falls back to.
+    for (unsigned cut = 0; cut <= k && fabric.pending_repair_count() == 0;
+         ++cut) {
+      expect_swaps_follow_plans(fabric, plans, fail_first_link(src, dst),
+                                what + " cut " + std::to_string(cut));
+    }
+    ASSERT_GT(fabric.pending_repair_count(), 0U) << what;
+    const FailoverReport repaired = fabric.repair_pending();
+    ASSERT_FALSE(repaired.repaired.empty()) << what;
+    std::map<std::pair<NodeIndex, NodeIndex>, netsim::Path> repaired_path;
+    for (const auto& [s, d] : repaired.repaired) {
+      const netsim::Path& path = fabric.cached_route(s, d)->path;
+      repaired_path[{s, d}] = path;
+      plans[{s, d}] = plan_per_pair(fabric, s, d, path, k);
+    }
+    std::size_t checked = 0;
+    for (const auto& [s, d] : repaired.repaired) {
+      // An earlier cut in this loop may have moved the pair off its
+      // repaired primary; only pairs still on it are cut here.
+      const CompiledRoute* route = fabric.cached_route(s, d);
+      if (route == nullptr || route->path != repaired_path.at({s, d})) {
+        continue;
+      }
+      ++checked;
+      const netsim::Link hit = topo.link(route->path.front());
+      const FailoverReport report = fail_first_link(s, d);
+      const std::string where = what + " repaired " + std::to_string(s) +
+                                "->" + std::to_string(d);
+      EXPECT_TRUE(std::ranges::find(report.swapped, std::pair{s, d}) !=
+                      report.swapped.end() ||
+                  std::ranges::find(report.pending, std::pair{s, d}) !=
+                      report.pending.end())
+          << where;
+      expect_swaps_follow_plans(fabric, plans, report, where);
+      (void)fabric.restore_link(hit.from, hit.to);
+    }
+    EXPECT_GT(checked, 0U) << what;
   }
 }
 

@@ -282,6 +282,88 @@ TEST(LevelOrderSearch, PathSetsMatchUnitWeightDijkstra) {
   }
 }
 
+// --- one search, reused -------------------------------------------------
+
+TEST(PathSearchReuse, RunsMatchFreshSearchesWhateverRanBefore) {
+  // A run resets only what the previous run wrote: interleaving full
+  // trees, early-exit runs and disjoint plans on one search must give
+  // exactly the answers of a fresh search per query.
+  for (const auto& [name, topo] : unit_delay_topologies()) {
+    for (const PathMetric metric :
+         {PathMetric::kHopCount, PathMetric::kDelay}) {
+      PathSearch search(topo, metric);
+      std::mt19937_64 rng(topo.link_count() + 7);
+      for (int sample = 0; sample < 40; ++sample) {
+        const NodeIndex src = rng() % topo.node_count();
+        const NodeIndex dst = rng() % topo.node_count();
+        const auto where = [&] {
+          return name + " sample " + std::to_string(sample) + " " +
+                 std::to_string(src) + "->" + std::to_string(dst);
+        };
+        switch (sample % 3) {
+          case 0: {
+            search.run(src);
+            const PathTree tree = search.tree();
+            const PathTree fresh = shortest_path_tree(topo, src, metric);
+            ASSERT_EQ(tree.via, fresh.via) << where();
+            ASSERT_EQ(tree.dist, fresh.dist) << where();
+            break;
+          }
+          case 1:
+            search.run(src, dst);
+            ASSERT_EQ(search.path_to(dst),
+                      shortest_path(topo, src, dst, metric))
+                << where();
+            break;
+          default: {
+            std::vector<Path> paths;
+            const std::size_t found = search.disjoint_paths(src, dst, 3, paths);
+            ASSERT_EQ(found, paths.size()) << where();
+            ASSERT_EQ(paths, k_disjoint_paths(topo, src, dst, 3, metric))
+                << where();
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PathSearchReuse, BansStackAndDuplexBansNameTheReverse) {
+  // ring 0-1-2-3: the short way 0 -> 1 is the direct link.
+  const Topology topo = scenario::make_ring(4);
+  PathSearch search(topo, PathMetric::kHopCount);
+  const LinkIndex direct = *topo.link_between(0, 1);
+  search.ban_link(direct);
+  search.ban_link(direct);
+  search.unban_link(direct);
+  search.run(0, 1);
+  EXPECT_EQ(search.path_to(1)->size(), 3U) << "one unban lifted two bans";
+  search.unban_link(direct);
+  search.run(0, 1);
+  EXPECT_EQ(search.path_to(1), Path{direct});
+
+  // A duplex ban takes the way back too; lifting it restores both.
+  search.ban_duplex(direct);
+  search.run(1, 0);
+  EXPECT_EQ(search.path_to(0)->size(), 3U);
+  search.unban_duplex(direct);
+  search.run(1, 0);
+  EXPECT_EQ(search.path_to(0), Path{*topo.link_between(1, 0)});
+
+  // disjoint_paths leaves the bans as it found them.
+  std::vector<Path> paths;
+  search.ban_node(2);
+  EXPECT_EQ(search.disjoint_paths(0, 1, 2, paths), 1U);
+  search.run(0, 1);
+  EXPECT_EQ(search.path_to(1), Path{direct});
+  search.run(0, 3);
+  EXPECT_EQ(search.path_to(3), Path{*topo.link_between(0, 3)});
+  search.unban_node(2);
+  EXPECT_EQ(search.disjoint_paths(0, 1, 2, paths), 2U);
+  EXPECT_EQ(search.disjoint_paths(0, 1, 2, paths), 2U);
+  EXPECT_EQ(paths.size(), 5U) << "disjoint_paths appends";
+}
+
 // --- degenerate topologies ---------------------------------------------
 
 TEST(PathEdges, SingleNodeTopology) {
