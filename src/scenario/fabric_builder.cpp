@@ -623,7 +623,7 @@ BuiltFabric::evict_crossing_routes(netsim::LinkIndex fwd,
     if (protection_k_ > 0) {
       const auto [saved, fresh] =
           saved_primary_.try_emplace(key, std::move(it->second));
-      if (fresh) saved_now.add(key, saved->second.path);
+      if (fresh) saved_now.add(key, saved->second.primary.path);
     }
     routes_.erase(it);
     affected.push_back(netsim::node_pair_from_key(key));
@@ -756,8 +756,16 @@ FailoverReport BuiltFabric::repair_pending() {
   }
   // The repaired pairs' old protection sets are dead; replan them
   // against the repaired primaries and the degraded topology, one
-  // source at a time (work is sorted, so replan is too).
+  // source at a time (work is sorted, so replan is too).  The set
+  // planned for a pair's original primary waits with it: restore_link
+  // reinstalls both.
   if (protection_k_ > 0) {
+    for (const RouteKey key : replan) {
+      const auto saved = saved_primary_.find(key);
+      if (saved != saved_primary_.end() && !saved->second.backups) {
+        saved->second.backups = backups_.take(key);
+      }
+    }
     for_each_source(replan, [&](std::span<const RouteKey> same_source) {
       (void)protect_source(same_source);
     });
@@ -801,16 +809,20 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
     std::ranges::set_union(saved_by_link_[*fwd], saved_by_link_[*rev],
                            std::back_inserter(revived));
     std::erase_if(revived, [&](RouteKey key) {
-      return crosses_failed_link(saved_primary_.at(key).path);
+      return crosses_failed_link(saved_primary_.at(key).primary.path);
     });
     IndexEdits edits;
     LinkKeyBatch unsaved;
     for (const RouteKey key : revived) {
       const auto it = saved_primary_.find(key);
       const auto pr = netsim::node_pair_from_key(key);
-      unsaved.add(key, it->second.path);
-      store_route(key, std::move(it->second), /*count_compile=*/false,
+      SavedRoute& saved = it->second;
+      unsaved.add(key, saved.primary.path);
+      store_route(key, std::move(saved.primary), /*count_compile=*/false,
                   &edits);
+      // A repair replanned this pair against another primary; its
+      // original set goes back with the original primary.
+      if (saved.backups) backups_.install(key, std::move(*saved.backups));
       saved_primary_.erase(it);
       ++stats_.backup_swaps;
       report.affected.push_back(pr);
@@ -827,7 +839,7 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
     HP_DCHECK(std::ranges::all_of(saved_primary_,
                                   [&](const auto& entry) {
                                     return crosses_failed_link(
-                                        entry.second.path);
+                                        entry.second.primary.path);
                                   }),
               "restore_link: a fully alive saved primary was not reverted");
     if (metrics_ != nullptr && !report.swapped.empty()) {

@@ -45,6 +45,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -193,16 +194,19 @@ class BuiltFabric {
 
   /// Bring the duplex link a<->b back.  Dirty shortest-path trees are
   /// flushed (rebuilt lazily); with protection armed, every pair whose
-  /// saved primary is fully alive again reverts to it -- a hitless
-  /// swap back, listed in `swapped` -- including pairs a failure had
-  /// severed entirely (their routes revive without a recompile).
+  /// saved primary is fully alive again reverts to it, with the
+  /// protection set planned for it -- a hitless swap back, listed in
+  /// `swapped` -- including pairs a failure had severed entirely
+  /// (their routes revive without a recompile or a search).
   /// Restoring a link that is not failed is a no-op (duplicate set).
   FailoverReport restore_link(netsim::NodeIndex a, netsim::NodeIndex b);
 
   /// Lazily recompile the pairs apply_failure parked in `pending`
   /// (their protection set was dead).  Pairs that recompile land in
   /// `repaired` and get a fresh protection set planned against the
-  /// degraded topology; pairs with no path left land in `unroutable`.
+  /// degraded topology (their original set waits with their saved
+  /// primary for restore_link); pairs with no path left land in
+  /// `unroutable`.
   FailoverReport repair_pending();
 
   [[nodiscard]] std::size_t pending_repair_count() const noexcept {
@@ -358,13 +362,22 @@ class BuiltFabric {
   std::vector<char> link_down_;
   unsigned protection_k_ = 0;
   BackupTable backups_;
+  /// A displaced pair's original route.  Its protection set stays
+  /// installed while the pair rides a backup; the first repair that
+  /// replans the pair sets that set aside here, so it is the set of
+  /// the first displacement, as the primary is.
+  struct SavedRoute {
+    CompiledRoute primary;
+    std::optional<std::vector<BackupRoute>> backups;
+  };
   /// Pre-failure primaries of pairs a failure displaced (or severed),
-  /// keyed like routes_; restore_link reverts from here.  The
+  /// keyed like routes_; restore_link reverts from here, reinstalling
+  /// a set-aside protection set with its primary (no search).  The
   /// *original* primary is kept across repeated failures.  Invariant
   /// after every public call: each saved primary crosses at least one
   /// failed link, since restore_link reverts every primary the moment
   /// its last dead link revives.
-  std::unordered_map<RouteKey, CompiledRoute> saved_primary_;
+  std::unordered_map<RouteKey, SavedRoute> saved_primary_;
   /// Per directed link (indexed by LinkIndex, sized at construction):
   /// the sorted keys of the saved primaries crossing it.  By the
   /// invariant above, a restore of a<->b can revive only the primaries

@@ -22,6 +22,11 @@ void BackupTable::install(PairKey pair, std::vector<BackupRoute> backups) {
   pairs_.emplace(pair, std::move(backups));
 }
 
+std::vector<BackupRoute> BackupTable::take(PairKey pair) {
+  auto node = pairs_.extract(pair);
+  return node.empty() ? std::vector<BackupRoute>{} : std::move(node.mapped());
+}
+
 void BackupTable::clear() { pairs_.clear(); }
 
 const BackupRoute* BackupTable::live_backup(

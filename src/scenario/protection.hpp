@@ -61,6 +61,10 @@ class BackupTable {
   /// An empty set erases the pair.
   void install(PairKey pair, std::vector<BackupRoute> backups);
 
+  /// Remove a pair's protection set and return it (empty when the pair
+  /// is unprotected).
+  [[nodiscard]] std::vector<BackupRoute> take(PairKey pair);
+
   void clear();
 
   [[nodiscard]] std::size_t pair_count() const noexcept {

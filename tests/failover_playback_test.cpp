@@ -102,7 +102,7 @@ TEST(FailoverPlaybackGolden, OpenLoopTorusFlapProtected) {
   const sim::SimReport r = sim::run_sim_scenario(spec, options);
   EXPECT_GT(r.forwarding.backup_swapped_pairs, 0U);
   EXPECT_EQ(r.forwarding.wrong_egress, 0U);
-  EXPECT_EQ(digest(r), 341315396018124007ULL);
+  EXPECT_EQ(digest(r), 8508782117001783476ULL);
 }
 
 TEST(FailoverPlaybackGolden, OpenLoopUnprotectedFailureSplitsFlows) {
@@ -129,7 +129,7 @@ TEST(FailoverPlaybackGolden, ClosedLoopFlap) {
   const sim::SimReport r = sim::run_sim_scenario(spec, options);
   EXPECT_GT(r.forwarding.rerouted_pairs, 0U);
   EXPECT_EQ(r.completed_flows + r.transport.abandoned_flows, r.flows);
-  EXPECT_EQ(digest(r), 7871357237494674008ULL);
+  EXPECT_EQ(digest(r), 6210921921356497216ULL);
 }
 
 // --- per-lane failover counts ------------------------------------------

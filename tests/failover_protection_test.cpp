@@ -377,6 +377,60 @@ TEST(FailoverProtection, ReplannedBackupsEqualPerPairPlanning) {
   }
 }
 
+TEST(FailoverProtection, FlapStormLeavesProtectionAsFresh) {
+  // A flap storm with repair_pending after every event replans the
+  // backups of repaired pairs against their repaired primaries.  Once
+  // every link is back, each pair must run its original primary under
+  // its original protection set: failing any one link afterwards gives
+  // exactly the fresh fabric's report and swaps, and parks nothing.
+  const netsim::Topology topo = make_torus(8, 8);
+  BuiltFabric stormed(topo);
+  BuiltFabric fresh(topo);
+  for (BuiltFabric* fabric : {&stormed, &fresh}) {
+    fabric->compile_all_pairs();
+    (void)fabric->enable_protection(1);
+  }
+  FailureInjectorParams flap;
+  flap.preset = FailurePreset::kFlap;
+  flap.seed = 1;
+  flap.count = 16;
+  std::size_t repaired = 0;
+  for (const LinkFailure& event : make_failure_schedule(topo, flap)) {
+    (void)(event.restore ? stormed.restore_link(event.a, event.b)
+                         : stormed.apply_failure(event.a, event.b));
+    repaired += stormed.repair_pending().repaired.size();
+  }
+  ASSERT_GT(repaired, 0U) << "the storm never replanned a pair";
+  while (!stormed.failed_links().empty()) {
+    const netsim::Link& link = topo.link(stormed.failed_links().front());
+    (void)stormed.restore_link(link.from, link.to);
+  }
+
+  std::size_t parked = 0;
+  for (netsim::LinkIndex l = 0; l < topo.link_count(); ++l) {
+    const netsim::Link& link = topo.link(l);
+    if (link.from > link.to) continue;
+    const std::string where =
+        "fail " + std::to_string(link.from) + "<->" + std::to_string(link.to);
+    const FailoverReport got = stormed.apply_failure(link.from, link.to);
+    const FailoverReport want = fresh.apply_failure(link.from, link.to);
+    parked += got.pending.size();
+    EXPECT_EQ(got.affected, want.affected) << where;
+    EXPECT_EQ(got.swapped, want.swapped) << where;
+    EXPECT_EQ(got.pending, want.pending) << where;
+    for (const auto& [s, d] : want.swapped) {
+      const CompiledRoute* a = stormed.cached_route(s, d);
+      const CompiledRoute* b = fresh.cached_route(s, d);
+      ASSERT_TRUE(a != nullptr && b != nullptr) << where;
+      EXPECT_EQ(a->path, b->path) << where << ": " << s << "->" << d;
+      EXPECT_EQ(a->segments, b->segments) << where << ": " << s << "->" << d;
+    }
+    (void)stormed.restore_link(link.from, link.to);
+    (void)fresh.restore_link(link.from, link.to);
+  }
+  EXPECT_EQ(parked, 0U) << "pairs left with no live backup after the storm";
+}
+
 TEST(FailoverProtection, SeveredPairsAreExplicitlyUnroutable) {
   // Cutting a 6-ring twice isolates {r1, r2} from {r3..r0}: protection
   // cannot save pairs with no surviving path -- they must surface in

@@ -249,7 +249,9 @@ TEST_P(SimGolden, ReportSnapshotAndFlightRecordingMatchPinnedDigests) {
 
 // The flap cases plan backups, so their snapshot covers the
 // compile.crt_steps counter: the CRT folds the route compiler made,
-// where backups sharing a prefix share its folds.
+// where backups sharing a prefix share its folds.  A restore reinstalls
+// a reverted pair's original protection set, so later swaps in these
+// storms take the backups planned for the primary they protect.
 INSTANTIATE_TEST_SUITE_P(
     QueueCap8, SimGolden,
     ::testing::Values(
@@ -257,20 +259,20 @@ INSTANTIATE_TEST_SUITE_P(
                    {15397142137337732331ULL, 4932373636259334633ULL,
                     13287231826744413231ULL}},
         GoldenCase{"FatTreeOpenFlap", "fat_tree_k4/uniform", Loop::kOpenFlap,
-                   {11949412122130222665ULL, 10239764302451942950ULL,
-                    15004604303493049205ULL}},
+                   {14862023915546772233ULL, 14502704768715549438ULL,
+                    7527634057341688120ULL}},
         GoldenCase{"FatTreeClosedFlap", "fat_tree_k4/uniform",
                    Loop::kClosedFlap,
-                   {16261695727286968660ULL, 14119758824336612942ULL,
-                    10217649983446907326ULL}},
+                   {3772338144194334032ULL, 14678595231445932740ULL,
+                    990049184386681671ULL}},
         GoldenCase{"TorusOpen", "torus4x4/hotspot", Loop::kOpen,
                    {8335920652602477876ULL, 11857433868398504163ULL,
                     3976186670119060480ULL}},
         GoldenCase{"TorusOpenFlap", "torus4x4/hotspot", Loop::kOpenFlap,
-                   {11203436284088278648ULL, 11477415080273819454ULL,
+                   {11203436284088278648ULL, 17537984142156732649ULL,
                     12645221829164598365ULL}},
         GoldenCase{"TorusClosedFlap", "torus4x4/hotspot", Loop::kClosedFlap,
-                   {11604641592554628078ULL, 893427384775829208ULL,
+                   {11604641592554628078ULL, 1096924028986447887ULL,
                     5423261761354726302ULL}}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.label);
