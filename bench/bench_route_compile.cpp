@@ -171,7 +171,8 @@ void run_protect(benchmark::State& state, const Topology& topo) {
   const auto planned =
       static_cast<double>(backups) * static_cast<double>(state.iterations());
   state.SetItemsProcessed(static_cast<std::int64_t>(planned));
-  state.counters["us_per_backup"] = planned == 0.0 ? 0.0 : seconds * 1e6 / planned;
+  state.counters["us_per_backup"] =
+      planned == 0.0 ? 0.0 : seconds * 1e6 / planned;
   state.counters["folds_per_backup"] =
       backups == 0 ? 0.0
                    : static_cast<double>(folds) / static_cast<double>(backups);

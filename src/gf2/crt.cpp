@@ -45,38 +45,6 @@ std::optional<fixed::Poly64> CrtAccumulator::fast_fold_k(
   return fixed::mulmod(diff, *inv, m);
 }
 
-Poly CrtAccumulator::solution_with(const Congruence& c) const {
-  const int dm = c.modulus.degree();
-  if (dm < 0) throw std::domain_error("crt: zero modulus");
-  if (!wide_ && dm <= 63 && fast_degree_ + dm <= 127) {
-    const fixed::Poly64 m = c.modulus.to_uint64();
-    const fixed::Poly64 r = c.residue.degree() <= 63
-                                ? c.residue.to_uint64()
-                                : (c.residue % c.modulus).to_uint64();
-    return solution_with(r, m);
-  }
-  CrtAccumulator folded = *this;
-  folded.add(c);
-  folded.materialize();
-  return std::move(folded.solution_);
-}
-
-Poly CrtAccumulator::solution_with(std::uint64_t residue_bits,
-                                   std::uint64_t modulus_bits) const {
-  const int dm = fixed::degree(modulus_bits);
-  if (dm < 0) throw std::domain_error("crt: zero modulus");
-  if (!wide_ && fast_degree_ + dm <= 127) {
-    const auto k = fast_fold_k(residue_bits, modulus_bits);
-    if (!k) throw std::domain_error("crt: moduli are not pairwise coprime");
-    const fixed::Poly128 sol =
-        fast_solution_ ^ fixed::mul(fast_modulus_, *k);
-    const std::uint64_t words[2] = {sol.lo, sol.hi};
-    return Poly::from_words(words);
-  }
-  return solution_with(
-      Congruence{Poly(residue_bits), Poly(modulus_bits)});
-}
-
 std::uint64_t CrtAccumulator::solution_word() const {
   // deg(solution) < deg(modulus) <= 64: the low word holds it all.
   if (wide_ || fast_degree_ > 64) {

@@ -53,26 +53,19 @@ class CrtAccumulator {
   /// the accumulated product (throws std::domain_error otherwise).
   void add(const Congruence& c);
 
-  /// The solution of the accumulated system with `c` folded in, without
-  /// mutating this accumulator: what add(c) followed by solution()
-  /// would return.  This is the tree compiler's per-destination step --
-  /// on the fixed-width path it runs with a single allocation (the
-  /// returned Poly) instead of copying the whole accumulator.
-  [[nodiscard]] Poly solution_with(const Congruence& c) const;
-
-  /// Word forms of add / solution_with for congruences whose modulus
-  /// fits 64 coefficient bits (every PolKA nodeID does): identical
-  /// semantics, but the hot path never materializes a Poly operand.
-  /// modulus_bits must be nonzero (throws std::domain_error).
+  /// Word form of add for congruences whose modulus fits 64
+  /// coefficient bits (every PolKA nodeID does): identical semantics,
+  /// but the hot path never materializes a Poly operand.  modulus_bits
+  /// must be nonzero (throws std::domain_error).
   void add(std::uint64_t residue_bits, std::uint64_t modulus_bits);
-  [[nodiscard]] Poly solution_with(std::uint64_t residue_bits,
-                                   std::uint64_t modulus_bits) const;
 
-  /// One-word forms of solution() / solution_with for a system whose
-  /// combined modulus has degree at most 64, so the solution fits one
-  /// coefficient word: no Poly is built.  Throws std::domain_error when
-  /// the degree would pass 64 (and, like add, on a zero or non-coprime
-  /// modulus).
+  /// For a system whose combined modulus has degree at most 64, so the
+  /// solution fits one coefficient word: solution() as that word, and
+  /// solution_word_with the solution with one more congruence folded
+  /// in, without mutating this accumulator (the route compiler's
+  /// per-destination step).  No Poly is built.  Throws
+  /// std::domain_error when the degree would pass 64 (and, like add,
+  /// on a zero or non-coprime modulus).
   [[nodiscard]] std::uint64_t solution_word() const;
   [[nodiscard]] std::uint64_t solution_word_with(
       std::uint64_t residue_bits, std::uint64_t modulus_bits) const;

@@ -97,7 +97,7 @@ PathSearch::PathSearch(const Topology& topo, PathMetric metric)
 void PathSearch::ban_link(LinkIndex l) { ++link_bans_[l]; }
 
 void PathSearch::unban_link(LinkIndex l) {
-  HP_DCHECK(link_bans_[l] > 0, "PathSearch: unban of an unbanned link");
+  HP_CHECK(link_bans_[l] > 0, "PathSearch: unban of an unbanned link");
   --link_bans_[l];
 }
 
@@ -114,7 +114,7 @@ void PathSearch::unban_duplex(LinkIndex l) {
 void PathSearch::ban_node(NodeIndex v) { ++node_bans_[v]; }
 
 void PathSearch::unban_node(NodeIndex v) {
-  HP_DCHECK(node_bans_[v] > 0, "PathSearch: unban of an unbanned node");
+  HP_CHECK(node_bans_[v] > 0, "PathSearch: unban of an unbanned node");
   --node_bans_[v];
 }
 
@@ -344,7 +344,8 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeIndex src,
           }
         }
         for (std::size_t j = 0; j < i; ++j) {
-          ban ? search.ban_node(prev_nodes[j]) : search.unban_node(prev_nodes[j]);
+          ban ? search.ban_node(prev_nodes[j])
+              : search.unban_node(prev_nodes[j]);
         }
       };
       mark(true);

@@ -83,7 +83,8 @@ struct PathTree {
 /// search holds no reference to the topology.  Bans stack: each
 /// ban_link/ban_node needs one unban to lift it, so a caller's
 /// temporary bans (a primary's links while its backup is planned)
-/// never lift a standing one (a failed link).  A run allocates
+/// never lift a standing one (a failed link); lifting a ban that is
+/// not there throws core::ContractViolation.  A run allocates
 /// nothing: it resets only the entries the previous run wrote, and
 /// every workspace is reserved for its bound at construction.
 class PathSearch {
@@ -92,9 +93,6 @@ class PathSearch {
   /// not fit the 32-bit indices the adjacency stores.
   PathSearch(const Topology& topo, PathMetric metric);
 
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return forwards_.size();
-  }
   [[nodiscard]] std::size_t link_count() const noexcept {
     return from_.size();
   }

@@ -54,11 +54,12 @@ struct SegmentedRoute {
 };
 
 /// The one implementation of the 64-bit segment cut, shared by the
-/// per-path compiler (PolkaFabric::segmented_route_for_path) and the
-/// tree compiler (BuiltFabric's DFS).  Feed a path's transit hops in
-/// order, then finish at the destination.  Copies are cheap (one CRT
-/// accumulator plus the closed segments), so a tree walk copies one
-/// builder per descent and finishes it once per destination.
+/// per-path compiler (PolkaFabric::segmented_route_for_path) and
+/// BuiltFabric's route compiler.  Feed a path's transit hops in order,
+/// then finish at the destination.  Copies are cheap (one CRT
+/// accumulator plus the closed segments), so the route compiler keeps
+/// one builder per link of its current path, copy-assigned into reused
+/// slots, and finishes one per destination.
 class SegmentBuilder {
  public:
   /// Fold "leave `node` through `port`" into the open segment: exactly

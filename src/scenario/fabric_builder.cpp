@@ -217,7 +217,7 @@ BuiltFabric::BuiltFabric(netsim::Topology topo)
     const std::size_t from = topo_to_fabric_[link.from];
     const std::size_t to = topo_to_fabric_[link.to];
     if (from == kInvalidIndex || to == kInvalidIndex) continue;
-    link_port_[l] = *fabric_.port_between(from, to);
+    if (const auto port = fabric_.port_between(from, to)) link_port_[l] = *port;
   }
 }
 
@@ -576,22 +576,22 @@ std::size_t BuiltFabric::protect_source(std::span<const RouteKey> keys) {
   std::ranges::sort(order, [&](std::size_t a, std::size_t b) {
     return paths[a] < paths[b];
   });
-  std::vector<BackupRoute> compiled(paths.size());
+  std::vector<CompiledRoute> compiled(paths.size());
   cursor_.restart(topo_to_fabric_[src]);
   for (const std::size_t i : order) {
-    static_cast<CompiledRoute&>(compiled[i]) =
-        walk_route(cursor_, std::move(paths[i]), stats_.crt_steps);
+    compiled[i] = walk_route(cursor_, std::move(paths[i]), stats_.crt_steps);
   }
 
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    std::vector<BackupRoute> backups(
-        std::make_move_iterator(compiled.begin() + first[i]),
-        std::make_move_iterator(compiled.begin() + first[i + 1]));
-    for (BackupRoute& backup : backups) {
-      backup.stretch = primary_hops[i] == 0
-                           ? 1.0
-                           : static_cast<double>(backup.path.size()) /
-                                 static_cast<double>(primary_hops[i]);
+    std::vector<BackupRoute> backups;
+    backups.reserve(first[i + 1] - first[i]);
+    for (std::size_t j = first[i]; j < first[i + 1]; ++j) {
+      const auto hops = static_cast<double>(compiled[j].path.size());
+      const double stretch =
+          primary_hops[i] == 0
+              ? 1.0
+              : hops / static_cast<double>(primary_hops[i]);
+      backups.push_back(BackupRoute{std::move(compiled[j]), stretch});
     }
     stats_.backup_routes += backups.size();
     backups_.install(keys[i], std::move(backups));
@@ -618,12 +618,13 @@ BuiltFabric::evict_crossing_routes(netsim::LinkIndex fwd,
     evicted.add(key, it->second.path);
     // Protected fabrics remember the displaced route so restore_link
     // can revert hitlessly; the original primary wins over later
-    // backup-on-backup displacements (try_emplace keeps the first and
-    // leaves the route unmoved when the key is taken).
+    // backup-on-backup displacements (try_emplace keeps the first).
     if (protection_k_ > 0) {
-      const auto [saved, fresh] =
-          saved_primary_.try_emplace(key, std::move(it->second));
-      if (fresh) saved_now.add(key, saved->second.primary.path);
+      const auto [saved, fresh] = saved_primary_.try_emplace(key);
+      if (fresh) {
+        saved->second.primary = std::move(it->second);
+        saved_now.add(key, saved->second.primary.path);
+      }
     }
     routes_.erase(it);
     affected.push_back(netsim::node_pair_from_key(key));

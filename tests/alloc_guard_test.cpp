@@ -425,7 +425,8 @@ TEST(AllocGuard, ProtectionAllocationsPerBackupStayBounded) {
     const std::size_t backups = fabric.enable_protection(k);
     return std::pair{alloc_count() - before, backups};
   };
-  const auto [small, small_backups] = allocations(scenario::make_torus(6, 6), 1);
+  const auto [small, small_backups] =
+      allocations(scenario::make_torus(6, 6), 1);
   const auto [large, large_backups] =
       allocations(scenario::make_torus(12, 12), 1);
   ASSERT_GT(large_backups, small_backups);

@@ -205,10 +205,13 @@ std::vector<PlannedBackup> plan_per_pair(const BuiltFabric& fabric,
     banned.push_back(l);
     banned.push_back(*topo.link_between(topo.link(l).to, topo.link(l).from));
   }
+  std::vector<netsim::Path> paths = netsim::k_disjoint_paths(
+      topo, src, dst, k, netsim::PathMetric::kHopCount, banned);
   std::vector<PlannedBackup> out;
-  for (netsim::Path& path : netsim::k_disjoint_paths(
-           topo, src, dst, k, netsim::PathMetric::kHopCount, banned)) {
+  out.reserve(paths.size());
+  for (netsim::Path& path : paths) {
     std::vector<std::size_t> fabric_path;
+    fabric_path.reserve(path.size() + 1);
     for (const NodeIndex n : netsim::path_nodes(topo, path)) {
       fabric_path.push_back(fabric.fabric_index(n));
     }
@@ -274,11 +277,22 @@ TEST(FailoverProtection, BatchedBackupsEqualPerPairPlanning) {
   // enable_protection plans and compiles a source's backups together;
   // every swap must install exactly what per-pair planning gives.
   // Hosts never transit (fat-tree with hosts), the 33-ring's backups
-  // run to many segments, and k = 2 adds a second rank.
+  // run to many segments, and k = 2 adds a second rank.  In the trap,
+  // s's primary to d is s-x-y-d, and the only other way, s-u-y-x-v-d,
+  // runs y->x back along it: banning the primary one way only would
+  // let that through, though x<->y failing kills both.
+  netsim::Topology trap;
+  for (const char* name : {"s", "x", "y", "d", "u", "v"}) trap.add_node(name);
+  for (const auto& [a, b] : {std::pair{"s", "x"}, {"x", "y"}, {"y", "d"},
+                             {"s", "u"}, {"u", "y"}, {"x", "v"},
+                             {"v", "d"}}) {
+    trap.add_duplex_link(trap.index_of(a), trap.index_of(b), 100.0, 1.0);
+  }
   const std::vector<std::pair<std::string, netsim::Topology>> topologies{
       {"fat_tree_k4_hosts", make_fat_tree(4, true)},
       {"rr16d4", build_topology(*find_scenario("rr16d4/uniform"))},
-      {"ring33", make_ring(33)}};
+      {"ring33", make_ring(33)},
+      {"reverse_trap", trap}};
   for (const auto& [name, topo] : topologies) {
     for (const unsigned k : {1U, 2U}) {
       const std::string what = name + " k=" + std::to_string(k);
@@ -323,7 +337,8 @@ TEST(FailoverProtection, ReplannedBackupsEqualPerPairPlanning) {
   // the degraded topology.  Cut one pair's primary, then its backup, so
   // it goes pending; repair; then cut each repaired pair's new primary:
   // the swap must install the per-pair plan made under the same bans.
-  const netsim::Topology topo = build_topology(*find_scenario("rr16d4/uniform"));
+  const netsim::Topology topo =
+      build_topology(*find_scenario("rr16d4/uniform"));
   for (const unsigned k : {1U, 2U}) {
     const std::string what = "rr16d4 k=" + std::to_string(k);
     BuiltFabric fabric(topo);
@@ -331,7 +346,8 @@ TEST(FailoverProtection, ReplannedBackupsEqualPerPairPlanning) {
     (void)fabric.enable_protection(k);
     PlanBook plans = plan_every_pair(fabric, k);
     const auto fail_first_link = [&](NodeIndex s, NodeIndex d) {
-      const netsim::Link& hit = topo.link(fabric.cached_route(s, d)->path.front());
+      const netsim::Link& hit =
+          topo.link(fabric.cached_route(s, d)->path.front());
       return fabric.apply_failure(hit.from, hit.to);
     };
     const NodeIndex src = fabric.routers().front();

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "scenario/topologies.hpp"
 
 namespace hp::netsim {
@@ -362,6 +363,10 @@ TEST(PathSearchReuse, BansStackAndDuplexBansNameTheReverse) {
   EXPECT_EQ(search.disjoint_paths(0, 1, 2, paths), 2U);
   EXPECT_EQ(search.disjoint_paths(0, 1, 2, paths), 2U);
   EXPECT_EQ(paths.size(), 5U) << "disjoint_paths appends";
+
+  // A lift without a ban would wrap the count and ban the link for good.
+  EXPECT_THROW(search.unban_link(direct), core::ContractViolation);
+  EXPECT_THROW(search.unban_node(2), core::ContractViolation);
 }
 
 // --- degenerate topologies ---------------------------------------------
