@@ -43,6 +43,7 @@
 #include "netsim/topology.hpp"
 #include "polka/route.hpp"
 #include "scenario/fabric_builder.hpp"
+#include "scenario/failure_injector.hpp"
 #include "scenario/topologies.hpp"
 
 namespace {
@@ -178,6 +179,39 @@ void run_protect(benchmark::State& state, const Topology& topo) {
                    : static_cast<double>(folds) / static_cast<double>(backups);
 }
 
+void run_storm(benchmark::State& state, const Topology& topo) {
+  hp::scenario::FailureInjectorParams flap;
+  flap.preset = hp::scenario::FailurePreset::kFlap;
+  flap.seed = 1;
+  flap.count = 16;
+  const auto schedule = hp::scenario::make_failure_schedule(topo, flap);
+  std::size_t pairs = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    BuiltFabric built(topo);
+    (void)built.compile_all_pairs(1);
+    (void)built.enable_protection(1);
+    state.ResumeTiming();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const hp::scenario::LinkFailure& event : schedule) {
+      const auto report = event.restore ? built.restore_link(event.a, event.b)
+                                        : built.apply_failure(event.a, event.b);
+      pairs += report.affected.size();
+      benchmark::DoNotOptimize(built.repair_pending());
+    }
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+  }
+  const auto events = static_cast<double>(schedule.size()) *
+                      static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["us_per_event"] = events == 0.0 ? 0.0 : seconds * 1e6 / events;
+  state.counters["pairs_per_event"] =
+      events == 0.0 ? 0.0 : static_cast<double>(pairs) / events;
+}
+
 Topology make_family(const std::string& family, std::size_t n) {
   if (family == "ring") {
     return hp::scenario::make_ring(static_cast<unsigned>(n));
@@ -229,6 +263,11 @@ void BM_Protect(benchmark::State& state, const std::string& family) {
               make_family(family, static_cast<std::size_t>(state.range(0))));
 }
 
+void BM_Storm(benchmark::State& state, const std::string& family) {
+  run_storm(state,
+            make_family(family, static_cast<std::size_t>(state.range(0))));
+}
+
 void register_family(const std::string& family,
                      std::initializer_list<std::int64_t> sizes) {
   for (const std::int64_t n : sizes) {
@@ -271,6 +310,12 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(
         ("protect/" + family).c_str(),
         [family](benchmark::State& s) { BM_Protect(s, family); })
+        ->Arg(n)
+        ->Unit(benchmark::kMillisecond);
+  }
+  for (const std::int64_t n : {64, 256}) {
+    benchmark::RegisterBenchmark(
+        "storm/torus", [](benchmark::State& s) { BM_Storm(s, "torus"); })
         ->Arg(n)
         ->Unit(benchmark::kMillisecond);
   }

@@ -200,6 +200,12 @@ std::optional<Path> PathSearch::path_to(NodeIndex dst) const {
 
 PathTree PathSearch::tree() const { return PathTree{src_, dist_, via_}; }
 
+void PathSearch::tree(PathTree& out) const {
+  out.src = src_;
+  out.dist.assign(dist_.begin(), dist_.end());
+  out.via.assign(via_.begin(), via_.end());
+}
+
 std::size_t PathSearch::disjoint_paths(NodeIndex src, NodeIndex dst,
                                        std::size_t k, std::vector<Path>& out) {
   // Each found path retires its links (both directions) before the
@@ -248,10 +254,17 @@ std::optional<Path> tree_path(const PathTree& tree, const Topology& topo,
 }
 
 TreeChildren tree_children(const PathTree& tree, const Topology& topo) {
-  // Counting sort by parent: count each parent's children, prefix-sum
-  // the counts into offsets, then place children in one ascending scan.
-  const std::size_t n = tree.via.size();
   TreeChildren out;
+  tree_children(tree, topo, out);
+  return out;
+}
+
+void tree_children(const PathTree& tree, const Topology& topo,
+                   TreeChildren& out) {
+  // Counting sort by parent: count each parent's children, prefix-sum
+  // the counts into offsets, then place children in one ascending scan,
+  // which advances offset[p] to p's end; one shift restores the starts.
+  const std::size_t n = tree.via.size();
   out.offset.assign(n + 1, 0);
   const auto parent_of = [&](NodeIndex c) {
     return c == tree.src || tree.via[c] == kInvalidIndex
@@ -265,13 +278,13 @@ TreeChildren tree_children(const PathTree& tree, const Topology& topo) {
   }
   for (std::size_t v = 0; v < n; ++v) out.offset[v + 1] += out.offset[v];
   out.child.resize(out.offset[n]);
-  std::vector<std::size_t> fill(out.offset.begin(), out.offset.end() - 1);
   for (NodeIndex c = 0; c < n; ++c) {
     if (const NodeIndex p = parent_of(c); p != kInvalidIndex) {
-      out.child[fill[p]++] = c;
+      out.child[out.offset[p]++] = c;
     }
   }
-  return out;
+  for (std::size_t v = n; v > 0; --v) out.offset[v] = out.offset[v - 1];
+  out.offset[0] = 0;
 }
 
 std::optional<Path> shortest_path(const Topology& topo, NodeIndex src,

@@ -119,6 +119,8 @@ class PathSearch {
 
   /// The last run's tree (complete after a run without a destination).
   [[nodiscard]] PathTree tree() const;
+  /// The same, written into `out`, whose buffers are reused.
+  void tree(PathTree& out) const;
 
   /// Append to `out` up to `k` mutually duplex-link-disjoint src -> dst
   /// paths under the current bans, best first (see k_disjoint_paths);
@@ -178,6 +180,9 @@ struct TreeChildren {
 /// descends -- costs O(n).
 [[nodiscard]] TreeChildren tree_children(const PathTree& tree,
                                          const Topology& topo);
+/// The same, written into `out`, whose buffers are reused.
+void tree_children(const PathTree& tree, const Topology& topo,
+                   TreeChildren& out);
 
 /// Yen's algorithm: up to `k` loopless shortest paths, best first.
 /// Returns fewer when the graph has fewer distinct simple paths, and

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <numeric>
-#include <optional>
+#include <ranges>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
@@ -20,137 +19,61 @@ namespace {
 
 using netsim::kInvalidIndex;
 using netsim::NodeIndex;
-using KeysByLink = std::vector<std::vector<std::uint64_t>>;
 
-/// Add `key` to the sorted list of every link on `path`.
-void index_path(KeysByLink& by_link, std::uint64_t key,
-                const netsim::Path& path) {
-  for (const netsim::LinkIndex l : path) {
-    auto& keys = by_link[l];
-    keys.insert(std::ranges::lower_bound(keys, key), key);
-  }
+/// A link-index entry: the record in the high word, the route id in the
+/// low one.
+std::uint64_t index_entry(std::uint32_t rec, std::uint32_t id) {
+  return (static_cast<std::uint64_t>(rec) << 32) | id;
 }
 
-/// Remove `key` from the sorted list of every link on `path`.
-void unindex_path(KeysByLink& by_link, std::uint64_t key,
-                  const netsim::Path& path) {
-  for (const netsim::LinkIndex l : path) {
-    auto& keys = by_link[l];
-    const auto pos = std::ranges::lower_bound(keys, key);
-    if (pos != keys.end() && *pos == key) keys.erase(pos);
-  }
-}
+/// Adds many routes' hops to the link index in two passes over them:
+/// count the hops per link and reserve each list exactly, then append.
+/// The bulk compiles (every pair, every backup) index this way, so the
+/// index costs its entries and no slack.
+template <typename Lists>
+class BulkAppend {
+ public:
+  explicit BulkAppend(Lists& by_link)
+      : by_link_(by_link), added_(by_link.size(), 0) {}
 
-/// Drop the sorted, non-empty `gone` from sorted `keys` in place: one
-/// forward pass over both lists, so each kept key moves at most once
-/// however many keys go.
-void erase_keys(std::vector<std::uint64_t>& keys,
-                std::span<const std::uint64_t> gone) {
-  auto next = gone.begin();
-  auto kept = static_cast<std::size_t>(
-      std::ranges::lower_bound(keys, *next) - keys.begin());
-  for (std::size_t i = kept; i < keys.size(); ++i) {
-    while (next != gone.end() && *next < keys[i]) ++next;
-    if (next != gone.end() && *next == keys[i]) continue;
-    keys[kept++] = keys[i];
+  void count(const netsim::Path& path) {
+    for (const netsim::LinkIndex l : path) ++added_[l];
   }
-  keys.resize(kept);
-}
 
-/// Merge sorted `added` into sorted `keys` in place, from the back, so
-/// only the keys above the smallest addition move, each once.
-void insert_keys(std::vector<std::uint64_t>& keys,
-                 std::span<const std::uint64_t> added) {
-  std::size_t i = keys.size();
-  std::size_t j = added.size();
-  keys.resize(i + j);
-  std::size_t out = keys.size();
-  while (j > 0) {
-    if (i > 0 && keys[i - 1] > added[j - 1]) {
-      keys[--out] = keys[--i];
-    } else {
-      keys[--out] = added[--j];
+  /// After every count: make room for exactly the counted hops.
+  void reserve() {
+    for (netsim::LinkIndex l = 0; l < by_link_.size(); ++l) {
+      auto& entries = by_link_[l].entries;
+      if (added_[l] != 0) entries.reserve(entries.size() + added_[l]);
     }
   }
-}
 
-/// The (link, key) hops of many routes, applied to a link -> sorted-keys
-/// index list by list: each touched list moves once per batch, where a
-/// binary-search edit per hop would move its tail once per route.
-/// Hops are grouped by a counting pass over the link ids, O(links +
-/// hops), since a comparison sort of an event's hops costs more than
-/// the edits it saves.
-class LinkKeyBatch {
- public:
-  void add(std::uint64_t key, const netsim::Path& path) {
-    for (const netsim::LinkIndex l : path) hops_.emplace_back(l, key);
-  }
-
-  /// Remove every hop's key from its link's list (each must be there).
-  void erase_from(KeysByLink& by_link) const {
-    for_each_link(by_link.size(), [&](netsim::LinkIndex l, auto keys) {
-      erase_keys(by_link[l], keys);
-    });
-  }
-
-  /// Add every hop's key to its link's list.
-  void insert_into(KeysByLink& by_link) const {
-    for_each_link(by_link.size(), [&](netsim::LinkIndex l, auto keys) {
-      insert_keys(by_link[l], keys);
-    });
+  void append(std::uint64_t entry, const netsim::Path& path) {
+    for (const netsim::LinkIndex l : path) {
+      by_link_[l].entries.push_back(entry);
+      ++by_link_[l].live;
+    }
   }
 
  private:
-  /// Calls fn(link, sorted keys) once per link some hop names.
-  template <typename Fn>
-  void for_each_link(std::size_t links, Fn&& fn) const {
-    if (hops_.empty()) return;
-    std::vector<std::size_t> begin(links + 1, 0);
-    for (const auto& [l, key] : hops_) ++begin[l + 1];
-    std::partial_sum(begin.begin(), begin.end(), begin.begin());
-    std::vector<std::size_t> fill(begin.begin(), begin.end() - 1);
-    std::vector<std::uint64_t> keys(hops_.size());
-    for (const auto& [l, key] : hops_) keys[fill[l]++] = key;
-    for (netsim::LinkIndex l = 0; l < links; ++l) {
-      if (begin[l] == begin[l + 1]) continue;
-      const std::span<std::uint64_t> group(keys.data() + begin[l],
-                                           keys.data() + begin[l + 1]);
-      // Callers add routes in key order, so this is nearly always a
-      // pass over an already sorted handful.
-      std::ranges::sort(group);
-      fn(l, std::span<const std::uint64_t>(group));
-    }
-  }
-
-  std::vector<std::pair<netsim::LinkIndex, std::uint64_t>> hops_;
+  Lists& by_link_;
+  std::vector<std::size_t> added_;
 };
 
-/// Calls fn(run) once per source in ascending `keys`, each run the
-/// keys (src << 32 | dst) of one source.
-template <typename Fn>
-void for_each_source(std::span<const std::uint64_t> keys, Fn&& fn) {
-  for (std::size_t begin = 0; begin < keys.size();) {
+/// Calls fn(run) once per source in `items`, ascending by key, each run
+/// the items of one source (key >> 32).
+template <typename T, typename Key, typename Fn>
+void for_each_source(std::span<T> items, Key key_of, Fn&& fn) {
+  for (std::size_t begin = 0; begin < items.size();) {
+    const std::uint64_t src = key_of(items[begin]) >> 32;
     std::size_t end = begin + 1;
-    while (end < keys.size() && keys[end] >> 32 == keys[begin] >> 32) ++end;
-    fn(keys.subspan(begin, end - begin));
+    while (end < items.size() && key_of(items[end]) >> 32 == src) ++end;
+    fn(items.subspan(begin, end - begin));
     begin = end;
   }
 }
 
 }  // namespace
-
-/// Link-index edits of one event, applied together at its end: every
-/// overwritten route's old hops leave, then every stored route's hops
-/// arrive.  An event writes each key at most once.
-struct BuiltFabric::IndexEdits {
-  LinkKeyBatch erased;
-  LinkKeyBatch inserted;
-
-  void apply(KeysByLink& by_link) const {
-    erased.erase_from(by_link);
-    inserted.insert_into(by_link);
-  }
-};
 
 void BuiltFabric::note_compile(
     const char* phase, const CompileStats& before,
@@ -203,7 +126,11 @@ BuiltFabric::BuiltFabric(netsim::Topology topo)
   }
   link_down_.assign(topo_.link_count(), 0);
   routes_by_link_.resize(topo_.link_count());
-  saved_by_link_.resize(topo_.link_count());
+  // Node indices fit the 32-bit slots of pair_slots_: search_'s
+  // construction checked the node count.
+  pair_slots_.resize(fabric_.node_count());
+  trees_.resize(fabric_.node_count());
+  marks_.assign(topo_.node_count(), 0);
   node_bits_.resize(fabric_.node_count());
   node_degree_.resize(fabric_.node_count());
   for (std::size_t f = 0; f < fabric_.node_count(); ++f) {
@@ -234,34 +161,138 @@ unsigned BuiltFabric::egress_port(std::size_t fabric_node) const {
 }
 
 const netsim::PathTree& BuiltFabric::tree_for(NodeIndex src) {
-  auto it = trees_.find(src);
-  if (it == trees_.end()) {
+  netsim::PathTree& tree = trees_[topo_to_fabric_[src]];
+  if (tree.src == kInvalidIndex) {
     search_.run(src);
-    it = trees_.emplace(src, search_.tree()).first;
+    search_.tree(tree);
     ++stats_.trees_built;
   }
-  return it->second;
+  return tree;
 }
 
-CompiledRoute& BuiltFabric::store_route(RouteKey key, CompiledRoute&& route,
-                                        bool count_compile,
-                                        IndexEdits* batch) {
-  const auto [it, inserted] = routes_.try_emplace(key);
-  if (!inserted) {
-    if (batch != nullptr) {
-      batch->erased.add(key, it->second.path);
-    } else {
-      unindex_path(routes_by_link_, key, it->second.path);
+std::size_t BuiltFabric::cached_tree_count() const {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      trees_, [](const netsim::PathTree& t) { return t.src != kInvalidIndex; }));
+}
+
+std::size_t BuiltFabric::cached_route_count() const {
+  std::size_t serving = 0;
+  for (std::uint32_t rec = 0; rec < record_count_; ++rec) {
+    serving += record(rec).serving != kNoRoute;
+  }
+  return serving;
+}
+
+std::uint32_t BuiltFabric::find_record(NodeIndex src, NodeIndex dst) const {
+  if (src >= topo_to_fabric_.size() || topo_to_fabric_[src] == kInvalidIndex ||
+      dst > UINT32_MAX) {
+    return kNoRecord;
+  }
+  const auto& slots = pair_slots_[topo_to_fabric_[src]];
+  const auto it = std::ranges::lower_bound(
+      slots, static_cast<std::uint32_t>(dst), {}, &PairSlot::dst);
+  return it != slots.end() && it->dst == dst ? it->rec : kNoRecord;
+}
+
+std::uint32_t BuiltFabric::append_record(RouteKey key) {
+  HP_CHECK(record_count_ < kNoRecord,
+           "BuiltFabric: pair records exceed the 32-bit record slots");
+  if (record_count_ % kRecordChunk == 0) {
+    record_chunks_.push_back(std::make_unique<PairRecord[]>(kRecordChunk));
+  }
+  const std::uint32_t rec = record_count_++;
+  record(rec).key = key;
+  return rec;
+}
+
+std::uint32_t BuiltFabric::record_for(NodeIndex src, NodeIndex dst) {
+  auto& slots = pair_slots_[topo_to_fabric_[src]];
+  const auto it = std::ranges::lower_bound(
+      slots, static_cast<std::uint32_t>(dst), {}, &PairSlot::dst);
+  if (it != slots.end() && it->dst == dst) return it->rec;
+  const std::uint32_t rec = append_record(netsim::node_pair_key(src, dst));
+  slots.insert(it, PairSlot{static_cast<std::uint32_t>(dst), rec});
+  return rec;
+}
+
+const CompiledRoute* BuiltFabric::find_route(const PairRecord& r,
+                                              std::uint32_t id) {
+  const unsigned s = id >> 31;
+  if (s == 1 && !r.other) return nullptr;
+  const RouteSet& set = r.set(s);
+  const std::uint32_t rank = id & kRankMask;
+  if (rank == 0) return set.primary.path.empty() ? nullptr : &set.primary;
+  return rank <= set.backups.size() ? &set.backups[rank - 1] : nullptr;
+}
+
+void BuiltFabric::reindex(std::uint64_t entry, const netsim::Path& from,
+                          const netsim::Path& to) {
+  // Leaving a link only counts the entry out: it stays in the list,
+  // stale, until the list is compacted.  A list compacts once a third
+  // of it is stale, so each edit costs O(path), amortized.  The record
+  // already holds the route over `to`, which compaction reads.
+  const auto compact_if_stale = [&](netsim::LinkIndex l) {
+    const LinkRoutes& list = routes_by_link_[l];
+    if (list.entries.size() >= list.live + list.live / 2 + 32) compact(l);
+  };
+  for (const netsim::LinkIndex l : from) {
+    if (std::ranges::find(to, l) != to.end()) continue;
+    --routes_by_link_[l].live;
+    compact_if_stale(l);
+  }
+  for (const netsim::LinkIndex l : to) {
+    if (std::ranges::find(from, l) != from.end()) continue;
+    LinkRoutes& list = routes_by_link_[l];
+    // Grow by an eighth, not double: the index keeps little slack.
+    if (list.entries.size() == list.entries.capacity()) {
+      list.entries.reserve(list.entries.size() + list.entries.size() / 8 + 1);
     }
+    list.entries.push_back(entry);
+    ++list.live;
+    compact_if_stale(l);
   }
-  it->second = std::move(route);
-  if (batch != nullptr) {
-    batch->inserted.add(key, it->second.path);
-  } else {
-    index_path(routes_by_link_, key, it->second.path);
-  }
-  if (count_compile) ++stats_.routes_compiled;
-  return it->second;
+}
+
+void BuiltFabric::compact(netsim::LinkIndex l) {
+  auto& entries = routes_by_link_[l].entries;
+  std::erase_if(entries, [&](std::uint64_t entry) {
+    const CompiledRoute* route = find_route(
+        record(static_cast<std::uint32_t>(entry >> 32)),
+        static_cast<std::uint32_t>(entry));
+    return route == nullptr || std::ranges::find(route->path, l) ==
+                                   route->path.end();
+  });
+  // A route that left the link and came back is listed twice.
+  std::ranges::sort(entries);
+  const auto dup = std::ranges::unique(entries);
+  entries.erase(dup.begin(), dup.end());
+  HP_DCHECK(entries.size() == routes_by_link_[l].live,
+            "BuiltFabric: link index count out of step");
+}
+
+const CompiledRoute* BuiltFabric::serving_route(std::uint32_t rec) const {
+  const PairRecord& r = record(rec);
+  return r.serving == kNoRoute ? nullptr : &r.route(r.serving);
+}
+
+unsigned BuiltFabric::primary_slot(PairRecord& r) {
+  // A displaced original stays put for restore_link: write the other set.
+  const unsigned s =
+      r.original == r.primary_set ? 1U - r.original : r.primary_set;
+  if (s == 1 && !r.other) r.other = std::make_unique<RouteSet>();
+  return s;
+}
+
+void BuiltFabric::store_primary(std::uint32_t rec, CompiledRoute&& route) {
+  PairRecord& r = record(rec);
+  const unsigned s = primary_slot(r);
+  CompiledRoute& primary = r.set(s).primary;
+  const netsim::Path old = std::move(primary.path);
+  primary = std::move(route);
+  reindex(index_entry(rec, route_id(s, 0)), old, primary.path);
+  r.primary_set = static_cast<std::uint8_t>(s);
+  r.serving = route_id(s, 0);
+  ++stats_.routes_compiled;
 }
 
 bool BuiltFabric::crosses_failed_link(const netsim::Path& path) const {
@@ -273,9 +304,8 @@ const CompiledRoute* BuiltFabric::route(NodeIndex src, NodeIndex dst) {
   if (src == dst) {
     throw std::invalid_argument("BuiltFabric::route: src == dst");
   }
-  const RouteKey key = netsim::node_pair_key(src, dst);
-  if (const auto it = routes_.find(key); it != routes_.end()) {
-    return &it->second;
+  if (const std::uint32_t rec = find_record(src, dst); rec != kNoRecord) {
+    if (const CompiledRoute* serving = serving_route(rec)) return serving;
   }
   (void)fabric_index(src);  // validates both endpoints are routers
   (void)fabric_index(dst);
@@ -286,16 +316,18 @@ const CompiledRoute* BuiltFabric::route(NodeIndex src, NodeIndex dst) {
 
   // The one-path case of the route walk: every hop folds.
   cursor_.restart(topo_to_fabric_[src]);
-  CompiledRoute& stored = store_route(
-      key, walk_route(cursor_, std::move(*path), stats_.crt_steps));
+  CompiledRoute compiled =
+      walk_route(cursor_, std::move(*path), stats_.crt_steps);
+  const std::uint32_t rec = record_for(src, dst);
+  store_primary(rec, std::move(compiled));
   note_compile("route", before, t0);
-  return &stored;
+  return serving_route(rec);
 }
 
 const CompiledRoute* BuiltFabric::cached_route(NodeIndex src,
                                                NodeIndex dst) const {
-  const auto it = routes_.find(netsim::node_pair_key(src, dst));
-  return it == routes_.end() ? nullptr : &it->second;
+  const std::uint32_t rec = find_record(src, dst);
+  return rec == kNoRecord ? nullptr : serving_route(rec);
 }
 
 CompiledRoute BuiltFabric::make_route(std::size_t fsrc, std::size_t fdst,
@@ -346,37 +378,32 @@ CompiledRoute BuiltFabric::walk_route(PathCursor& cursor, netsim::Path path,
 }
 
 void BuiltFabric::compile_tree_routes(const netsim::PathTree& tree,
-                                      const std::vector<char>* descend,
-                                      const std::vector<char>* emit,
+                                      const std::vector<char>* marks,
                                       PathCursor& cursor,
                                       std::vector<KeyedRoute>& out,
                                       std::size_t& crt_steps) const {
-  const auto children = netsim::tree_children(tree, topo_);
+  netsim::tree_children(tree, topo_, cursor.children);
   const NodeIndex src = tree.src;
   cursor.restart(topo_to_fabric_[src]);
-
-  struct Frame {
-    NodeIndex node;
-    std::size_t next_child;
-  };
-  std::vector<Frame> stack;
-  stack.push_back(Frame{src, 0});
+  auto& stack = cursor.stack;  // (node, next child to try)
+  stack.clear();
+  stack.emplace_back(src, 0);
 
   while (!stack.empty()) {
     // Pick this frame's next compilable child (routers only -- hosts
     // hang off the tree as leaves -- and, when pruning, marked nodes).
-    Frame& frame = stack.back();
-    const auto kids = children.of(frame.node);
+    auto& [node, next_child] = stack.back();
+    const auto kids = cursor.children.of(node);
     NodeIndex child = kInvalidIndex;
-    while (frame.next_child < kids.size()) {
-      const NodeIndex c = kids[frame.next_child++];
+    while (next_child < kids.size()) {
+      const NodeIndex c = kids[next_child++];
       if (topo_to_fabric_[c] == kInvalidIndex) continue;
-      if (descend != nullptr && !(*descend)[c]) continue;
+      if (marks != nullptr && ((*marks)[c] & kDescend) == 0) continue;
       child = c;
       break;
     }
     if (child == kInvalidIndex) {
-      if (frame.node != src) cursor.links.pop_back();
+      if (node != src) cursor.links.pop_back();
       stack.pop_back();
       continue;
     }
@@ -385,11 +412,11 @@ void BuiltFabric::compile_tree_routes(const netsim::PathTree& tree,
     // which then finishes the shared prefix with its own egress
     // congruence (one fold at most).
     extend(cursor, tree.via[child], crt_steps);
-    if (emit == nullptr || (*emit)[child]) {
+    if (marks == nullptr || ((*marks)[child] & kEmit) != 0) {
       out.emplace_back(netsim::node_pair_key(src, child),
                        finish(cursor, cursor.links, crt_steps));
     }
-    stack.push_back(Frame{child, 0});
+    stack.emplace_back(child, 0);
   }
 }
 
@@ -399,32 +426,30 @@ std::size_t BuiltFabric::compile_all_pairs(unsigned threads) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t sources = fabric_to_topo_.size();
   struct SourceCompile {
-    std::optional<netsim::PathTree> fresh;  ///< built when not cached
+    bool fresh_tree = false;  ///< built here, not cached before
     std::vector<KeyedRoute> routes;
     std::size_t crt_steps = 0;
   };
   std::vector<SourceCompile> per_source(sources);
 
-  // Workers only read shared state (trees_ is not mutated while they
-  // run); new trees and routes are collected per source and merged
-  // single-threaded after the join.  Each worker runs its own search
-  // and cursor; the serial case uses the fabric's.
+  // Each worker owns its sources' tree slots and per_source entries and
+  // runs its own search and cursor (the serial case uses the fabric's);
+  // records and the index are written single-threaded after the join.
   auto compile_range = [&](std::size_t begin, std::size_t end,
                            netsim::PathSearch& search, PathCursor& cursor) {
     for (std::size_t i = begin; i < end; ++i) {
       const NodeIndex src = fabric_to_topo_[i];
       SourceCompile& out = per_source[i];
       out.routes.reserve(fabric_to_topo_.size());
-      const netsim::PathTree* tree;
-      if (const auto it = trees_.find(src); it != trees_.end()) {
-        tree = &it->second;
-      } else {
+      netsim::PathTree& tree = trees_[i];
+      if (tree.src == kInvalidIndex) {
         search.run(src);
-        out.fresh = search.tree();
-        tree = &*out.fresh;
+        search.tree(tree);
+        out.fresh_tree = true;
       }
-      compile_tree_routes(*tree, nullptr, nullptr, cursor, out.routes,
-                          out.crt_steps);
+      compile_tree_routes(tree, nullptr, cursor, out.routes, out.crt_steps);
+      // Records are made in key order, so events find them in key order.
+      std::ranges::sort(out.routes, {}, &KeyedRoute::first);
     }
   };
 
@@ -447,38 +472,49 @@ std::size_t BuiltFabric::compile_all_pairs(unsigned threads) {
     for (auto& t : pool) t.join();
   }
 
-  // Routes about to be overwritten leave the link index while every
-  // key list is still sorted.  The merge then only appends, and each
-  // list is sorted once at the end: a sorted insert per hop would cost
-  // about 40% more compile time per route.
-  LinkKeyBatch stale;
-  for (const SourceCompile& out : per_source) {
-    for (const auto& [key, route] : out.routes) {
-      if (const auto it = routes_.find(key); it != routes_.end()) {
-        stale.add(key, it->second.path);
+  // New pairs' routes are counted, then appended into exactly reserved
+  // lists; a cached pair's new primary replaces its old one in place.
+  BulkAppend fresh(routes_by_link_);
+  for (std::size_t i = 0; i < sources; ++i) {
+    for (const auto& [key, route] : per_source[i].routes) {
+      if (find_record(fabric_to_topo_[i], key & 0xFFFFFFFFu) == kNoRecord) {
+        fresh.count(route.path);
       }
     }
   }
-  stale.erase_from(routes_by_link_);
+  fresh.reserve();
   std::size_t written = 0;
-  routes_.reserve(sources * (sources - (sources > 0)));
   for (std::size_t i = 0; i < sources; ++i) {
     SourceCompile& out = per_source[i];
-    if (out.fresh) {
-      trees_.insert_or_assign(fabric_to_topo_[i], std::move(*out.fresh));
-      ++stats_.trees_built;
-    }
+    stats_.trees_built += out.fresh_tree;
     stats_.crt_steps += out.crt_steps;
+    auto& slots = pair_slots_[i];
+    const std::size_t cached = slots.size();
+    slots.reserve(cached + out.routes.size());
     for (auto& [key, route] : out.routes) {
-      for (const netsim::LinkIndex l : route.path) {
-        routes_by_link_[l].push_back(key);
+      const NodeIndex dst = key & 0xFFFFFFFFu;
+      std::uint32_t rec = kNoRecord;
+      if (cached != 0) {  // only the sorted head: new slots are appended
+        const auto head = std::span(slots).first(cached);
+        const auto it = std::ranges::lower_bound(
+            head, static_cast<std::uint32_t>(dst), {}, &PairSlot::dst);
+        if (it != head.end() && it->dst == dst) rec = it->rec;
       }
-      routes_.insert_or_assign(key, std::move(route));
       ++written;
+      if (rec != kNoRecord) {
+        store_primary(rec, std::move(route));
+        continue;
+      }
+      rec = append_record(key);
+      slots.push_back(PairSlot{static_cast<std::uint32_t>(dst), rec});
+      PairRecord& r = record(rec);
+      r.own.primary = std::move(route);
+      r.serving = route_id(0, 0);
+      fresh.append(index_entry(rec, route_id(0, 0)), r.own.primary.path);
+      ++stats_.routes_compiled;
     }
+    if (cached != 0) std::ranges::sort(slots, {}, &PairSlot::dst);
   }
-  for (auto& keys : routes_by_link_) std::ranges::sort(keys);
-  stats_.routes_compiled += written;
   note_compile("all_pairs", before, t0);
   return written;
 }
@@ -493,30 +529,60 @@ std::size_t BuiltFabric::compile_subtree(NodeIndex src,
 
   // Mark the union of tree paths src -> dst; the DFS below descends
   // only into marked branches, so CRT work scales with that union, not
-  // with the whole tree.
-  std::vector<char> descend(topo_.node_count(), 0);
-  std::vector<char> emit(topo_.node_count(), 0);
-  bool any = false;
+  // with the whole tree.  marked_ lists what to unmark afterwards.
+  marked_.clear();
+  const auto mark = [&](NodeIndex n, char bit) {
+    if (marks_[n] == 0) marked_.push_back(n);
+    marks_[n] = static_cast<char>(marks_[n] | bit);
+  };
   for (const NodeIndex dst : dsts) {
     if (dst == src || dst >= topo_.node_count()) continue;
     if (topo_to_fabric_[dst] == kInvalidIndex) continue;
     if (tree.via[dst] == kInvalidIndex) continue;  // unreachable now
-    emit[dst] = 1;
-    any = true;
-    for (NodeIndex cur = dst; cur != src && !descend[cur];
+    mark(dst, kEmit);
+    for (NodeIndex cur = dst; cur != src && (marks_[cur] & kDescend) == 0;
          cur = topo_.link(tree.via[cur]).from) {
-      descend[cur] = 1;
+      mark(cur, kDescend);
     }
   }
-  if (!any) return 0;
+  if (marked_.empty()) return 0;
 
-  std::vector<KeyedRoute> out;
+  subtree_routes_.clear();
   std::size_t crt_steps = 0;
-  compile_tree_routes(tree, &descend, &emit, cursor_, out, crt_steps);
+  compile_tree_routes(tree, &marks_, cursor_, subtree_routes_, crt_steps);
+  for (const NodeIndex n : marked_) marks_[n] = 0;
   stats_.crt_steps += crt_steps;
-  for (auto& [key, route] : out) store_route(key, std::move(route));
+  for (auto& [key, route] : subtree_routes_) {
+    store_primary(record_for(src, key & 0xFFFFFFFFu), std::move(route));
+  }
   note_compile("subtree", before, t0);
-  return out.size();
+  return subtree_routes_.size();
+}
+
+void BuiltFabric::disarm() {
+  // Each pair keeps only the route it serves, as its one primary; the
+  // index is rebuilt from those.
+  BulkAppend kept(routes_by_link_);
+  for (LinkRoutes& list : routes_by_link_) list = LinkRoutes{};
+  for (std::uint32_t rec = 0; rec < record_count_; ++rec) {
+    PairRecord& r = record(rec);
+    if (r.serving == kNoRoute) {
+      r.own.primary = CompiledRoute{};
+    } else if (r.serving != route_id(0, 0)) {
+      r.own.primary = std::move(r.route(r.serving));
+    }
+    r.own.backups.clear();
+    r.other.reset();
+    r.primary_set = 0;
+    r.backup_set = 0;
+    r.original = kNoSet;
+    if (r.serving != kNoRoute) r.serving = route_id(0, 0);
+    kept.count(r.own.primary.path);
+  }
+  kept.reserve();
+  for (std::uint32_t rec = 0; rec < record_count_; ++rec) {
+    kept.append(index_entry(rec, route_id(0, 0)), record(rec).own.primary.path);
+  }
 }
 
 std::size_t BuiltFabric::enable_protection(unsigned k) {
@@ -525,23 +591,45 @@ std::size_t BuiltFabric::enable_protection(unsigned k) {
   const auto t0 = std::chrono::steady_clock::now();
   protection_k_ = k;
   if (k == 0) {
-    backups_.clear();
-    saved_primary_.clear();
-    for (auto& keys : saved_by_link_) keys.clear();
+    disarm();
     return 0;
   }
-  std::size_t installed = 0;
-  // Deterministic planning order (routes_ iteration order is not):
-  // ascending keys, so each source's pairs are one run.
-  std::vector<RouteKey> keys;
-  keys.reserve(routes_.size());
-  for (const auto& [key, route] : routes_) {
-    if (!backups_.protects(key)) keys.push_back(key);
+  // Every serving pair without a protection set, planned in ascending
+  // key order, so each source's pairs are one run.
+  std::vector<std::uint32_t> recs;
+  for (std::uint32_t rec = 0; rec < record_count_; ++rec) {
+    const PairRecord& r = record(rec);
+    if (r.serving != kNoRoute && r.set(r.backup_set).backups.empty()) {
+      recs.push_back(rec);
+    }
   }
-  std::ranges::sort(keys);
-  for_each_source(keys, [&](std::span<const RouteKey> same_source) {
-    installed += protect_source(same_source);
-  });
+  const auto key_of = [this](std::uint32_t rec) { return record(rec).key; };
+  if (!std::ranges::is_sorted(recs, {}, key_of)) {
+    std::ranges::sort(recs, {}, key_of);
+  }
+  std::size_t installed = 0;
+  for_each_source(std::span<const std::uint32_t>(recs), key_of,
+                  [&](std::span<const std::uint32_t> same_source) {
+                    installed += protect_source(same_source, false);
+                  });
+  // The new backups join the index as the primaries did: counted, then
+  // appended into exactly reserved lists.
+  BulkAppend fresh(routes_by_link_);
+  for (const std::uint32_t rec : recs) {
+    const PairRecord& r = record(rec);
+    for (const BackupRoute& b : r.set(r.backup_set).backups) {
+      fresh.count(b.path);
+    }
+  }
+  fresh.reserve();
+  for (const std::uint32_t rec : recs) {
+    const PairRecord& r = record(rec);
+    const auto& backups = r.set(r.backup_set).backups;
+    for (std::size_t i = 0; i < backups.size(); ++i) {
+      fresh.append(index_entry(rec, route_id(r.backup_set, i + 1)),
+                   backups[i].path);
+    }
+  }
   if (metrics_ != nullptr) {
     metrics_->counter("compile.backup_routes")
         .add(stats_.backup_routes - before.backup_routes);
@@ -550,20 +638,23 @@ std::size_t BuiltFabric::enable_protection(unsigned k) {
   return installed;
 }
 
-std::size_t BuiltFabric::protect_source(std::span<const RouteKey> keys) {
-  const NodeIndex src = netsim::node_pair_from_key(keys.front()).first;
+std::size_t BuiltFabric::protect_source(std::span<const std::uint32_t> recs,
+                                        bool reindex_old) {
+  const NodeIndex src =
+      netsim::node_pair_from_key(record(recs.front()).key).first;
   std::vector<netsim::Path> paths;    // every backup path of the source
   std::vector<std::size_t> first{0};  // pair i's: [first[i], first[i + 1])
   std::vector<std::size_t> primary_hops;
-  first.reserve(keys.size() + 1);
-  primary_hops.reserve(keys.size());
-  for (const RouteKey key : keys) {
-    const netsim::Path& primary = routes_.at(key).path;
+  first.reserve(recs.size() + 1);
+  primary_hops.reserve(recs.size());
+  for (const std::uint32_t rec : recs) {
+    const netsim::Path& primary = serving_route(rec)->path;
     // Disjoint alternates: the primary's links (both directions) are
     // banned on top of the failed ones for this one search.
     for (const netsim::LinkIndex l : primary) search_.ban_duplex(l);
-    (void)search_.disjoint_paths(src, netsim::node_pair_from_key(key).second,
-                                 protection_k_, paths);
+    (void)search_.disjoint_paths(
+        src, netsim::node_pair_from_key(record(rec).key).second,
+        protection_k_, paths);
     for (const netsim::LinkIndex l : primary) search_.unban_duplex(l);
     first.push_back(paths.size());
     primary_hops.push_back(primary.size());
@@ -582,7 +673,7 @@ std::size_t BuiltFabric::protect_source(std::span<const RouteKey> keys) {
     compiled[i] = walk_route(cursor_, std::move(paths[i]), stats_.crt_steps);
   }
 
-  for (std::size_t i = 0; i < keys.size(); ++i) {
+  for (std::size_t i = 0; i < recs.size(); ++i) {
     std::vector<BackupRoute> backups;
     backups.reserve(first[i + 1] - first[i]);
     for (std::size_t j = first[i]; j < first[i + 1]; ++j) {
@@ -593,47 +684,50 @@ std::size_t BuiltFabric::protect_source(std::span<const RouteKey> keys) {
               : hops / static_cast<double>(primary_hops[i]);
       backups.push_back(BackupRoute{std::move(compiled[j]), stretch});
     }
+    check_installable(backups);
+    HP_CHECK(backups.size() < kRankMask,
+             "BuiltFabric: a protection set exceeds the 31-bit route ranks");
     stats_.backup_routes += backups.size();
-    backups_.install(keys[i], std::move(backups));
+    PairRecord& r = record(recs[i]);
+    HP_DCHECK(r.serving == kNoRoute || (r.serving & kRankMask) == 0 ||
+                  r.serving >> 31 != r.backup_set,
+              "protect_source: replacing the backups a pair serves");
+    auto& current = r.set(r.backup_set).backups;
+    std::swap(current, backups);  // `backups` now holds the old set
+    const std::size_t ranks =
+        reindex_old ? std::max(current.size(), backups.size()) : 0;
+    for (std::size_t j = 0; j < ranks; ++j) {
+      reindex(index_entry(recs[i], route_id(r.backup_set, j + 1)),
+              j < backups.size() ? backups[j].path : netsim::Path{},
+              j < current.size() ? current[j].path : netsim::Path{});
+    }
   }
   return paths.size();
 }
 
-std::vector<std::pair<NodeIndex, NodeIndex>>
-BuiltFabric::evict_crossing_routes(netsim::LinkIndex fwd,
-                                   netsim::LinkIndex rev) {
-  // The inverted index names exactly the crossing routes: O(affected),
-  // not O(routes * hops).  Both lists are sorted, so their union is the
-  // deterministic sorted-key return order.
-  std::vector<RouteKey> keys;
-  std::ranges::set_union(routes_by_link_[fwd], routes_by_link_[rev],
-                         std::back_inserter(keys));
-
-  LinkKeyBatch evicted;
-  LinkKeyBatch saved_now;
-  std::vector<std::pair<NodeIndex, NodeIndex>> affected;
-  affected.reserve(keys.size());
-  for (const RouteKey key : keys) {
-    const auto it = routes_.find(key);
-    evicted.add(key, it->second.path);
-    // Protected fabrics remember the displaced route so restore_link
-    // can revert hitlessly; the original primary wins over later
-    // backup-on-backup displacements (try_emplace keeps the first).
-    if (protection_k_ > 0) {
-      const auto [saved, fresh] = saved_primary_.try_emplace(key);
-      if (fresh) {
-        saved->second.primary = std::move(it->second);
-        saved_now.add(key, saved->second.primary.path);
+template <typename Keep>
+void BuiltFabric::collect_hits(netsim::LinkIndex fwd, netsim::LinkIndex rev,
+                               Keep keep) {
+  event_hits_.clear();
+  event_hits_.reserve(routes_by_link_[fwd].entries.size() +
+                      routes_by_link_[rev].entries.size());
+  for (const netsim::LinkIndex l : {fwd, rev}) {
+    for (const std::uint64_t entry : routes_by_link_[l].entries) {
+      const auto rec = static_cast<std::uint32_t>(entry >> 32);
+      const auto id = static_cast<std::uint32_t>(entry);
+      const PairRecord& r = record(rec);
+      // A stale entry names a route that no longer crosses l.
+      if (keep(r, id) &&
+          std::ranges::find(r.route(id).path, l) != r.route(id).path.end()) {
+        event_hits_.emplace_back(r.key, rec);
       }
     }
-    routes_.erase(it);
-    affected.push_back(netsim::node_pair_from_key(key));
   }
-  // Batch-evict: each touched key list is filtered once against its
-  // sorted evicted keys.
-  evicted.erase_from(routes_by_link_);
-  saved_now.insert_into(saved_by_link_);
-  return affected;
+  // Lists are unordered, and a route can be listed twice (over both
+  // directions, or stale and live).
+  std::ranges::sort(event_hits_);
+  const auto dup = std::ranges::unique(event_hits_);
+  event_hits_.erase(dup.begin(), dup.end());
 }
 
 FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
@@ -659,57 +753,71 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
   search_.ban_link(*fwd);
   search_.ban_link(*rev);
 
-  report.affected = evict_crossing_routes(*fwd, *rev);
+  // The index names exactly the routes served over the dead link:
+  // O(routes over it), not O(routes * hops).
+  collect_hits(*fwd, *rev, [](const PairRecord& r, std::uint32_t id) {
+    return r.serving == id;
+  });
+  report.affected.reserve(event_hits_.size());
+  for (const auto& [key, rec] : event_hits_) {
+    report.affected.push_back(netsim::node_pair_from_key(key));
+  }
 
   // Drop only the trees that routed through the dead link.  Every other
   // cached tree remains a valid shortest-path tree: removing links it
   // never used cannot create a shorter alternative.  A tree can use
   // a->b only as b's parent link, so one lookup per tree settles it.
-  for (auto it = trees_.begin(); it != trees_.end();) {
-    const auto& via = it->second.via;
-    const bool uses = via[b] == *fwd || via[a] == *rev;
-    it = uses ? trees_.erase(it) : ++it;
+  for (netsim::PathTree& tree : trees_) {
+    if (tree.src != kInvalidIndex &&
+        (tree.via[b] == *fwd || tree.via[a] == *rev)) {
+      tree.src = kInvalidIndex;
+    }
   }
 
   if (protection_k_ > 0) {
-    // Hitless path: each affected pair swaps to its best live backup.
-    // The whole window is table lookups and label copies -- no
-    // path search, no CRT, zero routes_compiled (the acceptance bar).
-    IndexEdits edits;
-    for (const auto& pr : report.affected) {
-      const RouteKey key = netsim::node_pair_key(pr.first, pr.second);
-      const BackupRoute* backup = backups_.live_backup(key, link_down_);
-      if (backup == nullptr) {
+    // Hitless path: each affected pair serves its first live backup in
+    // rank order.  The displaced primary stays in place as the pair's
+    // original (a first displacement only) for restore_link.  The
+    // whole window is rank scans and serving flips -- no path search,
+    // no CRT, no copy, zero routes_compiled (the acceptance bar).
+    report.swapped.reserve(event_hits_.size());
+    report.swap_stretch.reserve(event_hits_.size());
+    for (const auto& [key, rec] : event_hits_) {
+      PairRecord& r = record(rec);
+      if (r.original == kNoSet) r.original = r.primary_set;
+      const auto& backups = r.set(r.backup_set).backups;
+      const auto rank = first_live_backup(backups, link_down_);
+      const auto pr = netsim::node_pair_from_key(key);
+      if (!rank) {
+        r.serving = kNoRoute;
         report.pending.push_back(pr);
         pending_.push_back(pr);
         continue;
       }
-      // live_backup() only returns fully-live candidates; a backup that
-      // still crosses the link we just banned would re-sever the pair.
-      HP_DCHECK(!crosses_failed_link(backup->path),
-                "apply_failure: live backup crosses a dead link");
-      store_route(key, CompiledRoute(*backup), /*count_compile=*/false,
-                  &edits);
+      r.serving = route_id(r.backup_set, *rank + 1);
       ++stats_.backup_swaps;
       report.swapped.push_back(pr);
-      report.swap_stretch.push_back(backup->stretch);
+      report.swap_stretch.push_back(backups[*rank].stretch);
     }
-    edits.apply(routes_by_link_);
     if (metrics_ != nullptr && !report.swapped.empty()) {
       metrics_->counter("compile.backup_swaps").add(report.swapped.size());
     }
   } else {
     // Eager path (the pre-protection behaviour): subtree-scoped repair
     // of each source's severed destinations inside the event.
-    std::unordered_map<NodeIndex, std::vector<NodeIndex>> by_source;
-    for (const auto& [src, dst] : report.affected) {
-      by_source[src].push_back(dst);
-    }
-    for (const auto& [src, dsts] : by_source) {
-      (void)compile_subtree(src, dsts);
-    }
-    for (const auto& pr : report.affected) {
-      if (routes_.contains(netsim::node_pair_key(pr.first, pr.second))) {
+    for (const auto& [key, rec] : event_hits_) record(rec).serving = kNoRoute;
+    for_each_source(
+        std::span<const std::pair<RouteKey, std::uint32_t>>(event_hits_),
+        [](const auto& hit) { return hit.first; }, [&](auto same_source) {
+          dsts_.clear();
+          for (const auto& [key, rec] : same_source) {
+            dsts_.push_back(key & 0xFFFFFFFFu);
+          }
+          (void)compile_subtree(same_source.front().first >> 32, dsts_);
+        });
+    for (const auto& [key, rec] : event_hits_) {
+      const auto pr = netsim::node_pair_from_key(key);
+      if (record(rec).serving != kNoRoute) {
         report.repaired.push_back(pr);
       } else {
         report.unroutable.push_back(pr);
@@ -740,36 +848,43 @@ FailoverReport BuiltFabric::repair_pending() {
   std::ranges::sort(work);
   work.erase(std::unique(work.begin(), work.end()), work.end());
 
-  std::unordered_map<NodeIndex, std::vector<NodeIndex>> by_source;
-  for (const auto& [src, dst] : work) by_source[src].push_back(dst);
-  for (const auto& [src, dsts] : by_source) {
-    (void)compile_subtree(src, dsts);
-  }
-  std::vector<RouteKey> replan;
+  const auto key_of = [](const std::pair<NodeIndex, NodeIndex>& pr) {
+    return netsim::node_pair_key(pr.first, pr.second);
+  };
+  for_each_source(std::span<const std::pair<NodeIndex, NodeIndex>>(work),
+                  key_of, [&](auto same_source) {
+                    dsts_.clear();
+                    for (const auto& pr : same_source) {
+                      dsts_.push_back(pr.second);
+                    }
+                    (void)compile_subtree(same_source.front().first, dsts_);
+                  });
+  std::vector<std::uint32_t> replan;
   for (const auto& pr : work) {
-    const RouteKey key = netsim::node_pair_key(pr.first, pr.second);
-    if (!routes_.contains(key)) {
+    const std::uint32_t rec = find_record(pr.first, pr.second);
+    if (rec == kNoRecord || record(rec).serving == kNoRoute) {
       report.unroutable.push_back(pr);
       continue;
     }
     report.repaired.push_back(pr);
-    replan.push_back(key);
+    replan.push_back(rec);
   }
   // The repaired pairs' old protection sets are dead; replan them
   // against the repaired primaries and the degraded topology, one
   // source at a time (work is sorted, so replan is too).  The set
-  // planned for a pair's original primary waits with it: restore_link
-  // reinstalls both.
+  // planned for a pair's original primary stays with it: the repaired
+  // primary went to the other set, and the new backups follow it there,
+  // so restore_link finds both where they were.
   if (protection_k_ > 0) {
-    for (const RouteKey key : replan) {
-      const auto saved = saved_primary_.find(key);
-      if (saved != saved_primary_.end() && !saved->second.backups) {
-        saved->second.backups = backups_.take(key);
-      }
+    for (const std::uint32_t rec : replan) {
+      PairRecord& r = record(rec);
+      if (r.backup_set == r.original) r.backup_set = r.primary_set;
     }
-    for_each_source(replan, [&](std::span<const RouteKey> same_source) {
-      (void)protect_source(same_source);
-    });
+    const auto rec_key = [this](std::uint32_t rec) { return record(rec).key; };
+    for_each_source(std::span<const std::uint32_t>(replan), rec_key,
+                    [&](std::span<const std::uint32_t> same_source) {
+                      (void)protect_source(same_source, true);
+                    });
   }
   report.window_recompiles = stats_.routes_compiled - before.routes_compiled;
   note_compile("repair_pending", stats_, t0);
@@ -796,53 +911,56 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
   search_.unban_link(*fwd);
   search_.unban_link(*rev);
   // Any cached tree may now be improvable by the revived link; flush
-  // them all (rebuilt lazily).  Cached routes stay valid -- their
-  // paths still exist -- they are just possibly no longer shortest.
-  trees_.clear();
+  // them all (rebuilt lazily into the same buffers).  Cached routes stay
+  // valid -- their paths still exist -- they are just possibly no
+  // longer shortest.
+  for (netsim::PathTree& tree : trees_) tree.src = kInvalidIndex;
 
   if (protection_k_ > 0) {
-    // Revert every displaced pair whose saved primary is fully alive
+    // Revert every displaced pair whose original primary is fully alive
     // again -- including pairs a failure had severed outright, whose
-    // routes revive here without any recompile.  Only primaries over
+    // routes revive here without any recompile.  Only originals over
     // the revived link are candidates: every other one still crosses a
     // dead link (the invariant checked below).
-    std::vector<RouteKey> revived;
-    std::ranges::set_union(saved_by_link_[*fwd], saved_by_link_[*rev],
-                           std::back_inserter(revived));
-    std::erase_if(revived, [&](RouteKey key) {
-      return crosses_failed_link(saved_primary_.at(key).primary.path);
+    collect_hits(*fwd, *rev, [&](const PairRecord& r, std::uint32_t id) {
+      return r.original != kNoSet && id == route_id(r.original, 0) &&
+             !crosses_failed_link(r.set(r.original).primary.path);
     });
-    IndexEdits edits;
-    LinkKeyBatch unsaved;
-    for (const RouteKey key : revived) {
-      const auto it = saved_primary_.find(key);
-      const auto pr = netsim::node_pair_from_key(key);
-      SavedRoute& saved = it->second;
-      unsaved.add(key, saved.primary.path);
-      store_route(key, std::move(saved.primary), /*count_compile=*/false,
-                  &edits);
-      // A repair replanned this pair against another primary; its
-      // original set goes back with the original primary.
-      if (saved.backups) backups_.install(key, std::move(*saved.backups));
-      saved_primary_.erase(it);
+    report.affected.reserve(event_hits_.size());
+    report.swapped.reserve(event_hits_.size());
+    report.swap_stretch.reserve(event_hits_.size());
+    for (const auto& [key, rec] : event_hits_) {
+      // The original primary serves again under the protection set
+      // planned for it, wherever a repair left later ones.
+      PairRecord& r = record(rec);
+      r.serving = route_id(r.original, 0);
+      r.primary_set = r.original;
+      r.backup_set = r.original;
+      r.original = kNoSet;
       ++stats_.backup_swaps;
+      const auto pr = netsim::node_pair_from_key(key);
       report.affected.push_back(pr);
       report.swapped.push_back(pr);
       report.swap_stretch.push_back(1.0);  // back on the primary
     }
-    edits.apply(routes_by_link_);
-    unsaved.erase_from(saved_by_link_);
     // Revived pairs are no longer waiting on the lazy recompiler.
-    std::erase_if(pending_, [&](const std::pair<NodeIndex, NodeIndex>& pr) {
-      return std::ranges::binary_search(
-          revived, netsim::node_pair_key(pr.first, pr.second));
-    });
-    HP_DCHECK(std::ranges::all_of(saved_primary_,
-                                  [&](const auto& entry) {
-                                    return crosses_failed_link(
-                                        entry.second.primary.path);
-                                  }),
-              "restore_link: a fully alive saved primary was not reverted");
+    if (!pending_.empty()) {
+      std::erase_if(pending_, [&](const std::pair<NodeIndex, NodeIndex>& pr) {
+        const auto hit = std::ranges::lower_bound(
+            event_hits_, netsim::node_pair_key(pr.first, pr.second), {},
+            &std::pair<RouteKey, std::uint32_t>::first);
+        return hit != event_hits_.end() &&
+               hit->first == netsim::node_pair_key(pr.first, pr.second);
+      });
+    }
+    HP_DCHECK(std::ranges::all_of(
+                  std::views::iota(std::uint32_t{0}, record_count_),
+                  [&](std::uint32_t rec) {
+                    const PairRecord& r = record(rec);
+                    return r.original == kNoSet ||
+                           crosses_failed_link(r.set(r.original).primary.path);
+                  }),
+              "restore_link: a fully alive original was not reverted");
     if (metrics_ != nullptr && !report.swapped.empty()) {
       metrics_->counter("compile.backup_swaps").add(report.swapped.size());
     }

@@ -33,21 +33,29 @@
 // re-label waypoint -- so deep ring/torus paths never leave the uint64
 // fast path and the compiler never materializes a wide Poly.
 //
-// Scheduled link failures remove links from path computation; a
-// link -> route-keys inverted index names the crossing routes in
-// O(affected), only the shortest-path trees that used the dead link are
-// rebuilt, and the severed destinations are recompiled subtree-scoped.
-// With protection armed, a second link -> saved-primary index lets a
-// restore examine only the primaries over the revived link.  Both
-// indexes are dense vectors over LinkIndex holding sorted key lists:
-// naming an event's keys and editing the lists are merges of sorted
-// lists, with no hash lookup per link or per listed key.
+// Scheduled link failures remove links from path computation.  Each
+// cached pair has one record, in storage that never moves: its
+// primary, its ranked backups, its displaced original (the primary a
+// failure displaced and the protection set planned for it, kept while
+// a repair replaces them) and a "serving" index naming the route
+// route() hands out.  One link -> route index lists, per directed
+// link, every compiled route over it -- primaries and backups alike --
+// from the time it is compiled until it is dropped.  A failure filters
+// the dead link's two lists to serving routes and flips each crossing
+// pair to its first live backup in rank order; a restore filters the
+// same lists to displaced originals that are fully alive again and
+// flips back.  Neither copies a route, allocates per pair, hashes or
+// edits the index: only compiles and drops do (compile_all_pairs,
+// compile_subtree, enable_protection, repair_pending, route()), and an
+// edit moves an entry only on the links a route's old and new paths do
+// not share.  Only the shortest-path trees that used the dead link are
+// rebuilt, and pairs with no live backup are recompiled
+// subtree-scoped.
 
 #include <chrono>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -138,8 +146,9 @@ class BuiltFabric {
   /// Compile (and cache) the shortest-hop route between two distinct
   /// routers, given as topology indices.  Returns nullptr when `dst` is
   /// unreachable from `src` (possible after link failures).  The
-  /// returned pointer stays valid until a failure event (apply_failure,
-  /// repair_pending, restore_link) replaces the route.  Not thread-safe:
+  /// returned pointer stays valid until an event (apply_failure,
+  /// repair_pending, restore_link) changes the route the pair serves.
+  /// Not thread-safe:
   /// compile every route before sharding a replay across threads.
   [[nodiscard]] const CompiledRoute* route(netsim::NodeIndex src,
                                            netsim::NodeIndex dst);
@@ -236,16 +245,114 @@ class BuiltFabric {
   [[nodiscard]] const CompileStats& compile_stats() const noexcept {
     return stats_;
   }
-  [[nodiscard]] std::size_t cached_route_count() const noexcept {
-    return routes_.size();
-  }
-  [[nodiscard]] std::size_t cached_tree_count() const noexcept {
-    return trees_.size();
-  }
+  /// Pairs with a route to serve (a pair a failure left without one
+  /// does not count).
+  [[nodiscard]] std::size_t cached_route_count() const;
+  [[nodiscard]] std::size_t cached_tree_count() const;
 
  private:
   using RouteKey = std::uint64_t;
   using KeyedRoute = std::pair<RouteKey, CompiledRoute>;
+
+  /// A primary and the backups planned around it, best first.
+  struct RouteSet {
+    CompiledRoute primary;
+    std::vector<BackupRoute> backups;
+  };
+
+  /// "No set": a record's `original` when its pair is not displaced.
+  static constexpr std::uint8_t kNoSet = 0xFF;
+  /// "No route": a record's `serving` when its pair has none to serve.
+  static constexpr std::uint32_t kNoRoute = 0xFFFFFFFFu;
+  /// "No record", and the bound of the 32-bit record slots.
+  static constexpr std::uint32_t kNoRecord = 0xFFFFFFFFu;
+
+  /// A route's id inside its record, as serving and index entries name
+  /// it: the set in the top bit, then the rank -- 0 for the set's
+  /// primary, i + 1 for its backup i.
+  static constexpr std::uint32_t kRankMask = 0x7FFFFFFFu;
+  static constexpr std::uint32_t route_id(unsigned set, std::size_t rank) {
+    return (static_cast<std::uint32_t>(set) << 31) |
+           static_cast<std::uint32_t>(rank);
+  }
+
+  /// Everything cached for one (src, dst) pair.  Set 0 is inline; set 1
+  /// is made by the first compile that must keep a displaced original.
+  /// The current primary is sets[primary_set].primary and the current
+  /// protection set sets[backup_set].backups.  A failure marks the
+  /// primary it displaces as the pair's `original` and serves a backup;
+  /// a later compile writes the other set, so the original and the set
+  /// planned for it stay where they are until restore_link points
+  /// `serving` back at them.  Nothing in a record moves while it serves.
+  struct PairRecord {
+    RouteKey key = 0;
+    RouteSet own;
+    std::unique_ptr<RouteSet> other;
+    std::uint32_t serving = kNoRoute;
+    std::uint8_t primary_set = 0;
+    std::uint8_t backup_set = 0;
+    std::uint8_t original = kNoSet;
+
+    [[nodiscard]] RouteSet& set(unsigned s) { return s == 0 ? own : *other; }
+    [[nodiscard]] const RouteSet& set(unsigned s) const {
+      return s == 0 ? own : *other;
+    }
+    [[nodiscard]] CompiledRoute& route(std::uint32_t id) {
+      RouteSet& rs = set(id >> 31);
+      const std::uint32_t rank = id & kRankMask;
+      return rank == 0 ? rs.primary : rs.backups[rank - 1];
+    }
+    [[nodiscard]] const CompiledRoute& route(std::uint32_t id) const {
+      const RouteSet& rs = set(id >> 31);
+      const std::uint32_t rank = id & kRankMask;
+      return rank == 0 ? rs.primary : rs.backups[rank - 1];
+    }
+  };
+
+  /// A record's slot in a source's lookup list, sorted by destination.
+  struct PairSlot {
+    std::uint32_t dst;
+    std::uint32_t rec;
+  };
+
+  [[nodiscard]] PairRecord& record(std::uint32_t rec) {
+    return record_chunks_[rec / kRecordChunk][rec % kRecordChunk];
+  }
+  [[nodiscard]] const PairRecord& record(std::uint32_t rec) const {
+    return record_chunks_[rec / kRecordChunk][rec % kRecordChunk];
+  }
+  /// The record of src -> dst, or kNoRecord.
+  [[nodiscard]] std::uint32_t find_record(netsim::NodeIndex src,
+                                          netsim::NodeIndex dst) const;
+  /// A fresh record for `key`, appended to storage (its lookup slot is
+  /// the caller's to place).
+  std::uint32_t append_record(RouteKey key);
+  /// The record of router pair src -> dst, made (and slotted) if new.
+  std::uint32_t record_for(netsim::NodeIndex src, netsim::NodeIndex dst);
+  /// The set a new primary of `r` goes to (made if missing): its
+  /// current one, or the other while the current holds the original.
+  unsigned primary_slot(PairRecord& r);
+  /// One directed link's index list: an entry rec << 32 | route id
+  /// per compiled route over the link, in no particular order, and the
+  /// stale entries of routes that left it since the list was last
+  /// compacted.  `live` counts the former.
+  struct LinkRoutes {
+    std::vector<std::uint64_t> entries;
+    std::size_t live = 0;
+  };
+
+  /// Route `id` of `r`, or nullptr when `r` holds none under that id.
+  [[nodiscard]] static const CompiledRoute* find_route(const PairRecord& r,
+                                                       std::uint32_t id);
+  /// Move route `entry` from the lists of the links on `from` to those
+  /// on `to` (either may be empty); a link on both keeps its entry.
+  void reindex(std::uint64_t entry, const netsim::Path& from,
+               const netsim::Path& to);
+  /// Drop the stale entries of link `l`'s list.
+  void compact(netsim::LinkIndex l);
+
+  /// The route `rec` serves, or nullptr.
+  [[nodiscard]] const CompiledRoute* serving_route(std::uint32_t rec) const;
 
   /// Cached tree for `src`, built on first use (counts in stats_).
   const netsim::PathTree& tree_for(netsim::NodeIndex src);
@@ -254,12 +361,15 @@ class BuiltFabric {
   /// from the source to the current node, and in builders[i] the
   /// SegmentBuilder that has folded the first i of them.  Rewinding to
   /// a shared prefix keeps its builder, and slots are reused, so a warm
-  /// cursor walks any number of paths without allocating.
+  /// cursor walks any number of paths without allocating.  The tree
+  /// walk's children table and stack live here too, reused per walk.
   struct PathCursor {
     std::size_t fsrc = 0;  ///< fabric index of the source
     netsim::Path links;
     std::vector<polka::SegmentBuilder> builders =
         std::vector<polka::SegmentBuilder>(1);
+    netsim::TreeChildren children;
+    std::vector<std::pair<netsim::NodeIndex, std::size_t>> stack;
 
     void restart(std::size_t fabric_src) {
       fsrc = fabric_src;
@@ -287,26 +397,19 @@ class BuiltFabric {
 
   /// DFS down `tree` with one cursor, emitting one route per visited
   /// router destination: each tree edge is one fold, shared by every
-  /// destination below it.  `descend`, when given, prunes the walk to
-  /// marked nodes; `emit`, when given, selects which visited nodes
-  /// produce a route.  Thread-safe given a cursor per thread.
+  /// destination below it.  `marks`, when given, prunes the walk to
+  /// nodes marked kDescend and emits only nodes marked kEmit.
+  /// Thread-safe given a cursor per thread.
   void compile_tree_routes(const netsim::PathTree& tree,
-                           const std::vector<char>* descend,
-                           const std::vector<char>* emit, PathCursor& cursor,
+                           const std::vector<char>* marks, PathCursor& cursor,
                            std::vector<KeyedRoute>& out,
                            std::size_t& crt_steps) const;
+  static constexpr char kDescend = 1;
+  static constexpr char kEmit = 2;
 
-  /// Link-index edits an event gathers and applies at its end.
-  struct IndexEdits;
-
-  /// Insert or overwrite one cache entry and return it.  The link index
-  /// is edited at once, or, given `batch`, when the caller applies the
-  /// batch: events that swap many routes pass one, so each key list
-  /// moves once per event.  Hitless backup swaps pass count_compile =
-  /// false: installing a pre-compiled label is not a route compilation.
-  CompiledRoute& store_route(RouteKey key, CompiledRoute&& route,
-                             bool count_compile = true,
-                             IndexEdits* batch = nullptr);
+  /// Compile `route` into `rec` as its primary and serve it.  A
+  /// displaced original is kept: the route goes to the other set.
+  void store_primary(std::uint32_t rec, CompiledRoute&& route);
 
   /// True when `path` crosses a link that is currently down.
   [[nodiscard]] bool crosses_failed_link(const netsim::Path& path) const;
@@ -318,20 +421,27 @@ class BuiltFabric {
                                          polka::SegmentedRoute segments,
                                          netsim::Path path) const;
 
-  /// Plan and install `protection_k_` disjoint backups for the cached
-  /// pairs `keys`, all from one source and ascending.  Each pair costs
-  /// one disjoint search on search_, its primary's duplex links banned
-  /// around it; then every backup path of the source compiles in one
-  /// walk of cursor_ in lexicographic order, so backups that share a
-  /// prefix share its folds.  Returns how many backups were installed.
-  std::size_t protect_source(std::span<const RouteKey> keys);
+  /// Plan and install `protection_k_` disjoint backups as the current
+  /// protection sets of the records `recs`, all of one source and
+  /// ascending by key; each set replaces the record's current one.
+  /// Each pair costs one disjoint search on search_, its serving
+  /// route's duplex links banned around it; then every backup path of
+  /// the source compiles in one walk of cursor_ in lexicographic order,
+  /// so backups that share a prefix share its folds.  With
+  /// `reindex_old` the new sets replace the old ones in the index;
+  /// without, the caller indexes them (the old ones must be empty).
+  /// Returns how many backups were installed.
+  std::size_t protect_source(std::span<const std::uint32_t> recs,
+                             bool reindex_old);
 
-  /// Evict every cached route crossing the two directed links; returns
-  /// the affected pairs in sorted-key order.  Protected fabrics move
-  /// each pair's pre-failure primary into saved_primary_ for
-  /// revert-on-restore.
-  std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>>
-  evict_crossing_routes(netsim::LinkIndex fwd, netsim::LinkIndex rev);
+  /// enable_protection(0): every pair keeps only the route it serves,
+  /// as its one primary, and the index is rebuilt from those.
+  void disarm();
+
+  /// The (key, record) pairs whose entry in the lists of `fwd` or `rev`
+  /// passes `keep`, in ascending key order, into event_hits_.
+  template <typename Keep>
+  void collect_hits(netsim::LinkIndex fwd, netsim::LinkIndex rev, Keep keep);
 
   /// Record one compile phase's stats deltas and wall clock into the
   /// attached registry (no-op when detached).
@@ -361,40 +471,31 @@ class BuiltFabric {
   /// selection and restore reverts.
   std::vector<char> link_down_;
   unsigned protection_k_ = 0;
-  BackupTable backups_;
-  /// A displaced pair's original route.  Its protection set stays
-  /// installed while the pair rides a backup; the first repair that
-  /// replans the pair sets that set aside here, so it is the set of
-  /// the first displacement, as the primary is.
-  struct SavedRoute {
-    CompiledRoute primary;
-    std::optional<std::vector<BackupRoute>> backups;
-  };
-  /// Pre-failure primaries of pairs a failure displaced (or severed),
-  /// keyed like routes_; restore_link reverts from here, reinstalling
-  /// a set-aside protection set with its primary (no search).  The
-  /// *original* primary is kept across repeated failures.  Invariant
-  /// after every public call: each saved primary crosses at least one
-  /// failed link, since restore_link reverts every primary the moment
-  /// its last dead link revives.
-  std::unordered_map<RouteKey, SavedRoute> saved_primary_;
-  /// Per directed link (indexed by LinkIndex, sized at construction):
-  /// the sorted keys of the saved primaries crossing it.  By the
-  /// invariant above, a restore of a<->b can revive only the primaries
-  /// listed under a->b or b->a, so it never scans saved_primary_.
-  std::vector<std::vector<RouteKey>> saved_by_link_;
+
+  /// Pair records, kRecordChunk to a chunk, so none ever moves.
+  static constexpr std::size_t kRecordChunk = 1024;
+  std::vector<std::unique_ptr<PairRecord[]>> record_chunks_;
+  std::uint32_t record_count_ = 0;
+  /// Per fabric source: its records' slots, sorted by destination.
+  /// Memory grows with the cached pairs, not with router pairs.
+  std::vector<std::vector<PairSlot>> pair_slots_;
+  /// The link -> route index, per directed link (indexed by LinkIndex,
+  /// sized at construction).
+  std::vector<LinkRoutes> routes_by_link_;
+
   /// Pairs whose protection set died, awaiting repair_pending().
   std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>> pending_;
-  std::unordered_map<netsim::NodeIndex, netsim::PathTree> trees_;
-  std::unordered_map<RouteKey, CompiledRoute> routes_;
-  /// Inverted index, per directed link (indexed by LinkIndex, sized at
-  /// construction): the sorted keys of cached routes over it, so
-  /// apply_failure names the crossing routes in O(affected) instead of
-  /// scanning every cached path.  A single store_route inserts and
-  /// removes by binary search; failure and restore events batch their
-  /// edits into one merge per touched list; compile_all_pairs appends
-  /// its whole merge and sorts each list once.
-  std::vector<std::vector<RouteKey>> routes_by_link_;
+  /// Per fabric source: its shortest-path tree, valid while its src is
+  /// set.  A flush clears the src and keeps the buffers.
+  std::vector<netsim::PathTree> trees_;
+  /// Scratch reused across calls: an event's (key, record) hits, a
+  /// subtree compile's marks and the nodes it marked, its routes, and
+  /// one source's destinations.
+  std::vector<std::pair<RouteKey, std::uint32_t>> event_hits_;
+  std::vector<char> marks_;
+  std::vector<netsim::NodeIndex> marked_;
+  std::vector<KeyedRoute> subtree_routes_;
+  std::vector<netsim::NodeIndex> dsts_;
   CompileStats stats_;
   obs::MetricRegistry* metrics_ = nullptr;
   obs::TraceSink* trace_ = nullptr;

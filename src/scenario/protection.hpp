@@ -1,27 +1,31 @@
 #pragma once
-// BackupTable: pre-installed protection routes for hitless failover.
+// Protection routes for hitless failover: the route records and the
+// rules that pick and admit backups.
 //
 // The paper pitches PolKA source routing as failure-resilient, and the
 // fabric's incremental recompiler (fabric_builder.hpp) already repairs
-// routes in O(affected) -- but a recompile is still path search + CRT work
-// *inside* the packet-loss window.  The protection layer moves that
-// work to compile time: for every primary route, BuiltFabric plans up
-// to k mutually link-disjoint alternates (a disjoint-path search with
-// the primary's links banned, one source at a time), compiles each into
-// segmented labels once, and parks them here.  A failure then swaps the pair's
-// primary for the first backup that avoids every dead link -- an O(1)
-// table lookup plus a label copy, no path computation at all.  Only
-// pairs whose entire protection set is dead fall back to the lazy
-// recompiler.
+// routes in O(affected) -- but a recompile is still path search + CRT
+// work *inside* the packet-loss window.  The protection layer moves
+// that work to compile time: for every primary route, BuiltFabric
+// plans up to k mutually link-disjoint alternates (a disjoint-path
+// search with the primary's links banned, one source at a time),
+// compiles each into segmented labels once, and keeps them, ranked, in
+// the pair's record beside the primary.  A failure then serves the
+// first backup that avoids every dead link -- a rank scan and a
+// serving flip, no path computation and no copy.  Only pairs whose
+// entire protection set is dead fall back to the lazy recompiler.
 //
-// The table is pure bookkeeping: it never computes paths or labels
-// itself (BuiltFabric owns both), which keeps it trivially reusable by
-// the replay runner and the timed simulator alike.  CompiledRoute, the
-// one record of a compiled route, lives here because a backup is one.
+// The two rules here are pure functions over one pair's ranked set:
+// first_live_backup() is the rank rule every swap follows, and
+// check_installable() is the admission check every installed set
+// passes.  BuiltFabric owns the records, the paths and the labels.
+// CompiledRoute, the one record of a compiled route, lives here
+// because a backup is one.
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "netsim/topology.hpp"
@@ -42,48 +46,25 @@ struct CompiledRoute {
 };
 
 /// One pre-installed backup: a fully compiled alternate route, ready to
-/// serve as the pair's primary the moment a failure demands it (a swap
-/// installs its CompiledRoute part as is).
+/// serve the pair the moment a failure demands it.
 struct BackupRoute : CompiledRoute {
   /// Backup hops over primary hops at protection time: the path
   /// stretch a swap pays (1.0 = equal length).
   double stretch = 1.0;
 };
 
-/// Per-pair protection sets plus the selection logic.  Pair keys are
-/// netsim::node_pair_key(src, dst) over topology indices, matching the
-/// fabric's route-cache keys.
-class BackupTable {
- public:
-  using PairKey = std::uint64_t;
+/// The rank rule: the rank (index into `backups`, best first) of the
+/// first backup whose path avoids every link marked in `link_down`
+/// (indexed by directed LinkIndex).  nullopt when the set is empty or
+/// wholly dead -- the caller then falls back to a lazy recompile.
+[[nodiscard]] std::optional<std::size_t> first_live_backup(
+    std::span<const BackupRoute> backups, const std::vector<char>& link_down);
 
-  /// Install (or replace) a pair's protection set, best backup first.
-  /// An empty set erases the pair.
-  void install(PairKey pair, std::vector<BackupRoute> backups);
-
-  /// Remove a pair's protection set and return it (empty when the pair
-  /// is unprotected).
-  [[nodiscard]] std::vector<BackupRoute> take(PairKey pair);
-
-  void clear();
-
-  [[nodiscard]] std::size_t pair_count() const noexcept {
-    return pairs_.size();
-  }
-  [[nodiscard]] bool protects(PairKey pair) const {
-    return pairs_.contains(pair);
-  }
-
-  /// The pair's best live backup: the first (best-ranked) backup whose
-  /// path avoids every link marked in `link_down` (indexed by directed
-  /// LinkIndex).  nullptr when the pair is unprotected or its whole
-  /// protection set is dead -- the caller then falls back to a lazy
-  /// recompile.
-  [[nodiscard]] const BackupRoute* live_backup(
-      PairKey pair, const std::vector<char>& link_down) const;
-
- private:
-  std::unordered_map<PairKey, std::vector<BackupRoute>> pairs_;
-};
+/// The admission check of a protection set: a swap serves a backup as
+/// is, so one without labels (an unroutable "backup" that would only
+/// surface as lost packets later) or without a link path (which no
+/// failure could ever name) throws core::ContractViolation here, at
+/// install time.
+void check_installable(std::span<const BackupRoute> backups);
 
 }  // namespace hp::scenario

@@ -285,6 +285,11 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
       });
   HP_CHECK(queues_bounded,
            "SimRunner: a link's max_queue_depth exceeds queue_capacity");
+  // Every packet that reached an egress reached its lane's: a severed
+  // pair's packets die on the dead wire, never at a wrong egress, so a
+  // stale or mismatched route shows here on every run.
+  HP_CHECK(k.wrong_egress == 0,
+           "SimRunner: a packet left the fabric at the wrong egress");
 
   // --- shape the result into the report -------------------------------
   SimReport report;

@@ -19,6 +19,9 @@
 //    links the answer never uses are banned.
 //  * BuiltFabric::enable_protection allocates a bounded number of
 //    records per backup, and nothing per search.
+//  * A protected BuiltFabric swaps a failed link's pairs to their
+//    backups, and reverts them on restore, without allocating per
+//    pair: only the reports' own vectors allocate.
 //
 // The interposer counts every operator-new entry; tests snapshot the
 // counter around the call under test and assert on the delta, so
@@ -443,6 +446,35 @@ TEST(AllocGuard, ProtectionAllocationsPerBackupStayBounded) {
   EXPECT_EQ(one_backups, two_backups);
   EXPECT_EQ(one_search, two_searches)
       << "enable_protection allocation count grows with the searches";
+}
+
+TEST(AllocGuard, ProtectedSwapAndRevertAllocateNothingPerPair) {
+  // A protected failure flips each crossing pair to its first live
+  // backup and a restore flips it back: no route copy, no per-pair
+  // record, no index edit.  A 12x12 torus moves about four times the
+  // pairs of a 6x6 one per link, at the same allocation count.
+  const auto allocations = [](const netsim::Topology& topo) {
+    scenario::BuiltFabric fabric(topo);
+    (void)fabric.compile_all_pairs();
+    (void)fabric.enable_protection(1);
+    const netsim::Link& link = topo.link(0);
+    const std::uint64_t before = alloc_count();
+    const scenario::FailoverReport fail =
+        fabric.apply_failure(link.from, link.to);
+    const scenario::FailoverReport restore =
+        fabric.restore_link(link.from, link.to);
+    const std::uint64_t delta = alloc_count() - before;
+    EXPECT_FALSE(fail.affected.empty());
+    EXPECT_EQ(fail.swapped, fail.affected) << "a pair did not swap";
+    EXPECT_EQ(restore.swapped, fail.affected) << "a pair did not revert";
+    return std::pair{delta, fail.affected.size()};
+  };
+  const auto [small, small_pairs] = allocations(scenario::make_torus(6, 6));
+  const auto [large, large_pairs] = allocations(scenario::make_torus(12, 12));
+  ASSERT_GT(large_pairs, 2 * small_pairs);
+  EXPECT_EQ(small, large) << "swap and revert allocate per pair: "
+                          << small_pairs << " pairs cost " << small
+                          << ", " << large_pairs << " pairs cost " << large;
 }
 
 }  // namespace

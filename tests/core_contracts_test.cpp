@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -53,52 +54,51 @@ TEST(Contracts, DcheckCompilesOutUnderNdebugButStillParses) {
 }
 
 TEST(Contracts, BackupInstallRejectsUnroutableRoutes) {
-  // The protection plane copies backup fields straight into the live
-  // route table on failover; contracts catch a malformed install at
-  // install time instead of surfacing packets later.
-  scenario::BackupTable table;
+  // A swap serves a backup as is; the install check catches a
+  // malformed protection set at install time instead of surfacing
+  // packets later.  One bad backup rejects the whole set.
   scenario::BackupRoute no_labels;
   no_labels.path = {0, 1};
-  EXPECT_THROW(table.install(7, {no_labels}), core::ContractViolation);
+  EXPECT_THROW(scenario::check_installable(std::vector{no_labels}),
+               core::ContractViolation);
 
   scenario::BackupRoute no_path;
   no_path.segments.labels = {polka::RouteLabel{42}};
-  EXPECT_THROW(table.install(7, {no_path}), core::ContractViolation);
-  EXPECT_EQ(table.pair_count(), 0u);
+  EXPECT_THROW(scenario::check_installable(std::vector{no_path}),
+               core::ContractViolation);
 
   scenario::BackupRoute ok;
   ok.segments.labels = {polka::RouteLabel{42}};
   ok.path = {0, 1};
-  EXPECT_NO_THROW(table.install(7, {ok}));
-  EXPECT_EQ(table.pair_count(), 1u);
+  EXPECT_THROW(scenario::check_installable(std::vector{ok, no_path}),
+               core::ContractViolation);
+  EXPECT_NO_THROW(scenario::check_installable(std::vector{ok}));
+  EXPECT_NO_THROW(scenario::check_installable({}));
 }
 
 TEST(BackupTable, LiveBackupFollowsRankOrder) {
   // Three backups on disjoint links 10, 20 and 30, best first.  The
-  // lookup returns the first one whose links are all up and keeps no
-  // state between queries.
-  scenario::BackupTable table;
+  // rank rule returns the first one whose links are all up and keeps
+  // no state between queries.
   std::vector<scenario::BackupRoute> backups(3);
   for (std::size_t i = 0; i < backups.size(); ++i) {
     backups[i].segments.labels = {polka::RouteLabel{100 + i}};
     backups[i].path = {static_cast<netsim::LinkIndex>(10 * (i + 1))};
   }
-  table.install(7, backups);
   std::vector<char> down(40, 0);
-  const auto live = [&] { return table.live_backup(7, down); };
+  const auto live = [&] { return scenario::first_live_backup(backups, down); };
 
-  ASSERT_NE(live(), nullptr);
-  EXPECT_EQ(live()->path, backups[0].path);
+  EXPECT_EQ(live(), std::optional<std::size_t>{0});
   down[10] = 1;
-  ASSERT_NE(live(), nullptr);
-  EXPECT_EQ(live()->path, backups[1].path);
+  EXPECT_EQ(live(), std::optional<std::size_t>{1});
   down[20] = 1;
   down[30] = 1;
-  EXPECT_EQ(live(), nullptr);
-  EXPECT_EQ(table.live_backup(8, std::vector<char>(40, 0)), nullptr);
+  EXPECT_EQ(live(), std::nullopt);
+  // An unprotected pair's empty set has no live backup.
+  EXPECT_EQ(scenario::first_live_backup({}, std::vector<char>(40, 0)),
+            std::nullopt);
   down.assign(40, 0);
-  ASSERT_NE(live(), nullptr);
-  EXPECT_EQ(live()->path, backups[0].path);
+  EXPECT_EQ(live(), std::optional<std::size_t>{0});
 }
 
 #if !defined(NDEBUG) || defined(HP_FORCE_DCHECKS)

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -591,6 +592,165 @@ TEST(FailoverProtection, StormReportsMatchBruteForceScans) {
         EXPECT_TRUE(stormed.failed_links().empty()) << what;
       }
     }
+  }
+}
+
+/// A route as the serving contract compares it.
+struct RouteBytes {
+  netsim::Path path;
+  polka::SegmentedRoute segments;
+  polka::PacketResult expected;
+
+  friend bool operator==(const RouteBytes&, const RouteBytes&) = default;
+};
+
+RouteBytes bytes_of(const CompiledRoute& route) {
+  return {route.path, route.segments, route.expected};
+}
+
+/// A per-pair plan as the route that serves it to `dst`.
+RouteBytes bytes_of(const BuiltFabric& fabric, NodeIndex dst,
+                    const PlannedBackup& plan) {
+  const std::size_t fdst = fabric.fabric_index(dst);
+  polka::PacketResult expected;
+  expected.egress_node = static_cast<std::uint32_t>(fdst);
+  expected.egress_port = fabric.egress_port(fdst);
+  expected.hops = static_cast<std::uint32_t>(plan.path.size() + 1);
+  return {plan.path, plan.segments, expected};
+}
+
+TEST(FailoverProtection, ServingPointersFollowTheContract) {
+  // A seeded flap storm with repair_pending after every event, checked
+  // against a model of each pair built from the public API alone:
+  //  * a pair outside the event's `affected` keeps the same
+  //    cached_route pointer and the same bytes;
+  //  * a swapped pair serves the first backup of its protection set
+  //    that avoids every failed link (per-pair plans, replanned when a
+  //    repair gives the pair a new primary);
+  //  * a reverted pair serves its pre-failure primary again, and every
+  //    pair whose pre-failure primary is fully alive reverts.
+  struct PairModel {
+    RouteBytes primary;
+    std::vector<PlannedBackup> set;
+    /// The primary and set at the first displacement, until reverted.
+    std::optional<std::pair<RouteBytes, std::vector<PlannedBackup>>> original;
+  };
+  const std::vector<std::pair<std::string, netsim::Topology>> topologies{
+      {"rr16d4", build_topology(*find_scenario("rr16d4/uniform"))},
+      {"torus8x8", make_torus(8, 8)}};
+  for (const auto& [name, topo] : topologies) {
+    BuiltFabric fabric(topo);
+    fabric.compile_all_pairs();
+    (void)fabric.enable_protection(1);
+    const auto& routers = fabric.routers();
+    std::map<std::pair<NodeIndex, NodeIndex>, PairModel> model;
+    for (const NodeIndex s : routers) {
+      for (const NodeIndex d : routers) {
+        if (s == d) continue;
+        const CompiledRoute* route = fabric.cached_route(s, d);
+        ASSERT_NE(route, nullptr) << name;
+        model[{s, d}] = {bytes_of(*route),
+                         plan_per_pair(fabric, s, d, route->path, 1),
+                         std::nullopt};
+      }
+    }
+    const auto alive = [&](const netsim::Path& path) {
+      const auto& failed = fabric.failed_links();
+      return std::ranges::none_of(path, [&](netsim::LinkIndex l) {
+        return std::ranges::find(failed, l) != failed.end();
+      });
+    };
+
+    FailureInjectorParams flap;
+    flap.preset = FailurePreset::kFlap;
+    flap.seed = 5;
+    flap.count = 12;
+    const auto schedule = make_failure_schedule(topo, flap);
+    std::size_t swaps = 0;
+    std::size_t reverts = 0;
+    std::size_t repairs = 0;
+    for (std::size_t e = 0; e < schedule.size(); ++e) {
+      const LinkFailure& event = schedule[e];
+      const std::string where = name + " event " + std::to_string(e);
+      std::map<std::pair<NodeIndex, NodeIndex>,
+               std::pair<const CompiledRoute*, RouteBytes>>
+          before;
+      for (const auto& [pr, m] : model) {
+        const CompiledRoute* route = fabric.cached_route(pr.first, pr.second);
+        before[pr] = {route, route == nullptr ? RouteBytes{} : bytes_of(*route)};
+      }
+      const FailoverReport report =
+          event.restore ? fabric.restore_link(event.a, event.b)
+                        : fabric.apply_failure(event.a, event.b);
+      const FailoverReport lazy = fabric.repair_pending();
+      const std::set<std::pair<NodeIndex, NodeIndex>> affected(
+          report.affected.begin(), report.affected.end());
+
+      for (const auto& [pr, was] : before) {
+        if (affected.contains(pr)) continue;
+        const CompiledRoute* now = fabric.cached_route(pr.first, pr.second);
+        ASSERT_EQ(now, was.first) << where << ": " << pr.first << "->"
+                                  << pr.second << " moved";
+        if (now != nullptr) {
+          EXPECT_EQ(bytes_of(*now), was.second)
+              << where << ": " << pr.first << "->" << pr.second;
+        }
+      }
+      if (event.restore) {
+        EXPECT_EQ(report.swapped, report.affected) << where;
+        for (const auto& pr : report.swapped) {
+          PairModel& m = model.at(pr);
+          ASSERT_TRUE(m.original.has_value()) << where;
+          const CompiledRoute* route = fabric.cached_route(pr.first, pr.second);
+          ASSERT_NE(route, nullptr) << where;
+          EXPECT_EQ(bytes_of(*route), m.original->first)
+              << where << ": " << pr.first << "->" << pr.second;
+          m.primary = std::move(m.original->first);
+          m.set = std::move(m.original->second);
+          m.original.reset();
+          ++reverts;
+        }
+        for (const auto& [pr, m] : model) {
+          EXPECT_FALSE(m.original && alive(m.original->first.path))
+              << where << ": " << pr.first << "->" << pr.second
+              << " kept a backup though its primary is alive";
+        }
+      } else {
+        for (const auto& pr : report.affected) {
+          PairModel& m = model.at(pr);
+          if (!m.original) m.original.emplace(m.primary, m.set);
+        }
+        const auto first_live = [&](const std::pair<NodeIndex, NodeIndex>& pr) {
+          const std::vector<PlannedBackup>& set = model.at(pr).set;
+          return std::ranges::find_if(set, [&](const PlannedBackup& plan) {
+            return alive(plan.path);
+          });
+        };
+        for (const auto& pr : report.swapped) {
+          const auto plan = first_live(pr);
+          ASSERT_NE(plan, model.at(pr).set.end()) << where;
+          const CompiledRoute* route = fabric.cached_route(pr.first, pr.second);
+          ASSERT_NE(route, nullptr) << where;
+          EXPECT_EQ(bytes_of(*route), bytes_of(fabric, pr.second, *plan))
+              << where << ": " << pr.first << "->" << pr.second;
+          ++swaps;
+        }
+        for (const auto& pr : report.pending) {
+          EXPECT_EQ(first_live(pr), model.at(pr).set.end()) << where;
+        }
+      }
+      for (const auto& pr : lazy.repaired) {
+        const CompiledRoute* route = fabric.cached_route(pr.first, pr.second);
+        ASSERT_NE(route, nullptr) << where;
+        ++repairs;
+        PairModel& m = model.at(pr);
+        m.primary = bytes_of(*route);
+        m.set = plan_per_pair(fabric, pr.first, pr.second, route->path, 1);
+      }
+    }
+    EXPECT_GT(swaps, 0U) << name;
+    EXPECT_GT(reverts, 0U) << name;
+    EXPECT_GT(repairs, 0U) << name << ": the storm never replanned a pair";
   }
 }
 
