@@ -26,14 +26,15 @@ std::uint64_t index_entry(std::uint32_t rec, std::uint32_t id) {
   return (static_cast<std::uint64_t>(rec) << 32) | id;
 }
 
+using EntriesByLink = std::vector<std::vector<std::uint64_t>>;
+
 /// Adds many routes' hops to the link index in two passes over them:
 /// count the hops per link and reserve each list exactly, then append.
 /// The bulk compiles (every pair, every backup) index this way, so the
 /// index costs its entries and no slack.
-template <typename Lists>
 class BulkAppend {
  public:
-  explicit BulkAppend(Lists& by_link)
+  explicit BulkAppend(EntriesByLink& by_link)
       : by_link_(by_link), added_(by_link.size(), 0) {}
 
   void count(const netsim::Path& path) {
@@ -43,20 +44,16 @@ class BulkAppend {
   /// After every count: make room for exactly the counted hops.
   void reserve() {
     for (netsim::LinkIndex l = 0; l < by_link_.size(); ++l) {
-      auto& entries = by_link_[l].entries;
-      if (added_[l] != 0) entries.reserve(entries.size() + added_[l]);
+      if (added_[l] != 0) by_link_[l].reserve(by_link_[l].size() + added_[l]);
     }
   }
 
   void append(std::uint64_t entry, const netsim::Path& path) {
-    for (const netsim::LinkIndex l : path) {
-      by_link_[l].entries.push_back(entry);
-      ++by_link_[l].live;
-    }
+    for (const netsim::LinkIndex l : path) by_link_[l].push_back(entry);
   }
 
  private:
-  Lists& by_link_;
+  EntriesByLink& by_link_;
   std::vector<std::size_t> added_;
 };
 
@@ -227,34 +224,26 @@ const CompiledRoute* BuiltFabric::find_route(const PairRecord& r,
 
 void BuiltFabric::reindex(std::uint64_t entry, const netsim::Path& from,
                           const netsim::Path& to) {
-  // Leaving a link only counts the entry out: it stays in the list,
-  // stale, until the list is compacted.  A list compacts once a third
-  // of it is stale, so each edit costs O(path), amortized.  The record
-  // already holds the route over `to`, which compaction reads.
-  const auto compact_if_stale = [&](netsim::LinkIndex l) {
-    const LinkRoutes& list = routes_by_link_[l];
-    if (list.entries.size() >= list.live + list.live / 2 + 32) compact(l);
-  };
-  for (const netsim::LinkIndex l : from) {
-    if (std::ranges::find(to, l) != to.end()) continue;
-    --routes_by_link_[l].live;
-    compact_if_stale(l);
-  }
+  // A link the route left keeps its entry, stale: readers check that
+  // the route still crosses the link, and compaction drops it.  A full
+  // list is compacted before it grows, and grows by an eighth, not
+  // double, so the index keeps little slack and each edit costs
+  // O(path), amortized.
   for (const netsim::LinkIndex l : to) {
     if (std::ranges::find(from, l) != from.end()) continue;
-    LinkRoutes& list = routes_by_link_[l];
-    // Grow by an eighth, not double: the index keeps little slack.
-    if (list.entries.size() == list.entries.capacity()) {
-      list.entries.reserve(list.entries.size() + list.entries.size() / 8 + 1);
+    auto& entries = routes_by_link_[l];
+    if (entries.size() == entries.capacity()) {
+      compact(l);
+      if (entries.size() + entries.size() / 8 >= entries.capacity()) {
+        entries.reserve(entries.size() + entries.size() / 8 + 1);
+      }
     }
-    list.entries.push_back(entry);
-    ++list.live;
-    compact_if_stale(l);
+    entries.push_back(entry);
   }
 }
 
 void BuiltFabric::compact(netsim::LinkIndex l) {
-  auto& entries = routes_by_link_[l].entries;
+  auto& entries = routes_by_link_[l];
   std::erase_if(entries, [&](std::uint64_t entry) {
     const CompiledRoute* route = find_route(
         record(static_cast<std::uint32_t>(entry >> 32)),
@@ -266,8 +255,6 @@ void BuiltFabric::compact(netsim::LinkIndex l) {
   std::ranges::sort(entries);
   const auto dup = std::ranges::unique(entries);
   entries.erase(dup.begin(), dup.end());
-  HP_DCHECK(entries.size() == routes_by_link_[l].live,
-            "BuiltFabric: link index count out of step");
 }
 
 const CompiledRoute* BuiltFabric::serving_route(std::uint32_t rec) const {
@@ -563,7 +550,7 @@ void BuiltFabric::disarm() {
   // Each pair keeps only the route it serves, as its one primary; the
   // index is rebuilt from those.
   BulkAppend kept(routes_by_link_);
-  for (LinkRoutes& list : routes_by_link_) list = LinkRoutes{};
+  for (auto& entries : routes_by_link_) entries = {};
   for (std::uint32_t rec = 0; rec < record_count_; ++rec) {
     PairRecord& r = record(rec);
     if (r.serving == kNoRoute) {
@@ -709,10 +696,10 @@ template <typename Keep>
 void BuiltFabric::collect_hits(netsim::LinkIndex fwd, netsim::LinkIndex rev,
                                Keep keep) {
   event_hits_.clear();
-  event_hits_.reserve(routes_by_link_[fwd].entries.size() +
-                      routes_by_link_[rev].entries.size());
+  event_hits_.reserve(routes_by_link_[fwd].size() +
+                      routes_by_link_[rev].size());
   for (const netsim::LinkIndex l : {fwd, rev}) {
-    for (const std::uint64_t entry : routes_by_link_[l].entries) {
+    for (const std::uint64_t entry : routes_by_link_[l]) {
       const auto rec = static_cast<std::uint32_t>(entry >> 32);
       const auto id = static_cast<std::uint32_t>(entry);
       const PairRecord& r = record(rec);
@@ -806,15 +793,7 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
     // Eager path (the pre-protection behaviour): subtree-scoped repair
     // of each source's severed destinations inside the event.
     for (const auto& [key, rec] : event_hits_) record(rec).serving = kNoRoute;
-    for_each_source(
-        std::span<const std::pair<RouteKey, std::uint32_t>>(event_hits_),
-        [](const auto& hit) { return hit.first; }, [&](auto same_source) {
-          dsts_.clear();
-          for (const auto& [key, rec] : same_source) {
-            dsts_.push_back(key & 0xFFFFFFFFu);
-          }
-          (void)compile_subtree(same_source.front().first >> 32, dsts_);
-        });
+    compile_by_source(report.affected);
     for (const auto& [key, rec] : event_hits_) {
       const auto pr = netsim::node_pair_from_key(key);
       if (record(rec).serving != kNoRoute) {
@@ -837,6 +816,18 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
   return report;
 }
 
+void BuiltFabric::compile_by_source(
+    std::span<const std::pair<NodeIndex, NodeIndex>> pairs) {
+  const auto key_of = [](const std::pair<NodeIndex, NodeIndex>& pr) {
+    return netsim::node_pair_key(pr.first, pr.second);
+  };
+  for_each_source(pairs, key_of, [&](auto same_source) {
+    dsts_.clear();
+    for (const auto& pr : same_source) dsts_.push_back(pr.second);
+    (void)compile_subtree(same_source.front().first, dsts_);
+  });
+}
+
 FailoverReport BuiltFabric::repair_pending() {
   FailoverReport report;
   if (pending_.empty()) return report;
@@ -848,17 +839,7 @@ FailoverReport BuiltFabric::repair_pending() {
   std::ranges::sort(work);
   work.erase(std::unique(work.begin(), work.end()), work.end());
 
-  const auto key_of = [](const std::pair<NodeIndex, NodeIndex>& pr) {
-    return netsim::node_pair_key(pr.first, pr.second);
-  };
-  for_each_source(std::span<const std::pair<NodeIndex, NodeIndex>>(work),
-                  key_of, [&](auto same_source) {
-                    dsts_.clear();
-                    for (const auto& pr : same_source) {
-                      dsts_.push_back(pr.second);
-                    }
-                    (void)compile_subtree(same_source.front().first, dsts_);
-                  });
+  compile_by_source(work);
   std::vector<std::uint32_t> replan;
   for (const auto& pr : work) {
     const std::uint32_t rec = find_record(pr.first, pr.second);
@@ -933,10 +914,18 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
       // The original primary serves again under the protection set
       // planned for it, wherever a repair left later ones.
       PairRecord& r = record(rec);
-      r.serving = route_id(r.original, 0);
-      r.primary_set = r.original;
-      r.backup_set = r.original;
+      const std::uint8_t original = r.original;
+      r.serving = route_id(original, 0);
+      r.primary_set = original;
+      r.backup_set = original;
       r.original = kNoSet;
+      // What repairs compiled beside the original is unreachable now:
+      // free it.  Its index entries go stale.
+      if (original == 0) {
+        r.other.reset();
+      } else {
+        r.own = RouteSet{};
+      }
       ++stats_.backup_swaps;
       const auto pr = netsim::node_pair_from_key(key);
       report.affected.push_back(pr);
@@ -944,15 +933,11 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
       report.swap_stretch.push_back(1.0);  // back on the primary
     }
     // Revived pairs are no longer waiting on the lazy recompiler.
-    if (!pending_.empty()) {
-      std::erase_if(pending_, [&](const std::pair<NodeIndex, NodeIndex>& pr) {
-        const auto hit = std::ranges::lower_bound(
-            event_hits_, netsim::node_pair_key(pr.first, pr.second), {},
-            &std::pair<RouteKey, std::uint32_t>::first);
-        return hit != event_hits_.end() &&
-               hit->first == netsim::node_pair_key(pr.first, pr.second);
-      });
-    }
+    std::erase_if(pending_, [&](const std::pair<NodeIndex, NodeIndex>& pr) {
+      return std::ranges::binary_search(
+          event_hits_, netsim::node_pair_key(pr.first, pr.second), {},
+          &std::pair<RouteKey, std::uint32_t>::first);
+    });
     HP_DCHECK(std::ranges::all_of(
                   std::views::iota(std::uint32_t{0}, record_count_),
                   [&](std::uint32_t rec) {

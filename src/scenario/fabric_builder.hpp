@@ -191,9 +191,10 @@ class BuiltFabric {
   /// wiring is untouched: ports still exist, packets simply route
   /// around).  Throws std::invalid_argument when no such link exists;
   /// failing an already-failed link is a graceful no-op (duplicate set
-  /// in the report).  Crossing routes are evicted and then, with
-  /// protection armed, hitlessly swapped to pre-installed backups --
-  /// zero path computation, zero CRT work in the window; pairs whose
+  /// in the report).  Pairs served over the link stop serving it and
+  /// then, with protection armed, hitlessly serve their first live
+  /// pre-installed backup -- zero path computation, zero CRT work and
+  /// no route copy in the window; pairs whose
   /// whole protection set died are parked in `pending` until
   /// repair_pending().  Without protection they are eagerly recompiled
   /// subtree-scoped inside the call.  Pairs the
@@ -203,7 +204,7 @@ class BuiltFabric {
 
   /// Bring the duplex link a<->b back.  Dirty shortest-path trees are
   /// flushed (rebuilt lazily); with protection armed, every pair whose
-  /// saved primary is fully alive again reverts to it, with the
+  /// displaced primary is fully alive again reverts to it, with the
   /// protection set planned for it -- a hitless swap back, listed in
   /// `swapped` -- including pairs a failure had severed entirely
   /// (their routes revive without a recompile or a search).
@@ -213,7 +214,7 @@ class BuiltFabric {
   /// Lazily recompile the pairs apply_failure parked in `pending`
   /// (their protection set was dead).  Pairs that recompile land in
   /// `repaired` and get a fresh protection set planned against the
-  /// degraded topology (their original set waits with their saved
+  /// degraded topology (their original set waits with their displaced
   /// primary for restore_link); pairs with no path left land in
   /// `unroutable`.
   FailoverReport repair_pending();
@@ -332,23 +333,14 @@ class BuiltFabric {
   /// The set a new primary of `r` goes to (made if missing): its
   /// current one, or the other while the current holds the original.
   unsigned primary_slot(PairRecord& r);
-  /// One directed link's index list: an entry rec << 32 | route id
-  /// per compiled route over the link, in no particular order, and the
-  /// stale entries of routes that left it since the list was last
-  /// compacted.  `live` counts the former.
-  struct LinkRoutes {
-    std::vector<std::uint64_t> entries;
-    std::size_t live = 0;
-  };
-
   /// Route `id` of `r`, or nullptr when `r` holds none under that id.
   [[nodiscard]] static const CompiledRoute* find_route(const PairRecord& r,
                                                        std::uint32_t id);
-  /// Move route `entry` from the lists of the links on `from` to those
-  /// on `to` (either may be empty); a link on both keeps its entry.
+  /// List route `entry`, moved from path `from` to path `to` (either
+  /// may be empty), on the links of `to` it was not on.
   void reindex(std::uint64_t entry, const netsim::Path& from,
                const netsim::Path& to);
-  /// Drop the stale entries of link `l`'s list.
+  /// Drop link `l`'s stale and duplicate entries.
   void compact(netsim::LinkIndex l);
 
   /// The route `rec` serves, or nullptr.
@@ -406,6 +398,10 @@ class BuiltFabric {
                            std::size_t& crt_steps) const;
   static constexpr char kDescend = 1;
   static constexpr char kEmit = 2;
+
+  /// compile_subtree once per source of the sorted `pairs`.
+  void compile_by_source(
+      std::span<const std::pair<netsim::NodeIndex, netsim::NodeIndex>> pairs);
 
   /// Compile `route` into `rec` as its primary and serve it.  A
   /// displaced original is kept: the route goes to the other set.
@@ -480,8 +476,11 @@ class BuiltFabric {
   /// Memory grows with the cached pairs, not with router pairs.
   std::vector<std::vector<PairSlot>> pair_slots_;
   /// The link -> route index, per directed link (indexed by LinkIndex,
-  /// sized at construction).
-  std::vector<LinkRoutes> routes_by_link_;
+  /// sized at construction): an entry rec << 32 | route id per compiled
+  /// route over the link, in no particular order.  An entry goes stale
+  /// when its route leaves the link or is dropped; readers check the
+  /// route's path, and compaction drops stale and duplicate entries.
+  std::vector<std::vector<std::uint64_t>> routes_by_link_;
 
   /// Pairs whose protection set died, awaiting repair_pending().
   std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>> pending_;

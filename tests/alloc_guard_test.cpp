@@ -451,8 +451,8 @@ TEST(AllocGuard, ProtectionAllocationsPerBackupStayBounded) {
 TEST(AllocGuard, ProtectedSwapAndRevertAllocateNothingPerPair) {
   // A protected failure flips each crossing pair to its first live
   // backup and a restore flips it back: no route copy, no per-pair
-  // record, no index edit.  A 12x12 torus moves about four times the
-  // pairs of a 6x6 one per link, at the same allocation count.
+  // record, no index edit.  A link of a 12x12 torus carries several
+  // times the pairs of one of a 6x6 torus, at the same allocation count.
   const auto allocations = [](const netsim::Topology& topo) {
     scenario::BuiltFabric fabric(topo);
     (void)fabric.compile_all_pairs();

@@ -10,6 +10,9 @@
 //  * severing the fabric reports unroutable pairs explicitly instead of
 //    misdelivering;
 //  * restore reverts to the saved primary, again without compiling;
+//  * across a flap storm, a pair an event did not touch keeps its route
+//    pointer and bytes, a swap serves the pair's first live backup and
+//    a revert its pre-failure primary;
 //  * seeded flap and node storms report exactly the pairs brute-force
 //    scans of the route cache predict, and leave no cached route on a
 //    failed link;
