@@ -26,15 +26,14 @@ std::uint64_t index_entry(std::uint32_t rec, std::uint32_t id) {
   return (static_cast<std::uint64_t>(rec) << 32) | id;
 }
 
-using EntriesByLink = std::vector<std::vector<std::uint64_t>>;
-
 /// Adds many routes' hops to the link index in two passes over them:
 /// count the hops per link and reserve each list exactly, then append.
 /// The bulk compiles (every pair, every backup) index this way, so the
 /// index costs its entries and no slack.
+template <typename Lists>
 class BulkAppend {
  public:
-  explicit BulkAppend(EntriesByLink& by_link)
+  explicit BulkAppend(Lists& by_link)
       : by_link_(by_link), added_(by_link.size(), 0) {}
 
   void count(const netsim::Path& path) {
@@ -44,16 +43,20 @@ class BulkAppend {
   /// After every count: make room for exactly the counted hops.
   void reserve() {
     for (netsim::LinkIndex l = 0; l < by_link_.size(); ++l) {
-      if (added_[l] != 0) by_link_[l].reserve(by_link_[l].size() + added_[l]);
+      auto& entries = by_link_[l].entries;
+      if (added_[l] != 0) entries.reserve(entries.size() + added_[l]);
     }
   }
 
   void append(std::uint64_t entry, const netsim::Path& path) {
-    for (const netsim::LinkIndex l : path) by_link_[l].push_back(entry);
+    for (const netsim::LinkIndex l : path) {
+      by_link_[l].entries.push_back(entry);
+      ++by_link_[l].compacted;
+    }
   }
 
  private:
-  EntriesByLink& by_link_;
+  Lists& by_link_;
   std::vector<std::size_t> added_;
 };
 
@@ -225,25 +228,24 @@ const CompiledRoute* BuiltFabric::find_route(const PairRecord& r,
 void BuiltFabric::reindex(std::uint64_t entry, const netsim::Path& from,
                           const netsim::Path& to) {
   // A link the route left keeps its entry, stale: readers check that
-  // the route still crosses the link, and compaction drops it.  A full
-  // list is compacted before it grows, and grows by an eighth, not
-  // double, so the index keeps little slack and each edit costs
-  // O(path), amortized.
+  // the route still crosses the link.  A list is compacted once it has
+  // grown by half since its last compaction, and never holds more
+  // slots than that, so each edit costs O(path), amortized, and the
+  // index stays within half again its live entries.
   for (const netsim::LinkIndex l : to) {
     if (std::ranges::find(from, l) != from.end()) continue;
-    auto& entries = routes_by_link_[l];
-    if (entries.size() == entries.capacity()) {
-      compact(l);
-      if (entries.size() + entries.size() / 8 >= entries.capacity()) {
-        entries.reserve(entries.size() + entries.size() / 8 + 1);
-      }
+    LinkRoutes& list = routes_by_link_[l];
+    const auto bound = [&] { return list.compacted + list.compacted / 2 + 32; };
+    if (list.entries.size() >= bound()) compact(l);
+    if (list.entries.size() == list.entries.capacity()) {
+      list.entries.reserve(bound() + 1);
     }
-    entries.push_back(entry);
+    list.entries.push_back(entry);
   }
 }
 
 void BuiltFabric::compact(netsim::LinkIndex l) {
-  auto& entries = routes_by_link_[l];
+  auto& entries = routes_by_link_[l].entries;
   std::erase_if(entries, [&](std::uint64_t entry) {
     const CompiledRoute* route = find_route(
         record(static_cast<std::uint32_t>(entry >> 32)),
@@ -255,6 +257,7 @@ void BuiltFabric::compact(netsim::LinkIndex l) {
   std::ranges::sort(entries);
   const auto dup = std::ranges::unique(entries);
   entries.erase(dup.begin(), dup.end());
+  routes_by_link_[l].compacted = entries.size();
 }
 
 const CompiledRoute* BuiltFabric::serving_route(std::uint32_t rec) const {
@@ -550,7 +553,7 @@ void BuiltFabric::disarm() {
   // Each pair keeps only the route it serves, as its one primary; the
   // index is rebuilt from those.
   BulkAppend kept(routes_by_link_);
-  for (auto& entries : routes_by_link_) entries = {};
+  for (LinkRoutes& list : routes_by_link_) list = LinkRoutes{};
   for (std::uint32_t rec = 0; rec < record_count_; ++rec) {
     PairRecord& r = record(rec);
     if (r.serving == kNoRoute) {
@@ -696,10 +699,10 @@ template <typename Keep>
 void BuiltFabric::collect_hits(netsim::LinkIndex fwd, netsim::LinkIndex rev,
                                Keep keep) {
   event_hits_.clear();
-  event_hits_.reserve(routes_by_link_[fwd].size() +
-                      routes_by_link_[rev].size());
+  event_hits_.reserve(routes_by_link_[fwd].entries.size() +
+                      routes_by_link_[rev].entries.size());
   for (const netsim::LinkIndex l : {fwd, rev}) {
-    for (const std::uint64_t entry : routes_by_link_[l]) {
+    for (const std::uint64_t entry : routes_by_link_[l].entries) {
       const auto rec = static_cast<std::uint32_t>(entry >> 32);
       const auto id = static_cast<std::uint32_t>(entry);
       const PairRecord& r = record(rec);

@@ -333,6 +333,17 @@ class BuiltFabric {
   /// The set a new primary of `r` goes to (made if missing): its
   /// current one, or the other while the current holds the original.
   unsigned primary_slot(PairRecord& r);
+  /// One directed link's index list: an entry rec << 32 | route id per
+  /// compiled route over the link, in no particular order.  An entry
+  /// goes stale when its route leaves the link or is dropped; readers
+  /// check the route's path, and compaction drops stale and duplicate
+  /// entries.  `compacted` is the list's size after its last compaction
+  /// (or bulk build).
+  struct LinkRoutes {
+    std::vector<std::uint64_t> entries;
+    std::size_t compacted = 0;
+  };
+
   /// Route `id` of `r`, or nullptr when `r` holds none under that id.
   [[nodiscard]] static const CompiledRoute* find_route(const PairRecord& r,
                                                        std::uint32_t id);
@@ -476,11 +487,8 @@ class BuiltFabric {
   /// Memory grows with the cached pairs, not with router pairs.
   std::vector<std::vector<PairSlot>> pair_slots_;
   /// The link -> route index, per directed link (indexed by LinkIndex,
-  /// sized at construction): an entry rec << 32 | route id per compiled
-  /// route over the link, in no particular order.  An entry goes stale
-  /// when its route leaves the link or is dropped; readers check the
-  /// route's path, and compaction drops stale and duplicate entries.
-  std::vector<std::vector<std::uint64_t>> routes_by_link_;
+  /// sized at construction).
+  std::vector<LinkRoutes> routes_by_link_;
 
   /// Pairs whose protection set died, awaiting repair_pending().
   std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>> pending_;
