@@ -26,14 +26,28 @@ std::uint64_t index_entry(std::uint32_t rec, std::uint32_t id) {
   return (static_cast<std::uint64_t>(rec) << 32) | id;
 }
 
+/// Calls fn(run) once per source in `items`, ascending by key, each run
+/// the items of one source (key >> 32).
+template <typename T, typename Key, typename Fn>
+void for_each_source(std::span<T> items, Key key_of, Fn&& fn) {
+  for (std::size_t begin = 0; begin < items.size();) {
+    const std::uint64_t src = key_of(items[begin]) >> 32;
+    std::size_t end = begin + 1;
+    while (end < items.size() && key_of(items[end]) >> 32 == src) ++end;
+    fn(items.subspan(begin, end - begin));
+    begin = end;
+  }
+}
+
+}  // namespace
+
 /// Adds many routes' hops to the link index in two passes over them:
 /// count the hops per link and reserve each list exactly, then append.
 /// The bulk compiles (every pair, every backup) index this way, so the
 /// index costs its entries and no slack.
-template <typename Lists>
-class BulkAppend {
+class BuiltFabric::BulkAppend {
  public:
-  explicit BulkAppend(Lists& by_link)
+  explicit BulkAppend(std::vector<LinkRoutes>& by_link)
       : by_link_(by_link), added_(by_link.size(), 0) {}
 
   void count(const netsim::Path& path) {
@@ -56,24 +70,9 @@ class BulkAppend {
   }
 
  private:
-  Lists& by_link_;
+  std::vector<LinkRoutes>& by_link_;
   std::vector<std::size_t> added_;
 };
-
-/// Calls fn(run) once per source in `items`, ascending by key, each run
-/// the items of one source (key >> 32).
-template <typename T, typename Key, typename Fn>
-void for_each_source(std::span<T> items, Key key_of, Fn&& fn) {
-  for (std::size_t begin = 0; begin < items.size();) {
-    const std::uint64_t src = key_of(items[begin]) >> 32;
-    std::size_t end = begin + 1;
-    while (end < items.size() && key_of(items[end]) >> 32 == src) ++end;
-    fn(items.subspan(begin, end - begin));
-    begin = end;
-  }
-}
-
-}  // namespace
 
 void BuiltFabric::note_compile(
     const char* phase, const CompileStats& before,

@@ -46,11 +46,11 @@
 // same lists to displaced originals that are fully alive again and
 // flips back.  Neither copies a route, allocates per pair, hashes or
 // edits the index: only compiles and drops do (compile_all_pairs,
-// compile_subtree, enable_protection, repair_pending, route()), and an
-// edit moves an entry only on the links a route's old and new paths do
-// not share.  Only the shortest-path trees that used the dead link are
-// rebuilt, and pairs with no live backup are recompiled
-// subtree-scoped.
+// compile_subtree, enable_protection, repair_pending, route()): a
+// compile lists a route only on the links its new path adds, and the
+// entries on links it left go stale until their list is compacted.
+// Only the shortest-path trees that used the dead link are rebuilt,
+// and pairs with no live backup are recompiled subtree-scoped.
 
 #include <chrono>
 #include <cstdint>
@@ -284,7 +284,8 @@ class BuiltFabric {
   /// primary it displaces as the pair's `original` and serves a backup;
   /// a later compile writes the other set, so the original and the set
   /// planned for it stay where they are until restore_link points
-  /// `serving` back at them.  Nothing in a record moves while it serves.
+  /// `serving` back at them and frees the other set.  Nothing in a
+  /// record moves while it serves.
   struct PairRecord {
     RouteKey key = 0;
     RouteSet own;
@@ -343,6 +344,9 @@ class BuiltFabric {
     std::vector<std::uint64_t> entries;
     std::size_t compacted = 0;
   };
+
+  /// Bulk appends to the index: count, reserve exactly, append.
+  class BulkAppend;
 
   /// Route `id` of `r`, or nullptr when `r` holds none under that id.
   [[nodiscard]] static const CompiledRoute* find_route(const PairRecord& r,

@@ -187,6 +187,42 @@ TEST(FailoverProtection, RestoreRevertsToThePrimaryWithoutCompiling) {
   }
 }
 
+TEST(FailoverProtection, DisarmKeepsWhatEachPairServes) {
+  // enable_protection(0) drops every backup and displaced original but
+  // keeps the route each pair serves, backups included; the fabric is
+  // eager again afterwards.
+  BuiltFabric fabric(make_ring(8));
+  fabric.compile_all_pairs();
+  fabric.enable_protection(1);
+  const auto r = [&](const char* name) {
+    return fabric.topology().index_of(name);
+  };
+  ASSERT_FALSE(fabric.apply_failure(r("r0"), r("r1")).swapped.empty());
+  std::map<std::pair<NodeIndex, NodeIndex>, netsim::Path> served;
+  for (const NodeIndex s : fabric.routers()) {
+    for (const NodeIndex d : fabric.routers()) {
+      if (s != d) served[{s, d}] = fabric.cached_route(s, d)->path;
+    }
+  }
+  EXPECT_EQ(fabric.enable_protection(0), 0U);
+  for (const auto& [pr, path] : served) {
+    const CompiledRoute* route = fabric.cached_route(pr.first, pr.second);
+    ASSERT_NE(route, nullptr);
+    EXPECT_EQ(route->path, path) << pr.first << "->" << pr.second;
+  }
+  EXPECT_TRUE(fabric.restore_link(r("r0"), r("r1")).swapped.empty());
+  const FailoverReport eager = fabric.apply_failure(r("r4"), r("r5"));
+  EXPECT_FALSE(eager.repaired.empty());
+  EXPECT_EQ(eager.repaired.size(), eager.window_recompiles);
+  for (const auto& [s, d] : eager.repaired) {
+    const auto& path = fabric.cached_route(s, d)->path;
+    EXPECT_TRUE(std::ranges::none_of(path, [&](netsim::LinkIndex l) {
+      return std::ranges::find(fabric.failed_links(), l) !=
+             fabric.failed_links().end();
+    })) << s << "->" << d;
+  }
+}
+
 // --- the batched planner against per-pair planning ---------------------
 
 /// One backup the per-pair planner would install.
