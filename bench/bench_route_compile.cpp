@@ -19,6 +19,11 @@
 //                     prefix-shared compile per source.  Items are
 //                     backups; the counters report us_per_backup and
 //                     folds_per_backup (CRT folds the compile made).
+//   search         -- the searches alone behind protect: per source,
+//                     each destination's backup search on one
+//                     netsim::PathSearch with its primary's duplex
+//                     links banned, as enable_protection runs them.
+//                     Items are searches; counter ns_per_search.
 //
 // Items processed == routes compiled (backups for protect), so compare
 // `items_per_second` across the route variants.  On deep families (ring/torus at >= 256 nodes) the
@@ -179,6 +184,48 @@ void run_protect(benchmark::State& state, const Topology& topo) {
                    : static_cast<double>(folds) / static_cast<double>(backups);
 }
 
+void run_search(benchmark::State& state, const Topology& topo) {
+  // Every router pair's primary, from its source's tree (not timed).
+  struct Query {
+    NodeIndex src;
+    NodeIndex dst;
+    hp::netsim::Path primary;
+  };
+  std::vector<Query> queries;
+  hp::netsim::PathSearch search(topo, hp::netsim::PathMetric::kHopCount);
+  for (NodeIndex src = 0; src < topo.node_count(); ++src) {
+    search.run(src);
+    const hp::netsim::PathTree tree = search.tree();
+    for (NodeIndex dst = 0; dst < topo.node_count(); ++dst) {
+      if (dst == src) continue;
+      if (auto path = hp::netsim::tree_path(tree, topo, dst)) {
+        queries.push_back({src, dst, std::move(*path)});
+      }
+    }
+  }
+  std::vector<hp::netsim::Path> backups;
+  std::size_t found = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const Query& q : queries) {
+      for (const hp::netsim::LinkIndex l : q.primary) search.ban_duplex(l);
+      backups.clear();
+      found += search.disjoint_paths(q.src, q.dst, 1, backups);
+      for (const hp::netsim::LinkIndex l : q.primary) search.unban_duplex(l);
+    }
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    benchmark::DoNotOptimize(found);
+  }
+  const auto searches = static_cast<double>(queries.size()) *
+                        static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(searches));
+  state.counters["ns_per_search"] =
+      searches == 0.0 ? 0.0 : seconds * 1e9 / searches;
+}
+
 void run_storm(benchmark::State& state, const Topology& topo) {
   hp::scenario::FailureInjectorParams flap;
   flap.preset = hp::scenario::FailurePreset::kFlap;
@@ -263,6 +310,11 @@ void BM_Protect(benchmark::State& state, const std::string& family) {
               make_family(family, static_cast<std::size_t>(state.range(0))));
 }
 
+void BM_Search(benchmark::State& state, const std::string& family) {
+  run_search(state,
+             make_family(family, static_cast<std::size_t>(state.range(0))));
+}
+
 void BM_Storm(benchmark::State& state, const std::string& family) {
   run_storm(state,
             make_family(family, static_cast<std::size_t>(state.range(0))));
@@ -313,6 +365,10 @@ int main(int argc, char** argv) {
         ->Arg(n)
         ->Unit(benchmark::kMillisecond);
   }
+  benchmark::RegisterBenchmark(
+      "search/torus", [](benchmark::State& s) { BM_Search(s, "torus"); })
+      ->Arg(256)
+      ->Unit(benchmark::kMillisecond);
   for (const std::int64_t n : {64, 256}) {
     benchmark::RegisterBenchmark(
         "storm/torus", [](benchmark::State& s) { BM_Storm(s, "torus"); })

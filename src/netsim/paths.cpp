@@ -80,7 +80,16 @@ PathSearch::PathSearch(const Topology& topo, PathMetric metric)
       }
     }
   }
-  if (metric != PathMetric::kHopCount) {
+  if (metric == PathMetric::kHopCount) {
+    // Incoming arcs by head, counting-sorted from the arcs in CSR
+    // order: each head's run is ordered by tail, then by CSR position.
+    in_offset_.assign(n + 1, 0);
+    for (const Arc& arc : arcs_) ++in_offset_[arc.to + 1];
+    for (std::size_t v = 0; v < n; ++v) in_offset_[v + 1] += in_offset_[v];
+    in_links_.resize(m);
+    std::vector<std::uint32_t> next(in_offset_.begin(), in_offset_.end() - 1);
+    for (const Arc& arc : arcs_) in_links_[next[arc.to]++] = arc.link;
+  } else {
     weight_.resize(m);
     for (LinkIndex l = 0; l < m; ++l) {
       weight_[l] = link_weight(topo.link(l), metric);
@@ -136,10 +145,14 @@ void PathSearch::run(NodeIndex src, NodeIndex dst) {
 
 void PathSearch::run_levels(NodeIndex src, NodeIndex dst) {
   // Unit weights: a node's distance is final once it is discovered, so
-  // expanding one level at a time, each in ascending node order,
-  // settles nodes in exactly the heap's (dist, node) order without a
-  // heap.  `dst`'s via is final on discovery, so the run stops there.
-  // touched_ is the queue: each level is one sorted run of it.
+  // the search expands one level at a time, touched_ its queue.  The
+  // tie rule -- a node's parent is its lowest-index neighbour one level
+  // nearer, over that neighbour's first arc in CSR order -- needs no
+  // level order: a node found again by the level that found it takes
+  // the lower-index parent, so every completed level is exact.  The
+  // level that finds `dst` is cut short there; `dst` then takes its
+  // parent from its incoming arcs, whose tails the completed level
+  // before holds.
   if (src == dst) return;
   std::size_t level = 0;
   for (double d = 1.0; level < touched_.size(); d += 1.0) {
@@ -149,20 +162,39 @@ void PathSearch::run_levels(NodeIndex src, NodeIndex dst) {
       if (u != src && forwards_[u] == 0) continue;
       for (std::uint32_t e = offset_[u]; e < offset_[u + 1]; ++e) {
         const Arc arc = arcs_[e];
-        if (link_bans_[arc.link] != 0 || node_bans_[arc.to] != 0 ||
-            dist_[arc.to] <= d) {
+        const double seen = dist_[arc.to];
+        if (seen < d || link_bans_[arc.link] != 0) continue;
+        if (seen == d) {
+          if (u < from_[via_[arc.to]]) via_[arc.to] = arc.link;
           continue;
         }
+        if (node_bans_[arc.to] != 0) continue;
         dist_[arc.to] = d;
         via_[arc.to] = arc.link;
         touched_.push_back(arc.to);
-        if (arc.to == dst) return;
+        if (arc.to == dst) {
+          via_[dst] = first_parent_link(dst, d - 1.0);
+          return;
+        }
       }
     }
-    std::sort(touched_.begin() + static_cast<std::ptrdiff_t>(level_end),
-              touched_.end());
     level = level_end;
   }
+}
+
+LinkIndex PathSearch::first_parent_link(NodeIndex v, double parent_dist) const {
+  // Incoming arcs are ordered by tail, then by the tail's CSR order, so
+  // the first usable one is the tie rule's.
+  for (std::uint32_t e = in_offset_[v]; e < in_offset_[v + 1]; ++e) {
+    const std::uint32_t l = in_links_[e];
+    const std::uint32_t u = from_[l];
+    if (dist_[u] == parent_dist && link_bans_[l] == 0 &&
+        (u == src_ || forwards_[u] != 0)) {
+      return l;
+    }
+  }
+  HP_CHECK(false, "PathSearch: a discovered node has no parent arc");
+  return kInvalidIndex;
 }
 
 void PathSearch::run_heap(NodeIndex src, NodeIndex dst) {

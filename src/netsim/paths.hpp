@@ -12,9 +12,9 @@
 // (distance, node) order and relaxes a link only on a strict
 // improvement, so shortest_path, shortest_path_tree and the first
 // k_disjoint_paths path break ties the same way.  Under kHopCount,
-// where every link weighs 1, the search expands level by level, each
-// level in ascending node order: no heap, same order, same paths.  The
-// weighted metrics (kDelay, kInverseCapacity) run Dijkstra over a
+// where every link weighs 1, the search expands level by level and a
+// node keeps its lowest-index parent: no heap and no sort, same paths.
+// The weighted metrics (kDelay, kInverseCapacity) run Dijkstra over a
 // binary heap.
 //
 // A PathSearch is built once per topology: a CSR adjacency of (to,
@@ -107,10 +107,14 @@ class PathSearch {
   void unban_node(NodeIndex v);
 
   /// Search from `src` until `dst` is reached; kInvalidIndex never is,
-  /// which grows the full tree.  Nodes settle in (dist, node) order and
-  /// a relax needs a strict improvement, so the first settled
-  /// predecessor keeps a tie.  Hosts do not forward: they may start a
-  /// path but not extend one.  Indices are the caller's to validate.
+  /// which grows the full tree.  Ties go to the first predecessor in
+  /// (dist, node) order, over its first arc in CSR order: the heap
+  /// settles nodes in that order and relaxes only on a strict
+  /// improvement; under kHopCount a node found again in its own level
+  /// takes the lower-index parent, and `dst` takes its parent from its
+  /// incoming arcs, so the run stops the moment it finds `dst`.  Hosts
+  /// do not forward: they may start a path but not extend one.  Indices
+  /// are the caller's to validate.
   void run(NodeIndex src, NodeIndex dst = kInvalidIndex);
 
   /// The last run's path to `dst`: nullopt when it was not reached,
@@ -141,6 +145,10 @@ class PathSearch {
 
   void run_levels(NodeIndex src, NodeIndex dst);
   void run_heap(NodeIndex src, NodeIndex dst);
+  /// The tie rule's link into `v` from a node at `parent_dist`: the
+  /// lowest-index such tail, its first arc to `v` in CSR order.
+  [[nodiscard]] LinkIndex first_parent_link(NodeIndex v,
+                                            double parent_dist) const;
 
   PathMetric metric_;
   /// Node u's outgoing arcs are arcs_[offset_[u] .. offset_[u + 1]),
@@ -151,13 +159,18 @@ class PathSearch {
   std::vector<std::uint32_t> reverse_;  ///< per link: its reverse, or kNoLink
   std::vector<char> forwards_;          ///< per node: 1 for routers
   std::vector<double> weight_;          ///< per link; weighted metrics only
+  /// kHopCount only: node v's incoming links are
+  /// in_links_[in_offset_[v] .. in_offset_[v + 1]), by tail, then in
+  /// the tail's CSR order.
+  std::vector<std::uint32_t> in_offset_;
+  std::vector<std::uint32_t> in_links_;
   std::vector<std::uint32_t> link_bans_;
   std::vector<std::uint32_t> node_bans_;
   NodeIndex src_ = kInvalidIndex;
   std::vector<double> dist_;     ///< infinity where the last run never wrote
   std::vector<LinkIndex> via_;   ///< kInvalidIndex where it never wrote
   /// Nodes the last run wrote, in discovery order; under kHopCount also
-  /// the level-order queue, each level one sorted run.
+  /// the level-order queue, each level one run.
   std::vector<NodeIndex> touched_;
   std::vector<std::pair<double, NodeIndex>> heap_;  ///< weighted metrics
 };

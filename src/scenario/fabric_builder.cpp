@@ -20,10 +20,21 @@ namespace {
 using netsim::kInvalidIndex;
 using netsim::NodeIndex;
 
-/// A link-index entry: the record in the high word, the route id in the
-/// low one.
-std::uint64_t index_entry(std::uint32_t rec, std::uint32_t id) {
-  return (static_cast<std::uint64_t>(rec) << 32) | id;
+/// A link-index entry: the record in the high word, then the route id
+/// and the generation its slot had when the route was listed.
+std::uint64_t index_entry(std::uint32_t rec, std::uint32_t id,
+                          std::uint16_t gen) {
+  return (static_cast<std::uint64_t>(rec) << 32) |
+         (static_cast<std::uint64_t>(id) << 16) | gen;
+}
+std::uint32_t entry_record(std::uint64_t entry) {
+  return static_cast<std::uint32_t>(entry >> 32);
+}
+std::uint32_t entry_route(std::uint64_t entry) {
+  return static_cast<std::uint32_t>(entry >> 16) & 0xFFFFu;
+}
+std::uint16_t entry_gen(std::uint64_t entry) {
+  return static_cast<std::uint16_t>(entry);
 }
 
 /// Calls fn(run) once per source in `items`, ascending by key, each run
@@ -201,6 +212,7 @@ std::uint32_t BuiltFabric::append_record(RouteKey key) {
   }
   const std::uint32_t rec = record_count_++;
   record(rec).key = key;
+  gens_.resize(gens_.size() + 2 * ranks_, 0);
   return rec;
 }
 
@@ -216,7 +228,7 @@ std::uint32_t BuiltFabric::record_for(NodeIndex src, NodeIndex dst) {
 
 const CompiledRoute* BuiltFabric::find_route(const PairRecord& r,
                                               std::uint32_t id) {
-  const unsigned s = id >> 31;
+  const unsigned s = id >> kSetShift;
   if (s == 1 && !r.other) return nullptr;
   const RouteSet& set = r.set(s);
   const std::uint32_t rank = id & kRankMask;
@@ -224,39 +236,117 @@ const CompiledRoute* BuiltFabric::find_route(const PairRecord& r,
   return rank <= set.backups.size() ? &set.backups[rank - 1] : nullptr;
 }
 
-void BuiltFabric::reindex(std::uint64_t entry, const netsim::Path& from,
-                          const netsim::Path& to) {
-  // A link the route left keeps its entry, stale: readers check that
-  // the route still crosses the link.  A list is compacted once it has
-  // grown by half since its last compaction, and never holds more
-  // slots than that, so each edit costs O(path), amortized, and the
-  // index stays within half again its live entries.
-  for (const netsim::LinkIndex l : to) {
-    if (std::ranges::find(from, l) != from.end()) continue;
+std::uint64_t BuiltFabric::live_entry(std::uint32_t rec,
+                                     std::uint32_t id) const {
+  return index_entry(rec, id, gens_[slot(rec, id)]);
+}
+
+bool BuiltFabric::live(std::uint64_t entry) const {
+  return gens_[slot(entry_record(entry), entry_route(entry))] ==
+         entry_gen(entry);
+}
+
+void BuiltFabric::retire(std::uint32_t rec, std::uint32_t id) {
+  std::uint16_t& gen = gens_[slot(rec, id)];
+  if (gen != UINT16_MAX) {
+    ++gen;
+    return;
+  }
+  // Wrapping to 0 could revive the slot's entries from 2^16 bumps ago:
+  // drop all of the slot's entries first, with every stale one.
+  const std::uint64_t mine = index_entry(rec, id, 0);
+  for (LinkRoutes& list : routes_by_link_) {
+    std::erase_if(list.entries, [&](std::uint64_t entry) {
+      return (entry & ~std::uint64_t{0xFFFF}) == mine || !live(entry);
+    });
+    list.compacted = list.entries.size();
+  }
+  gen = 0;
+}
+
+void BuiltFabric::retire_set(std::uint32_t rec, unsigned s) {
+  const PairRecord& r = record(rec);
+  if (s == 1 && !r.other) return;
+  const RouteSet& set = r.set(s);
+  if (!set.primary.path.empty()) retire(rec, route_id(s, 0));
+  for (std::size_t rank = 1; rank <= set.backups.size(); ++rank) {
+    retire(rec, route_id(s, rank));
+  }
+}
+
+void BuiltFabric::widen(std::size_t ranks) {
+  std::vector<std::uint16_t> gens(std::size_t{record_count_} * 2 * ranks, 0);
+  for (std::size_t set = 0; set < std::size_t{record_count_} * 2; ++set) {
+    std::copy_n(gens_.begin() + static_cast<std::ptrdiff_t>(set * ranks_),
+                ranks_, gens.begin() + static_cast<std::ptrdiff_t>(set * ranks));
+  }
+  gens_ = std::move(gens);
+  ranks_ = ranks;
+}
+
+void BuiltFabric::list_route(std::uint32_t rec, std::uint32_t id,
+                             const netsim::Path& path) {
+  // A list is compacted once it has grown by half since its last
+  // compaction, and never holds more slots than that, so each listing
+  // costs O(path), amortized, and the index stays within half again
+  // its live entries.
+  const std::uint64_t entry = live_entry(rec, id);
+  for (const netsim::LinkIndex l : path) {
     LinkRoutes& list = routes_by_link_[l];
-    const auto bound = [&] { return list.compacted + list.compacted / 2 + 32; };
-    if (list.entries.size() >= bound()) compact(l);
+    if (list.entries.size() >= growth_bound(list.compacted)) compact(l);
     if (list.entries.size() == list.entries.capacity()) {
-      list.entries.reserve(bound() + 1);
+      list.entries.reserve(growth_bound(list.compacted) + 1);
     }
     list.entries.push_back(entry);
   }
 }
 
 void BuiltFabric::compact(netsim::LinkIndex l) {
-  auto& entries = routes_by_link_[l].entries;
-  std::erase_if(entries, [&](std::uint64_t entry) {
-    const CompiledRoute* route = find_route(
-        record(static_cast<std::uint32_t>(entry >> 32)),
-        static_cast<std::uint32_t>(entry));
-    return route == nullptr || std::ranges::find(route->path, l) ==
-                                   route->path.end();
-  });
-  // A route that left the link and came back is listed twice.
-  std::ranges::sort(entries);
-  const auto dup = std::ranges::unique(entries);
-  entries.erase(dup.begin(), dup.end());
-  routes_by_link_[l].compacted = entries.size();
+  // A live route is listed once per link, so dropping the stale entries
+  // leaves no duplicate: one filter, no sort, no record read.
+  LinkRoutes& list = routes_by_link_[l];
+  std::erase_if(list.entries,
+                [&](std::uint64_t entry) { return !live(entry); });
+  list.compacted = list.entries.size();
+}
+
+void BuiltFabric::validate() const {
+  // Live entries per route slot.  With no live entry listed twice in a
+  // list and each one on a link of its route's path, a held route is
+  // listed on every link of its (simple) path exactly when its slot
+  // counts as many live entries as the path has links.
+  std::vector<std::uint32_t> listed(gens_.size(), 0);
+  std::vector<std::uint64_t> seen;
+  for (netsim::LinkIndex l = 0; l < routes_by_link_.size(); ++l) {
+    const LinkRoutes& list = routes_by_link_[l];
+    HP_CHECK(list.entries.size() <= growth_bound(list.compacted),
+             "BuiltFabric::validate: a link's list outgrew its bound");
+    seen.clear();
+    for (const std::uint64_t entry : list.entries) {
+      if (!live(entry)) continue;
+      const CompiledRoute* route =
+          find_route(record(entry_record(entry)), entry_route(entry));
+      HP_CHECK(route != nullptr &&
+                   std::ranges::find(route->path, l) != route->path.end(),
+               "BuiltFabric::validate: a live entry's route is off its link");
+      seen.push_back(entry);
+      ++listed[slot(entry_record(entry), entry_route(entry))];
+    }
+    std::ranges::sort(seen);
+    HP_CHECK(std::ranges::adjacent_find(seen) == seen.end(),
+             "BuiltFabric::validate: a live entry is listed twice");
+  }
+  for (std::uint32_t rec = 0; rec < record_count_; ++rec) {
+    const PairRecord& r = record(rec);
+    for (unsigned s = 0; s < (r.other ? 2U : 1U); ++s) {
+      for (std::size_t rank = 0; rank <= r.set(s).backups.size(); ++rank) {
+        const std::uint32_t id = route_id(s, rank);
+        const CompiledRoute* route = find_route(r, id);
+        HP_CHECK(listed[slot(rec, id)] == (route ? route->path.size() : 0),
+                 "BuiltFabric::validate: a route is unlisted on its path");
+      }
+    }
+  }
 }
 
 const CompiledRoute* BuiltFabric::serving_route(std::uint32_t rec) const {
@@ -276,9 +366,9 @@ void BuiltFabric::store_primary(std::uint32_t rec, CompiledRoute&& route) {
   PairRecord& r = record(rec);
   const unsigned s = primary_slot(r);
   CompiledRoute& primary = r.set(s).primary;
-  const netsim::Path old = std::move(primary.path);
+  retire(rec, route_id(s, 0));
   primary = std::move(route);
-  reindex(index_entry(rec, route_id(s, 0)), old, primary.path);
+  list_route(rec, route_id(s, 0), primary.path);
   r.primary_set = static_cast<std::uint8_t>(s);
   r.serving = route_id(s, 0);
   ++stats_.routes_compiled;
@@ -499,7 +589,7 @@ std::size_t BuiltFabric::compile_all_pairs(unsigned threads) {
       PairRecord& r = record(rec);
       r.own.primary = std::move(route);
       r.serving = route_id(0, 0);
-      fresh.append(index_entry(rec, route_id(0, 0)), r.own.primary.path);
+      fresh.append(live_entry(rec, route_id(0, 0)), r.own.primary.path);
       ++stats_.routes_compiled;
     }
     if (cached != 0) std::ranges::sort(slots, {}, &PairSlot::dst);
@@ -570,12 +660,15 @@ void BuiltFabric::disarm() {
   }
   kept.reserve();
   for (std::uint32_t rec = 0; rec < record_count_; ++rec) {
-    kept.append(index_entry(rec, route_id(0, 0)), record(rec).own.primary.path);
+    kept.append(live_entry(rec, route_id(0, 0)), record(rec).own.primary.path);
   }
 }
 
 std::size_t BuiltFabric::enable_protection(unsigned k) {
   obs::TraceScope scope(trace_, "compile.protect", "compile");
+  HP_CHECK(k <= kMaxProtection,
+           "BuiltFabric: protection k exceeds kMaxProtection, the 15-bit "
+           "route ranks of the link index");
   const CompileStats before = stats_;
   const auto t0 = std::chrono::steady_clock::now();
   protection_k_ = k;
@@ -615,7 +708,7 @@ std::size_t BuiltFabric::enable_protection(unsigned k) {
     const PairRecord& r = record(rec);
     const auto& backups = r.set(r.backup_set).backups;
     for (std::size_t i = 0; i < backups.size(); ++i) {
-      fresh.append(index_entry(rec, route_id(r.backup_set, i + 1)),
+      fresh.append(live_entry(rec, route_id(r.backup_set, i + 1)),
                    backups[i].path);
     }
   }
@@ -674,21 +767,20 @@ std::size_t BuiltFabric::protect_source(std::span<const std::uint32_t> recs,
       backups.push_back(BackupRoute{std::move(compiled[j]), stretch});
     }
     check_installable(backups);
-    HP_CHECK(backups.size() < kRankMask,
-             "BuiltFabric: a protection set exceeds the 31-bit route ranks");
     stats_.backup_routes += backups.size();
+    if (backups.size() >= ranks_) widen(backups.size() + 1);
     PairRecord& r = record(recs[i]);
     HP_DCHECK(r.serving == kNoRoute || (r.serving & kRankMask) == 0 ||
-                  r.serving >> 31 != r.backup_set,
+                  r.serving >> kSetShift != r.backup_set,
               "protect_source: replacing the backups a pair serves");
     auto& current = r.set(r.backup_set).backups;
     std::swap(current, backups);  // `backups` now holds the old set
     const std::size_t ranks =
         reindex_old ? std::max(current.size(), backups.size()) : 0;
     for (std::size_t j = 0; j < ranks; ++j) {
-      reindex(index_entry(recs[i], route_id(r.backup_set, j + 1)),
-              j < backups.size() ? backups[j].path : netsim::Path{},
-              j < current.size() ? current[j].path : netsim::Path{});
+      const std::uint32_t id = route_id(r.backup_set, j + 1);
+      retire(recs[i], id);
+      if (j < current.size()) list_route(recs[i], id, current[j].path);
     }
   }
   return paths.size();
@@ -702,21 +794,18 @@ void BuiltFabric::collect_hits(netsim::LinkIndex fwd, netsim::LinkIndex rev,
                       routes_by_link_[rev].entries.size());
   for (const netsim::LinkIndex l : {fwd, rev}) {
     for (const std::uint64_t entry : routes_by_link_[l].entries) {
-      const auto rec = static_cast<std::uint32_t>(entry >> 32);
-      const auto id = static_cast<std::uint32_t>(entry);
+      // A live entry's route crosses l: only its record is read.
+      if (!live(entry)) continue;
+      const std::uint32_t rec = entry_record(entry);
       const PairRecord& r = record(rec);
-      // A stale entry names a route that no longer crosses l.
-      if (keep(r, id) &&
-          std::ranges::find(r.route(id).path, l) != r.route(id).path.end()) {
-        event_hits_.emplace_back(r.key, rec);
-      }
+      if (keep(r, entry_route(entry))) event_hits_.emplace_back(r.key, rec);
     }
   }
-  // Lists are unordered, and a route can be listed twice (over both
-  // directions, or stale and live).
+  // Lists are unordered.  A route is listed live once per link, and a
+  // path, being simple, never crosses both directions of a link.
   std::ranges::sort(event_hits_);
-  const auto dup = std::ranges::unique(event_hits_);
-  event_hits_.erase(dup.begin(), dup.end());
+  HP_DCHECK(std::ranges::adjacent_find(event_hits_) == event_hits_.end(),
+            "collect_hits: a route listed twice");
 }
 
 FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
@@ -923,6 +1012,7 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
       r.original = kNoSet;
       // What repairs compiled beside the original is unreachable now:
       // free it.  Its index entries go stale.
+      retire_set(rec, 1U - original);
       if (original == 0) {
         r.other.reset();
       } else {

@@ -46,9 +46,13 @@
 // same lists to displaced originals that are fully alive again and
 // flips back.  Neither copies a route, allocates per pair, hashes or
 // edits the index: only compiles and drops do (compile_all_pairs,
-// compile_subtree, enable_protection, repair_pending, route()): a
-// compile lists a route only on the links its new path adds, and the
-// entries on links it left go stale until their list is compacted.
+// compile_subtree, enable_protection, repair_pending, route(), and the
+// frees of restore_link).  Every route slot -- record, set, rank --
+// has a generation that each re-store or free of the slot bumps, and
+// an entry carries the generation it was listed under, so the entries
+// of a replaced or freed route go stale where they lie, and a re-store
+// lists the route afresh on every link of its new path.  Telling a
+// stale entry reads no record and no path.
 // Only the shortest-path trees that used the dead link are rebuilt,
 // and pairs with no live backup are recompiled subtree-scoped.
 
@@ -223,6 +227,21 @@ class BuiltFabric {
     return pending_.size();
   }
 
+  /// The largest k enable_protection takes: a set's ranks 0..k must fit
+  /// the 15-bit rank field of the link index's entries.
+  static constexpr unsigned kMaxProtection = (1U << 15) - 1;
+
+  /// Check the link -> route index against the records, in O(index +
+  /// routes) time; throws core::ContractViolation naming the first
+  /// broken invariant:
+  ///  * every route a record holds has a live entry on every link of
+  ///    its path;
+  ///  * every live entry names a held route that crosses its link;
+  ///  * no live entry is listed twice in one list;
+  ///  * no list holds more entries than its compaction bound.
+  /// A test hook: no event calls it.
+  void validate() const;
+
   /// Directed links currently excluded from path computation.
   [[nodiscard]] const std::vector<netsim::LinkIndex>& failed_links()
       const noexcept {
@@ -269,11 +288,12 @@ class BuiltFabric {
   static constexpr std::uint32_t kNoRecord = 0xFFFFFFFFu;
 
   /// A route's id inside its record, as serving and index entries name
-  /// it: the set in the top bit, then the rank -- 0 for the set's
-  /// primary, i + 1 for its backup i.
-  static constexpr std::uint32_t kRankMask = 0x7FFFFFFFu;
+  /// it: the set in bit 15, then the rank -- 0 for the set's primary,
+  /// i + 1 for its backup i.
+  static constexpr unsigned kSetShift = 15;
+  static constexpr std::uint32_t kRankMask = kMaxProtection;
   static constexpr std::uint32_t route_id(unsigned set, std::size_t rank) {
-    return (static_cast<std::uint32_t>(set) << 31) |
+    return (static_cast<std::uint32_t>(set) << kSetShift) |
            static_cast<std::uint32_t>(rank);
   }
 
@@ -300,12 +320,12 @@ class BuiltFabric {
       return s == 0 ? own : *other;
     }
     [[nodiscard]] CompiledRoute& route(std::uint32_t id) {
-      RouteSet& rs = set(id >> 31);
+      RouteSet& rs = set(id >> kSetShift);
       const std::uint32_t rank = id & kRankMask;
       return rank == 0 ? rs.primary : rs.backups[rank - 1];
     }
     [[nodiscard]] const CompiledRoute& route(std::uint32_t id) const {
-      const RouteSet& rs = set(id >> 31);
+      const RouteSet& rs = set(id >> kSetShift);
       const std::uint32_t rank = id & kRankMask;
       return rank == 0 ? rs.primary : rs.backups[rank - 1];
     }
@@ -334,16 +354,43 @@ class BuiltFabric {
   /// The set a new primary of `r` goes to (made if missing): its
   /// current one, or the other while the current holds the original.
   unsigned primary_slot(PairRecord& r);
-  /// One directed link's index list: an entry rec << 32 | route id per
-  /// compiled route over the link, in no particular order.  An entry
-  /// goes stale when its route leaves the link or is dropped; readers
-  /// check the route's path, and compaction drops stale and duplicate
-  /// entries.  `compacted` is the list's size after its last compaction
-  /// (or bulk build).
+  /// One directed link's index list, in no particular order: an entry
+  /// rec << 32 | route id << 16 | generation per listing of a compiled
+  /// route over the link.  An entry is live while its generation is its
+  /// route slot's (gens_); a re-store or free of the slot makes it
+  /// stale, wherever it lies.  A live route is listed once on every
+  /// link of its path, so compaction is one filter on generations that
+  /// reads no record.  `compacted` is the list's size after its last
+  /// compaction (or bulk build); a list never holds more than
+  /// growth_bound(compacted) entries.
   struct LinkRoutes {
     std::vector<std::uint64_t> entries;
     std::size_t compacted = 0;
   };
+  [[nodiscard]] static constexpr std::size_t growth_bound(
+      std::size_t compacted) {
+    return compacted + compacted / 2 + 32;
+  }
+
+  /// Route slot (rec, id)'s place in gens_.
+  [[nodiscard]] std::size_t slot(std::uint32_t rec, std::uint32_t id) const {
+    return (std::size_t{rec} * 2 + (id >> kSetShift)) * ranks_ +
+           (id & kRankMask);
+  }
+  /// The index entry that lists route `id` of `rec` live, now.
+  [[nodiscard]] std::uint64_t live_entry(std::uint32_t rec,
+                                         std::uint32_t id) const;
+  /// True while `entry` carries its route slot's generation.
+  [[nodiscard]] bool live(std::uint64_t entry) const;
+  /// Bump the generation of route slot (rec, id), staling every entry
+  /// that lists it.  A generation about to wrap first drops the slot's
+  /// entries (and every stale one) from the whole index, so an old
+  /// entry never reads live again.
+  void retire(std::uint32_t rec, std::uint32_t id);
+  /// retire() every route that set `s` of `rec` holds.
+  void retire_set(std::uint32_t rec, unsigned s);
+  /// Make gens_ hold `ranks` ranks per set (more than it does).
+  void widen(std::size_t ranks);
 
   /// Bulk appends to the index: count, reserve exactly, append.
   class BulkAppend;
@@ -351,11 +398,10 @@ class BuiltFabric {
   /// Route `id` of `r`, or nullptr when `r` holds none under that id.
   [[nodiscard]] static const CompiledRoute* find_route(const PairRecord& r,
                                                        std::uint32_t id);
-  /// List route `entry`, moved from path `from` to path `to` (either
-  /// may be empty), on the links of `to` it was not on.
-  void reindex(std::uint64_t entry, const netsim::Path& from,
-               const netsim::Path& to);
-  /// Drop link `l`'s stale and duplicate entries.
+  /// List route `id` of `rec`, just stored (and its slot retired), on
+  /// every link of `path`.
+  void list_route(std::uint32_t rec, std::uint32_t id, const netsim::Path& path);
+  /// Drop link `l`'s stale entries.
   void compact(netsim::LinkIndex l);
 
   /// The route `rec` serves, or nullptr.
@@ -493,6 +539,12 @@ class BuiltFabric {
   /// The link -> route index, per directed link (indexed by LinkIndex,
   /// sized at construction).
   std::vector<LinkRoutes> routes_by_link_;
+  /// Per route slot (record, set, rank): its generation.  Dense, in
+  /// record order, ranks_ slots per set: 2 bytes per slot, so a reader
+  /// tells a stale entry without loading its record.
+  std::vector<std::uint16_t> gens_;
+  /// Slots per set in gens_: 1 + the most backups any set has held.
+  std::size_t ranks_ = 1;
 
   /// Pairs whose protection set died, awaiting repair_pending().
   std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>> pending_;

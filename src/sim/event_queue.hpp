@@ -116,6 +116,10 @@ class EventQueue {
     return e.seq;
   }
 
+  /// Make room for `n` more pushes before the next pop, so a caller
+  /// that knows its pre-run load grows the backlog once.
+  void reserve(std::size_t n) { backlog_.reserve(backlog_.size() + n); }
+
   /// Consume the sequence number the next push would take, without
   /// scheduling anything.  An engine that settles some occurrence
   /// itself (PacketSim's channel departures) stamps it here, at the

@@ -146,6 +146,11 @@ std::uint64_t PacketSim::schedule_timer(Tick at, std::uint32_t arg) {
   return queue_.push(at, kTimer, arg);
 }
 
+void PacketSim::reserve(std::size_t packets) {
+  packets_.reserve(packets_.size() + packets);
+  queue_.reserve(packets);
+}
+
 std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
                                 polka::SegmentRef ref, std::uint32_t source,
                                 std::uint32_t flow) {

@@ -197,6 +197,10 @@ class PacketSim {
   /// as wrong_egress.  Returns the flow handle inject() takes.
   std::uint32_t add_flow(const polka::PacketResult& expected);
 
+  /// Make room for `packets` more inject() calls before run(): the
+  /// packet table and the event backlog each grow once.
+  void reserve(std::size_t packets);
+
   /// Schedule one packet: injected at fabric node `source` at time
   /// `at`, carrying `label` (or, when ref.label_count > 1, the pooled
   /// segment list `ref` names -- the first pooled label must equal

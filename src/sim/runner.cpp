@@ -254,6 +254,7 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
       std::size_t epoch = kNoFlow;  ///< kNoFlow until the lane's first flow
     };
     std::vector<OpenFlow> open(stream.pairs.size());  // by lane
+    sim.reserve(stream.size());
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const std::uint32_t lane = stream.pair[i];
       const Tick at = inject_at[i];

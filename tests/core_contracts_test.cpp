@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "core/contracts.hpp"
+#include "scenario/fabric_builder.hpp"
 #include "scenario/protection.hpp"
+#include "scenario/topologies.hpp"
 #include "sim/event_queue.hpp"
 
 namespace hp {
@@ -74,6 +76,26 @@ TEST(Contracts, BackupInstallRejectsUnroutableRoutes) {
                core::ContractViolation);
   EXPECT_NO_THROW(scenario::check_installable(std::vector{ok}));
   EXPECT_NO_THROW(scenario::check_installable({}));
+}
+
+TEST(Contracts, ProtectionKBeyondTheIndexRanksThrows) {
+  // A link-index entry carries a route's rank in 15 bits, so a
+  // protection set holds at most kMaxProtection backups.  One more is
+  // refused before anything is planned; the bound itself is accepted.
+  scenario::BuiltFabric fabric(scenario::make_ring(4));
+  (void)fabric.compile_all_pairs();
+  try {
+    (void)fabric.enable_protection(scenario::BuiltFabric::kMaxProtection + 1);
+    ADD_FAILURE() << "k past the rank bound was accepted";
+  } catch (const core::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxProtection"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(fabric.protection_k(), 0U);
+  // A ring has one disjoint alternative per pair, whatever k asks for.
+  EXPECT_EQ(fabric.enable_protection(scenario::BuiltFabric::kMaxProtection),
+            12U);
+  EXPECT_NO_THROW(fabric.validate());
 }
 
 TEST(BackupTable, LiveBackupFollowsRankOrder) {

@@ -793,6 +793,115 @@ TEST(FailoverProtection, ServingPointersFollowTheContract) {
   }
 }
 
+/// Fails the test, naming `what`, when the fabric's link index breaks
+/// one of the invariants BuiltFabric::validate() checks.
+void expect_valid_index(const BuiltFabric& fabric, const std::string& what) {
+  try {
+    fabric.validate();
+  } catch (const core::ContractViolation& e) {
+    ADD_FAILURE() << what << ": " << e.what();
+  }
+}
+
+TEST(FailoverProtection, LinkIndexStaysValidThroughStorms) {
+  // Seeded flap storms and node storms (restored link by link) with
+  // repair_pending after every event or after every other one, on four
+  // families and k = 0, 1, 2.  After every public call the link ->
+  // route index must hold validate()'s invariants: every held route is
+  // listed live on every link of its path, every live entry's route
+  // crosses its link, no live entry is listed twice and no list
+  // outgrows its compaction bound.
+  const std::vector<std::pair<std::string, netsim::Topology>> topologies{
+      {"torus6x6", make_torus(6, 6)},
+      {"rr16d4", build_topology(*find_scenario("rr16d4/uniform"))},
+      {"fat_tree_k4_hosts", make_fat_tree(4, true)},
+      {"ring24", make_ring(24)}};
+  for (const auto& [name, topo] : topologies) {
+    for (const unsigned k : {0U, 1U, 2U}) {
+      for (const FailurePreset preset :
+           {FailurePreset::kFlap, FailurePreset::kStorm}) {
+        FailureInjectorParams params;
+        params.preset = preset;
+        params.seed = 11 + k;
+        params.count = preset == FailurePreset::kFlap ? 8 : 2;
+        std::vector<LinkFailure> schedule = make_failure_schedule(topo, params);
+        if (preset == FailurePreset::kStorm) {
+          const std::size_t failures = schedule.size();
+          for (std::size_t i = 0; i < failures; ++i) {
+            LinkFailure up = schedule[i];
+            up.restore = true;
+            schedule.push_back(up);
+          }
+        }
+        for (const std::size_t repair_every : {1U, 2U}) {
+          const std::string what =
+              name + " k=" + std::to_string(k) +
+              (preset == FailurePreset::kFlap ? " flap" : " storm") +
+              " repair every " + std::to_string(repair_every);
+          BuiltFabric fabric(topo);
+          (void)fabric.compile_all_pairs();
+          expect_valid_index(fabric, what + " compile_all_pairs");
+          (void)fabric.enable_protection(k);
+          expect_valid_index(fabric, what + " enable_protection");
+          for (std::size_t e = 0; e < schedule.size(); ++e) {
+            const LinkFailure& event = schedule[e];
+            const std::string where = what + " event " + std::to_string(e);
+            (void)(event.restore ? fabric.restore_link(event.a, event.b)
+                                 : fabric.apply_failure(event.a, event.b));
+            expect_valid_index(fabric, where);
+            if ((e + 1) % repair_every == 0) {
+              (void)fabric.repair_pending();
+              expect_valid_index(fabric, where + " repair_pending");
+            }
+          }
+          (void)fabric.repair_pending();
+          expect_valid_index(fabric, what + " final repair_pending");
+          // Disarm and re-arm: the index is rebuilt, then replanned.
+          (void)fabric.enable_protection(0);
+          expect_valid_index(fabric, what + " disarm");
+          (void)fabric.enable_protection(k);
+          expect_valid_index(fabric, what + " re-arm");
+        }
+      }
+    }
+  }
+}
+
+TEST(FailoverProtection, GenerationWrapNeverRevivesAStaleEntry) {
+  // s reaches t over three disjoint two-hop paths, via a, b and c.  With
+  // s-a down, s->t leaves a stale entry on s->a, a list nothing else is
+  // added to while the link is down, so it is never compacted.  Failing
+  // s-b and s-c in turn then re-stores s->t 2^16 times, once per
+  // failure: its slot's 16-bit generation comes round to the stale
+  // entry's, which must still read stale.
+  netsim::Topology topo;
+  const NodeIndex s = topo.add_node("s");
+  const NodeIndex a = topo.add_node("a");
+  const NodeIndex b = topo.add_node("b");
+  const NodeIndex c = topo.add_node("c");
+  const NodeIndex t = topo.add_node("t");
+  for (const NodeIndex via : {a, b, c}) {
+    topo.add_duplex_link(s, via, 100.0, 1.0);
+    topo.add_duplex_link(via, t, 100.0, 1.0);
+  }
+  BuiltFabric fabric(topo);
+  (void)fabric.compile_all_pairs();
+  const auto via_of = [&] {
+    return topo.link(fabric.cached_route(s, t)->path.front()).to;
+  };
+  ASSERT_EQ(via_of(), a);
+  (void)fabric.apply_failure(s, a);
+  ASSERT_EQ(via_of(), b);
+  for (std::size_t flip = 0; flip < (1U << 16) + 2; ++flip) {
+    const NodeIndex via = flip % 2 == 0 ? b : c;
+    (void)fabric.apply_failure(s, via);
+    expect_valid_index(fabric, "flip " + std::to_string(flip));
+    if (::testing::Test::HasFailure()) return;
+    (void)fabric.restore_link(s, via);
+  }
+  EXPECT_EQ(via_of(), b) << "s->t no longer alternates";
+}
+
 TEST(FailoverRunner, ProtectedRingLosesNothingOnSingleFailure) {
   // The headline behaviour: with 1-disjoint protection a single link
   // failure is hitless -- zero window recompiles, zero packets lost --
