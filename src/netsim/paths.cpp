@@ -89,6 +89,12 @@ PathSearch::PathSearch(const Topology& topo, PathMetric metric)
     in_links_.resize(m);
     std::vector<std::uint32_t> next(in_offset_.begin(), in_offset_.end() - 1);
     for (const Arc& arc : arcs_) in_links_[next[arc.to]++] = arc.link;
+    bound_row_.assign(n, kNoLink);
+    queue_.reserve(n);
+    // A run lists a node only when its g improves, and expands it at
+    // most once, so it lists at most one node per arc, and the source.
+    open_.reserve(m + 1);
+    later_.reserve(m + 1);
   } else {
     weight_.resize(m);
     for (LinkIndex l = 0; l < m; ++l) {
@@ -136,24 +142,22 @@ void PathSearch::run(NodeIndex src, NodeIndex dst) {
   src_ = src;
   dist_[src] = 0.0;
   touched_.push_back(src);
-  if (metric_ == PathMetric::kHopCount) {
-    run_levels(src, dst);
-  } else {
+  if (metric_ != PathMetric::kHopCount) {
     run_heap(src, dst);
+  } else if (dst == kInvalidIndex) {
+    run_levels(src);
+  } else if (dst != src) {
+    run_toward(src, dst);
   }
 }
 
-void PathSearch::run_levels(NodeIndex src, NodeIndex dst) {
+void PathSearch::run_levels(NodeIndex src) {
   // Unit weights: a node's distance is final once it is discovered, so
-  // the search expands one level at a time, touched_ its queue.  The
-  // tie rule -- a node's parent is its lowest-index neighbour one level
+  // the tree grows one level at a time, touched_ its queue.  The tie
+  // rule -- a node's parent is its lowest-index neighbour one level
   // nearer, over that neighbour's first arc in CSR order -- needs no
   // level order: a node found again by the level that found it takes
-  // the lower-index parent, so every completed level is exact.  The
-  // level that finds `dst` is cut short there; `dst` then takes its
-  // parent from its incoming arcs, whose tails the completed level
-  // before holds.
-  if (src == dst) return;
+  // the lower-index parent.
   std::size_t level = 0;
   for (double d = 1.0; level < touched_.size(); d += 1.0) {
     const std::size_t level_end = touched_.size();
@@ -172,17 +176,104 @@ void PathSearch::run_levels(NodeIndex src, NodeIndex dst) {
         dist_[arc.to] = d;
         via_[arc.to] = arc.link;
         touched_.push_back(arc.to);
-        if (arc.to == dst) {
-          via_[dst] = first_parent_link(dst, d - 1.0);
-          return;
-        }
       }
     }
     level = level_end;
   }
 }
 
-LinkIndex PathSearch::first_parent_link(NodeIndex v, double parent_dist) const {
+void PathSearch::run_toward(NodeIndex src, NodeIndex dst) {
+  // A* on unit weights.  The bound h -- the hop distance to dst with no
+  // bans -- never overestimates and drops by at most 1 along an arc, so
+  // nodes settle in ascending f = g + h with their final g, and every
+  // node on a shortest path to dst has f no greater than dst's.
+  // Settling all of them (until nothing is left at dst's f) fixes g on
+  // every node the tie rule may pick; the rule is then walked back from
+  // dst.  A node whose g improves is listed again; its old listing,
+  // whose f no longer matches, is skipped.  open_ holds the listings at
+  // the current f, later_ the rest with their f.
+  const std::uint16_t* h = hop_bounds(dst);
+  if (h[src] == kFar) return;
+  std::uint32_t f = h[src];
+  std::uint32_t goal = UINT32_MAX;  // dst's f, once settled
+  open_.assign(1, static_cast<std::uint32_t>(src));
+  later_.clear();
+  while (true) {
+    while (!open_.empty()) {
+      const std::uint32_t u = open_.back();
+      open_.pop_back();
+      const double g = dist_[u];
+      if (g + h[u] != f) continue;  // listed again since, with a lower f
+      if (u == dst) {
+        goal = f;
+        continue;
+      }
+      if (u != src && forwards_[u] == 0) continue;
+      for (std::uint32_t e = offset_[u]; e < offset_[u + 1]; ++e) {
+        const Arc arc = arcs_[e];
+        if (dist_[arc.to] <= g + 1.0 || h[arc.to] == kFar ||
+            link_bans_[arc.link] != 0 || node_bans_[arc.to] != 0) {
+          continue;
+        }
+        const std::uint32_t nf =
+            static_cast<std::uint32_t>(g) + 1 + h[arc.to];
+        if (nf > goal) continue;
+        if (dist_[arc.to] == std::numeric_limits<double>::infinity()) {
+          touched_.push_back(arc.to);
+        }
+        dist_[arc.to] = g + 1.0;
+        if (nf == f) {
+          open_.push_back(arc.to);
+        } else {
+          later_.emplace_back(nf, arc.to);
+        }
+      }
+    }
+    if (goal != UINT32_MAX || later_.empty()) break;
+    // Move on to the lowest f listed.
+    f = std::ranges::min(later_, {}, &std::pair<std::uint32_t,
+                                               std::uint32_t>::first)
+            .first;
+    std::erase_if(later_, [&](const std::pair<std::uint32_t, std::uint32_t>&
+                                  listing) {
+      if (listing.first != f) return false;
+      open_.push_back(listing.second);
+      return true;
+    });
+  }
+  if (goal == UINT32_MAX) return;
+  for (NodeIndex v = dst; v != src; v = from_[via_[v]]) {
+    via_[v] = parent_link(v, dist_[v] - 1.0);
+  }
+}
+
+const std::uint16_t* PathSearch::hop_bounds(NodeIndex dst) {
+  // A reverse level-order pass over incoming arcs, with no bans: a node
+  // leads on only through a forwarding node, or straight into dst.
+  const std::size_t n = forwards_.size();
+  if (bound_row_[dst] == kNoLink) {
+    bound_row_[dst] = static_cast<std::uint32_t>(bounds_.size() / n);
+    bounds_.resize(bounds_.size() + n, kFar);
+    std::uint16_t* h = bounds_.data() + bounds_.size() - n;
+    h[dst] = 0;
+    queue_.assign(1, static_cast<std::uint32_t>(dst));
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      const std::uint32_t v = queue_[i];
+      if (v != dst && forwards_[v] == 0) continue;
+      const auto next = static_cast<std::uint16_t>(
+          std::min<std::uint32_t>(h[v] + 1U, kFar - 1U));
+      for (std::uint32_t e = in_offset_[v]; e < in_offset_[v + 1]; ++e) {
+        const std::uint32_t u = from_[in_links_[e]];
+        if (h[u] != kFar) continue;
+        h[u] = next;
+        queue_.push_back(u);
+      }
+    }
+  }
+  return bounds_.data() + std::size_t{bound_row_[dst]} * n;
+}
+
+LinkIndex PathSearch::parent_link(NodeIndex v, double parent_dist) const {
   // Incoming arcs are ordered by tail, then by the tail's CSR order, so
   // the first usable one is the tie rule's.
   for (std::uint32_t e = in_offset_[v]; e < in_offset_[v + 1]; ++e) {
@@ -193,7 +284,7 @@ LinkIndex PathSearch::first_parent_link(NodeIndex v, double parent_dist) const {
       return l;
     }
   }
-  HP_CHECK(false, "PathSearch: a discovered node has no parent arc");
+  HP_CHECK(false, "PathSearch: a reached node has no parent arc");
   return kInvalidIndex;
 }
 

@@ -12,15 +12,17 @@
 // (distance, node) order and relaxes a link only on a strict
 // improvement, so shortest_path, shortest_path_tree and the first
 // k_disjoint_paths path break ties the same way.  Under kHopCount,
-// where every link weighs 1, the search expands level by level and a
-// node keeps its lowest-index parent: no heap and no sort, same paths.
-// The weighted metrics (kDelay, kInverseCapacity) run Dijkstra over a
-// binary heap.
+// where every link weighs 1, a tree grows level by level, a node
+// keeping its lowest-index parent, and a search toward one destination
+// is an A* search bounded by hop distances with no bans: no heap and
+// no sort, same paths.  The weighted metrics (kDelay, kInverseCapacity)
+// run Dijkstra over a binary heap.
 //
 // A PathSearch is built once per topology: a CSR adjacency of (to,
 // link) arcs, a reverse-link table, a forwards flag per node, stacked
 // ban masks and a workspace that a run resets only where the previous
-// run wrote.  The free functions below each build one and run it; the
+// run wrote; under kHopCount also the incoming arcs and, per
+// destination searched toward, its hop bounds.  The free functions below each build one and run it; the
 // scenario engine keeps one per fabric instead, so planning a backup
 // for every pair -- one source at a time, the primary's links banned
 // and lifted around each search -- builds nothing per pair.
@@ -84,9 +86,10 @@ struct PathTree {
 /// ban_link/ban_node needs one unban to lift it, so a caller's
 /// temporary bans (a primary's links while its backup is planned)
 /// never lift a standing one (a failed link); lifting a ban that is
-/// not there throws core::ContractViolation.  A run allocates
-/// nothing: it resets only the entries the previous run wrote, and
-/// every workspace is reserved for its bound at construction.
+/// not there throws core::ContractViolation.  A run resets only the
+/// entries the previous run wrote and allocates nothing, except that
+/// under kHopCount the first run toward a destination stores its hop
+/// bounds (two bytes a node) and an open list may grow.
 class PathSearch {
  public:
   /// Throws core::ContractViolation when the node or link count does
@@ -108,13 +111,14 @@ class PathSearch {
 
   /// Search from `src` until `dst` is reached; kInvalidIndex never is,
   /// which grows the full tree.  Ties go to the first predecessor in
-  /// (dist, node) order, over its first arc in CSR order: the heap
+  /// (dist, node) order, over its first arc in CSR order.  The heap
   /// settles nodes in that order and relaxes only on a strict
-  /// improvement; under kHopCount a node found again in its own level
-  /// takes the lower-index parent, and `dst` takes its parent from its
-  /// incoming arcs, so the run stops the moment it finds `dst`.  Hosts
-  /// do not forward: they may start a path but not extend one.  Indices
-  /// are the caller's to validate.
+  /// improvement.  Under kHopCount a tree grows level by level, a node
+  /// found again in its own level taking the lower-index parent; a run
+  /// toward `dst` settles every node an A* search bounded by the hop
+  /// distance to `dst` with no bans must, then walks the rule back from
+  /// `dst` over incoming arcs.  Hosts do not forward: they may start a
+  /// path but not extend one.  Indices are the caller's to validate.
   void run(NodeIndex src, NodeIndex dst = kInvalidIndex);
 
   /// The last run's path to `dst`: nullopt when it was not reached,
@@ -143,12 +147,19 @@ class PathSearch {
     std::uint32_t link;
   };
 
-  void run_levels(NodeIndex src, NodeIndex dst);
+  /// A hop bound: unreachable even with no bans.
+  static constexpr std::uint16_t kFar = UINT16_MAX;
+
+  void run_levels(NodeIndex src);
+  void run_toward(NodeIndex src, NodeIndex dst);
   void run_heap(NodeIndex src, NodeIndex dst);
+  /// Per node, its hop distance to `dst` with no bans (saturating below
+  /// kFar), or kFar: a consistent lower bound on the distance left
+  /// under any bans.  Computed on the first run toward `dst`.
+  const std::uint16_t* hop_bounds(NodeIndex dst);
   /// The tie rule's link into `v` from a node at `parent_dist`: the
   /// lowest-index such tail, its first arc to `v` in CSR order.
-  [[nodiscard]] LinkIndex first_parent_link(NodeIndex v,
-                                            double parent_dist) const;
+  [[nodiscard]] LinkIndex parent_link(NodeIndex v, double parent_dist) const;
 
   PathMetric metric_;
   /// Node u's outgoing arcs are arcs_[offset_[u] .. offset_[u + 1]),
@@ -164,13 +175,22 @@ class PathSearch {
   /// the tail's CSR order.
   std::vector<std::uint32_t> in_offset_;
   std::vector<std::uint32_t> in_links_;
+  /// kHopCount only: per destination, its row of hop bounds in bounds_,
+  /// or kNoLink until a run goes toward it; n bounds a row.
+  std::vector<std::uint32_t> bound_row_;
+  std::vector<std::uint16_t> bounds_;
+  /// kHopCount only: run_toward's listings at the current f and, with
+  /// their f, at higher ones; hop_bounds' queue.
+  std::vector<std::uint32_t> open_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> later_;
+  std::vector<std::uint32_t> queue_;
   std::vector<std::uint32_t> link_bans_;
   std::vector<std::uint32_t> node_bans_;
   NodeIndex src_ = kInvalidIndex;
   std::vector<double> dist_;     ///< infinity where the last run never wrote
   std::vector<LinkIndex> via_;   ///< kInvalidIndex where it never wrote
-  /// Nodes the last run wrote, in discovery order; under kHopCount also
-  /// the level-order queue, each level one run.
+  /// Nodes the last run wrote, in discovery order; for a kHopCount tree
+  /// also the level-order queue, each level one run.
   std::vector<NodeIndex> touched_;
   std::vector<std::pair<double, NodeIndex>> heap_;  ///< weighted metrics
 };
