@@ -22,10 +22,11 @@
 // link) arcs, a reverse-link table, a forwards flag per node, stacked
 // ban masks and a workspace that a run resets only where the previous
 // run wrote; under kHopCount also the incoming arcs and, per
-// destination searched toward, its hop bounds.  The free functions below each build one and run it; the
-// scenario engine keeps one per fabric instead, so planning a backup
-// for every pair -- one source at a time, the primary's links banned
-// and lifted around each search -- builds nothing per pair.
+// destination searched toward, its hop bounds.  The free functions
+// below each build one and run it; the scenario engine keeps one per
+// fabric instead, so planning a backup for every pair -- one source at
+// a time, the primary's links banned and lifted around each search --
+// builds nothing per pair.
 
 #include <cstdint>
 #include <optional>
@@ -88,8 +89,8 @@ struct PathTree {
 /// never lift a standing one (a failed link); lifting a ban that is
 /// not there throws core::ContractViolation.  A run resets only the
 /// entries the previous run wrote and allocates nothing, except that
-/// under kHopCount the first run toward a destination stores its hop
-/// bounds (two bytes a node) and an open list may grow.
+/// under kHopCount the first run toward a destination stores that
+/// destination's hop bounds (two bytes a node).
 class PathSearch {
  public:
   /// Throws core::ContractViolation when the node or link count does

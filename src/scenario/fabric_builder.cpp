@@ -557,14 +557,18 @@ std::size_t BuiltFabric::compile_all_pairs(unsigned threads) {
   // New pairs' routes are counted, then appended into exactly reserved
   // lists; a cached pair's new primary replaces its old one in place.
   BulkAppend fresh(routes_by_link_);
+  std::size_t records = record_count_;
   for (std::size_t i = 0; i < sources; ++i) {
     for (const auto& [key, route] : per_source[i].routes) {
       if (find_record(fabric_to_topo_[i], key & 0xFFFFFFFFu) == kNoRecord) {
         fresh.count(route.path);
+        ++records;
       }
     }
   }
   fresh.reserve();
+  states_.reserve(records);
+  gens_.reserve(records * 2 * ranks_);
   std::size_t written = 0;
   for (std::size_t i = 0; i < sources; ++i) {
     SourceCompile& out = per_source[i];
