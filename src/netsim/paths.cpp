@@ -231,11 +231,9 @@ void PathSearch::run_toward(NodeIndex src, NodeIndex dst) {
     }
     if (goal != UINT32_MAX || later_.empty()) break;
     // Move on to the lowest f listed.
-    f = std::ranges::min(later_, {}, &std::pair<std::uint32_t,
-                                               std::uint32_t>::first)
-            .first;
-    std::erase_if(later_, [&](const std::pair<std::uint32_t, std::uint32_t>&
-                                  listing) {
+    f = UINT32_MAX;
+    for (const auto& listing : later_) f = std::min(f, listing.first);
+    std::erase_if(later_, [&](const auto& listing) {
       if (listing.first != f) return false;
       open_.push_back(listing.second);
       return true;

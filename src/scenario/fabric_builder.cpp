@@ -188,7 +188,7 @@ std::size_t BuiltFabric::cached_tree_count() const {
 std::size_t BuiltFabric::cached_route_count() const {
   std::size_t serving = 0;
   for (std::uint32_t rec = 0; rec < record_count_; ++rec) {
-    serving += states_[rec].serving != kNoRoute;
+    serving += record(rec).serving != kNoRoute;
   }
   return serving;
 }
@@ -212,7 +212,6 @@ std::uint32_t BuiltFabric::append_record(RouteKey key) {
   }
   const std::uint32_t rec = record_count_++;
   record(rec).key = key;
-  states_.emplace_back();
   gens_.resize(gens_.size() + 2 * ranks_, 0);
   return rec;
 }
@@ -278,8 +277,9 @@ void BuiltFabric::retire_set(std::uint32_t rec, unsigned s) {
 void BuiltFabric::widen(std::size_t ranks) {
   std::vector<std::uint16_t> gens(std::size_t{record_count_} * 2 * ranks, 0);
   for (std::size_t set = 0; set < std::size_t{record_count_} * 2; ++set) {
-    std::copy_n(gens_.begin() + static_cast<std::ptrdiff_t>(set * ranks_),
-                ranks_, gens.begin() + static_cast<std::ptrdiff_t>(set * ranks));
+    for (std::size_t rank = 0; rank < ranks_; ++rank) {
+      gens[set * ranks + rank] = gens_[set * ranks_ + rank];
+    }
   }
   gens_ = std::move(gens);
   ranks_ = ranks;
@@ -351,29 +351,27 @@ void BuiltFabric::validate() const {
 }
 
 const CompiledRoute* BuiltFabric::serving_route(std::uint32_t rec) const {
-  const std::uint32_t serving = states_[rec].serving;
-  return serving == kNoRoute ? nullptr : &record(rec).route(serving);
+  const PairRecord& r = record(rec);
+  return r.serving == kNoRoute ? nullptr : &r.route(r.serving);
 }
 
-unsigned BuiltFabric::primary_slot(std::uint32_t rec) {
+unsigned BuiltFabric::primary_slot(PairRecord& r) {
   // A displaced original stays put for restore_link: write the other set.
-  const PairState& st = states_[rec];
   const unsigned s =
-      st.original == st.primary_set ? 1U - st.original : st.primary_set;
-  PairRecord& r = record(rec);
+      r.original == r.primary_set ? 1U - r.original : r.primary_set;
   if (s == 1 && !r.other) r.other = std::make_unique<RouteSet>();
   return s;
 }
 
 void BuiltFabric::store_primary(std::uint32_t rec, CompiledRoute&& route) {
   PairRecord& r = record(rec);
-  const unsigned s = primary_slot(rec);
+  const unsigned s = primary_slot(r);
   CompiledRoute& primary = r.set(s).primary;
   retire(rec, route_id(s, 0));
   primary = std::move(route);
   list_route(rec, route_id(s, 0), primary.path);
-  states_[rec].primary_set = static_cast<std::uint8_t>(s);
-  states_[rec].serving = route_id(s, 0);
+  r.primary_set = static_cast<std::uint8_t>(s);
+  r.serving = route_id(s, 0);
   ++stats_.routes_compiled;
 }
 
@@ -567,7 +565,6 @@ std::size_t BuiltFabric::compile_all_pairs(unsigned threads) {
     }
   }
   fresh.reserve();
-  states_.reserve(records);
   gens_.reserve(records * 2 * ranks_);
   std::size_t written = 0;
   for (std::size_t i = 0; i < sources; ++i) {
@@ -595,7 +592,7 @@ std::size_t BuiltFabric::compile_all_pairs(unsigned threads) {
       slots.push_back(PairSlot{static_cast<std::uint32_t>(dst), rec});
       PairRecord& r = record(rec);
       r.own.primary = std::move(route);
-      states_[rec].serving = route_id(0, 0);
+      r.serving = route_id(0, 0);
       fresh.append(live_entry(rec, route_id(0, 0)), r.own.primary.path);
       ++stats_.routes_compiled;
     }
@@ -652,15 +649,17 @@ void BuiltFabric::disarm() {
   for (LinkRoutes& list : routes_by_link_) list = LinkRoutes{};
   for (std::uint32_t rec = 0; rec < record_count_; ++rec) {
     PairRecord& r = record(rec);
-    PairState& st = states_[rec];
-    if (st.serving == kNoRoute) {
+    if (r.serving == kNoRoute) {
       r.own.primary = CompiledRoute{};
-    } else if (st.serving != route_id(0, 0)) {
-      r.own.primary = std::move(r.route(st.serving));
+    } else if (r.serving != route_id(0, 0)) {
+      r.own.primary = std::move(r.route(r.serving));
     }
     r.own.backups.clear();
     r.other.reset();
-    st = PairState{st.serving == kNoRoute ? kNoRoute : route_id(0, 0)};
+    r.primary_set = 0;
+    r.backup_set = 0;
+    r.original = kNoSet;
+    if (r.serving != kNoRoute) r.serving = route_id(0, 0);
     kept.count(r.own.primary.path);
   }
   kept.reserve();
@@ -685,9 +684,8 @@ std::size_t BuiltFabric::enable_protection(unsigned k) {
   // key order, so each source's pairs are one run.
   std::vector<std::uint32_t> recs;
   for (std::uint32_t rec = 0; rec < record_count_; ++rec) {
-    const PairState& st = states_[rec];
-    if (st.serving != kNoRoute &&
-        record(rec).set(st.backup_set).backups.empty()) {
+    const PairRecord& r = record(rec);
+    if (r.serving != kNoRoute && r.set(r.backup_set).backups.empty()) {
       recs.push_back(rec);
     }
   }
@@ -704,17 +702,18 @@ std::size_t BuiltFabric::enable_protection(unsigned k) {
   // appended into exactly reserved lists.
   BulkAppend fresh(routes_by_link_);
   for (const std::uint32_t rec : recs) {
-    for (const BackupRoute& b :
-         record(rec).set(states_[rec].backup_set).backups) {
+    const PairRecord& r = record(rec);
+    for (const BackupRoute& b : r.set(r.backup_set).backups) {
       fresh.count(b.path);
     }
   }
   fresh.reserve();
   for (const std::uint32_t rec : recs) {
-    const unsigned s = states_[rec].backup_set;
-    const auto& backups = record(rec).set(s).backups;
+    const PairRecord& r = record(rec);
+    const auto& backups = r.set(r.backup_set).backups;
     for (std::size_t i = 0; i < backups.size(); ++i) {
-      fresh.append(live_entry(rec, route_id(s, i + 1)), backups[i].path);
+      fresh.append(live_entry(rec, route_id(r.backup_set, i + 1)),
+                   backups[i].path);
     }
   }
   if (metrics_ != nullptr) {
@@ -774,16 +773,16 @@ std::size_t BuiltFabric::protect_source(std::span<const std::uint32_t> recs,
     check_installable(backups);
     stats_.backup_routes += backups.size();
     if (backups.size() >= ranks_) widen(backups.size() + 1);
-    const PairState& st = states_[recs[i]];
-    HP_DCHECK(st.serving == kNoRoute || (st.serving & kRankMask) == 0 ||
-                  st.serving >> kSetShift != st.backup_set,
+    PairRecord& r = record(recs[i]);
+    HP_DCHECK(r.serving == kNoRoute || (r.serving & kRankMask) == 0 ||
+                  r.serving >> kSetShift != r.backup_set,
               "protect_source: replacing the backups a pair serves");
-    auto& current = record(recs[i]).set(st.backup_set).backups;
+    auto& current = r.set(r.backup_set).backups;
     std::swap(current, backups);  // `backups` now holds the old set
     const std::size_t ranks =
         reindex_old ? std::max(current.size(), backups.size()) : 0;
     for (std::size_t j = 0; j < ranks; ++j) {
-      const std::uint32_t id = route_id(st.backup_set, j + 1);
+      const std::uint32_t id = route_id(r.backup_set, j + 1);
       retire(recs[i], id);
       if (j < current.size()) list_route(recs[i], id, current[j].path);
     }
@@ -799,13 +798,11 @@ void BuiltFabric::collect_hits(netsim::LinkIndex fwd, netsim::LinkIndex rev,
                       routes_by_link_[rev].entries.size());
   for (const netsim::LinkIndex l : {fwd, rev}) {
     for (const std::uint64_t entry : routes_by_link_[l].entries) {
-      // A live entry's route crosses l, so a filter needs no path; a
-      // record is read only for a hit.
+      // A live entry's route crosses l: only its record is read.
       if (!live(entry)) continue;
       const std::uint32_t rec = entry_record(entry);
-      if (keep(rec, entry_route(entry))) {
-        event_hits_.emplace_back(record(rec).key, rec);
-      }
+      const PairRecord& r = record(rec);
+      if (keep(r, entry_route(entry))) event_hits_.emplace_back(r.key, rec);
     }
   }
   // Lists are unordered.  A route is listed live once per link, and a
@@ -840,8 +837,8 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
 
   // The index names exactly the routes served over the dead link:
   // O(routes over it), not O(routes * hops).
-  collect_hits(*fwd, *rev, [this](std::uint32_t rec, std::uint32_t id) {
-    return states_[rec].serving == id;
+  collect_hits(*fwd, *rev, [](const PairRecord& r, std::uint32_t id) {
+    return r.serving == id;
   });
   report.affected.reserve(event_hits_.size());
   for (const auto& [key, rec] : event_hits_) {
@@ -868,18 +865,18 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
     report.swapped.reserve(event_hits_.size());
     report.swap_stretch.reserve(event_hits_.size());
     for (const auto& [key, rec] : event_hits_) {
-      PairState& st = states_[rec];
-      if (st.original == kNoSet) st.original = st.primary_set;
-      const auto& backups = record(rec).set(st.backup_set).backups;
+      PairRecord& r = record(rec);
+      if (r.original == kNoSet) r.original = r.primary_set;
+      const auto& backups = r.set(r.backup_set).backups;
       const auto rank = first_live_backup(backups, link_down_);
       const auto pr = netsim::node_pair_from_key(key);
       if (!rank) {
-        st.serving = kNoRoute;
+        r.serving = kNoRoute;
         report.pending.push_back(pr);
         pending_.push_back(pr);
         continue;
       }
-      st.serving = route_id(st.backup_set, *rank + 1);
+      r.serving = route_id(r.backup_set, *rank + 1);
       ++stats_.backup_swaps;
       report.swapped.push_back(pr);
       report.swap_stretch.push_back(backups[*rank].stretch);
@@ -890,11 +887,11 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
   } else {
     // Eager path (the pre-protection behaviour): subtree-scoped repair
     // of each source's severed destinations inside the event.
-    for (const auto& [key, rec] : event_hits_) states_[rec].serving = kNoRoute;
+    for (const auto& [key, rec] : event_hits_) record(rec).serving = kNoRoute;
     compile_by_source(report.affected);
     for (const auto& [key, rec] : event_hits_) {
       const auto pr = netsim::node_pair_from_key(key);
-      if (states_[rec].serving != kNoRoute) {
+      if (record(rec).serving != kNoRoute) {
         report.repaired.push_back(pr);
       } else {
         report.unroutable.push_back(pr);
@@ -941,7 +938,7 @@ FailoverReport BuiltFabric::repair_pending() {
   std::vector<std::uint32_t> replan;
   for (const auto& pr : work) {
     const std::uint32_t rec = find_record(pr.first, pr.second);
-    if (rec == kNoRecord || states_[rec].serving == kNoRoute) {
+    if (rec == kNoRecord || record(rec).serving == kNoRoute) {
       report.unroutable.push_back(pr);
       continue;
     }
@@ -956,8 +953,8 @@ FailoverReport BuiltFabric::repair_pending() {
   // so restore_link finds both where they were.
   if (protection_k_ > 0) {
     for (const std::uint32_t rec : replan) {
-      PairState& st = states_[rec];
-      if (st.backup_set == st.original) st.backup_set = st.primary_set;
+      PairRecord& r = record(rec);
+      if (r.backup_set == r.original) r.backup_set = r.primary_set;
     }
     const auto rec_key = [this](std::uint32_t rec) { return record(rec).key; };
     for_each_source(std::span<const std::uint32_t>(replan), rec_key,
@@ -1001,10 +998,9 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
     // routes revive here without any recompile.  Only originals over
     // the revived link are candidates: every other one still crosses a
     // dead link (the invariant checked below).
-    collect_hits(*fwd, *rev, [&](std::uint32_t rec, std::uint32_t id) {
-      const std::uint8_t original = states_[rec].original;
-      return original != kNoSet && id == route_id(original, 0) &&
-             !crosses_failed_link(record(rec).set(original).primary.path);
+    collect_hits(*fwd, *rev, [&](const PairRecord& r, std::uint32_t id) {
+      return r.original != kNoSet && id == route_id(r.original, 0) &&
+             !crosses_failed_link(r.set(r.original).primary.path);
     });
     report.affected.reserve(event_hits_.size());
     report.swapped.reserve(event_hits_.size());
@@ -1013,8 +1009,11 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
       // The original primary serves again under the protection set
       // planned for it, wherever a repair left later ones.
       PairRecord& r = record(rec);
-      const std::uint8_t original = states_[rec].original;
-      states_[rec] = PairState{route_id(original, 0), original, original};
+      const std::uint8_t original = r.original;
+      r.serving = route_id(original, 0);
+      r.primary_set = original;
+      r.backup_set = original;
+      r.original = kNoSet;
       // What repairs compiled beside the original is unreachable now:
       // free it.  Its index entries go stale.
       retire_set(rec, 1U - original);
@@ -1038,10 +1037,9 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
     HP_DCHECK(std::ranges::all_of(
                   std::views::iota(std::uint32_t{0}, record_count_),
                   [&](std::uint32_t rec) {
-                    const std::uint8_t original = states_[rec].original;
-                    return original == kNoSet ||
-                           crosses_failed_link(
-                               record(rec).set(original).primary.path);
+                    const PairRecord& r = record(rec);
+                    return r.original == kNoSet ||
+                           crosses_failed_link(r.set(r.original).primary.path);
                   }),
               "restore_link: a fully alive original was not reverted");
     if (metrics_ != nullptr && !report.swapped.empty()) {

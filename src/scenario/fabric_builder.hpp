@@ -299,17 +299,21 @@ class BuiltFabric {
 
   /// Everything cached for one (src, dst) pair.  Set 0 is inline; set 1
   /// is made by the first compile that must keep a displaced original.
-  /// The current primary is set(primary_set).primary and the current
-  /// protection set set(backup_set).backups (the pair's PairState).  A
-  /// failure marks the primary it displaces as the pair's `original`
-  /// and serves a backup; a later compile writes the other set, so the
-  /// original and the set planned for it stay where they are until
-  /// restore_link points `serving` back at them and frees the other
-  /// set.  Nothing in a record moves while it serves.
+  /// The current primary is sets[primary_set].primary and the current
+  /// protection set sets[backup_set].backups.  A failure marks the
+  /// primary it displaces as the pair's `original` and serves a backup;
+  /// a later compile writes the other set, so the original and the set
+  /// planned for it stay where they are until restore_link points
+  /// `serving` back at them and frees the other set.  Nothing in a
+  /// record moves while it serves.
   struct PairRecord {
     RouteKey key = 0;
     RouteSet own;
     std::unique_ptr<RouteSet> other;
+    std::uint32_t serving = kNoRoute;
+    std::uint8_t primary_set = 0;
+    std::uint8_t backup_set = 0;
+    std::uint8_t original = kNoSet;
 
     [[nodiscard]] RouteSet& set(unsigned s) { return s == 0 ? own : *other; }
     [[nodiscard]] const RouteSet& set(unsigned s) const {
@@ -325,16 +329,6 @@ class BuiltFabric {
       const std::uint32_t rank = id & kRankMask;
       return rank == 0 ? rs.primary : rs.backups[rank - 1];
     }
-  };
-
-  /// What a pair serves and where its sets are, 8 bytes, kept apart
-  /// from its record so the event filters that test every listed route
-  /// read no record.
-  struct PairState {
-    std::uint32_t serving = kNoRoute;
-    std::uint8_t primary_set = 0;
-    std::uint8_t backup_set = 0;
-    std::uint8_t original = kNoSet;
   };
 
   /// A record's slot in a source's lookup list, sorted by destination.
@@ -357,9 +351,9 @@ class BuiltFabric {
   std::uint32_t append_record(RouteKey key);
   /// The record of router pair src -> dst, made (and slotted) if new.
   std::uint32_t record_for(netsim::NodeIndex src, netsim::NodeIndex dst);
-  /// The set a new primary of `rec` goes to (made if missing): its
+  /// The set a new primary of `r` goes to (made if missing): its
   /// current one, or the other while the current holds the original.
-  unsigned primary_slot(std::uint32_t rec);
+  unsigned primary_slot(PairRecord& r);
   /// One directed link's index list, in no particular order: an entry
   /// rec << 32 | route id << 16 | generation per listing of a compiled
   /// route over the link.  An entry is live while its generation is its
@@ -406,7 +400,8 @@ class BuiltFabric {
                                                        std::uint32_t id);
   /// List route `id` of `rec`, just stored (and its slot retired), on
   /// every link of `path`.
-  void list_route(std::uint32_t rec, std::uint32_t id, const netsim::Path& path);
+  void list_route(std::uint32_t rec, std::uint32_t id,
+                  const netsim::Path& path);
   /// Drop link `l`'s stale entries.
   void compact(netsim::LinkIndex l);
 
@@ -501,9 +496,8 @@ class BuiltFabric {
   /// as its one primary, and the index is rebuilt from those.
   void disarm();
 
-  /// The (key, record) pairs whose live entry in the lists of `fwd` or
-  /// `rev` passes keep(record, route id), in ascending key order, into
-  /// event_hits_.
+  /// The (key, record) pairs whose entry in the lists of `fwd` or `rev`
+  /// passes `keep`, in ascending key order, into event_hits_.
   template <typename Keep>
   void collect_hits(netsim::LinkIndex fwd, netsim::LinkIndex rev, Keep keep);
 
@@ -540,8 +534,6 @@ class BuiltFabric {
   static constexpr std::size_t kRecordChunk = 1024;
   std::vector<std::unique_ptr<PairRecord[]>> record_chunks_;
   std::uint32_t record_count_ = 0;
-  /// Per record: its PairState.
-  std::vector<PairState> states_;
   /// Per fabric source: its records' slots, sorted by destination.
   /// Memory grows with the cached pairs, not with router pairs.
   std::vector<std::vector<PairSlot>> pair_slots_;
