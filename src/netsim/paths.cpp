@@ -90,9 +90,9 @@ PathSearch::PathSearch(const Topology& topo, PathMetric metric)
     std::vector<std::uint32_t> next(in_offset_.begin(), in_offset_.end() - 1);
     for (const Arc& arc : arcs_) in_links_[next[arc.to]++] = arc.link;
     bound_row_.assign(n, kNoLink);
-    queue_.reserve(n);
     // A run lists a node only when its g improves, and expands it at
-    // most once, so it lists at most one node per arc, and the source.
+    // most once, so it lists at most one node per arc, and the source;
+    // hop_bounds' queue holds dst and at most one node per arc too.
     open_.reserve(m + 1);
     later_.reserve(m + 1);
   } else {
@@ -248,15 +248,16 @@ void PathSearch::run_toward(NodeIndex src, NodeIndex dst) {
 const std::uint16_t* PathSearch::hop_bounds(NodeIndex dst) {
   // A reverse level-order pass over incoming arcs, with no bans: a node
   // leads on only through a forwarding node, or straight into dst.
+  // open_ is the queue; run_toward refills it after.
   const std::size_t n = forwards_.size();
   if (bound_row_[dst] == kNoLink) {
     bound_row_[dst] = static_cast<std::uint32_t>(bounds_.size() / n);
     bounds_.resize(bounds_.size() + n, kFar);
     std::uint16_t* h = bounds_.data() + bounds_.size() - n;
     h[dst] = 0;
-    queue_.assign(1, static_cast<std::uint32_t>(dst));
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const std::uint32_t v = queue_[i];
+    open_.assign(1, static_cast<std::uint32_t>(dst));
+    for (std::size_t i = 0; i < open_.size(); ++i) {
+      const std::uint32_t v = open_[i];
       if (v != dst && forwards_[v] == 0) continue;
       const auto next = static_cast<std::uint16_t>(
           std::min<std::uint32_t>(h[v] + 1U, kFar - 1U));
@@ -264,7 +265,7 @@ const std::uint16_t* PathSearch::hop_bounds(NodeIndex dst) {
         const std::uint32_t u = from_[in_links_[e]];
         if (h[u] != kFar) continue;
         h[u] = next;
-        queue_.push_back(u);
+        open_.push_back(u);
       }
     }
   }

@@ -180,11 +180,10 @@ class PathSearch {
   /// or kNoLink until a run goes toward it; n bounds a row.
   std::vector<std::uint32_t> bound_row_;
   std::vector<std::uint16_t> bounds_;
-  /// kHopCount only: run_toward's listings at the current f and, with
-  /// their f, at higher ones; hop_bounds' queue.
+  /// kHopCount only: run_toward's listings at the current f (and
+  /// hop_bounds' queue) and, with their f, at higher ones.
   std::vector<std::uint32_t> open_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> later_;
-  std::vector<std::uint32_t> queue_;
   std::vector<std::uint32_t> link_bans_;
   std::vector<std::uint32_t> node_bans_;
   NodeIndex src_ = kInvalidIndex;
